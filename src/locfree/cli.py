@@ -146,7 +146,8 @@ def cmd_fit(args):
                 kernels.GaussianKernel(config.sigma_loc), config.lam_loc,
                 iters=config.loc_iters, center_targets=config.center_targets,
             )
-            train_features = fitted.features
+            # Dropped measurements come out as NaN rows, written as empty fields.
+            train_features = report.estimates.T
         else:
             train_features = features.feature_matrix_nosync(world.train_pilots, t_samp)
             kernel = kernels.GaussianKernel(config.sigma)
@@ -188,15 +189,16 @@ def cmd_predict(args):
     rng = np.random.default_rng(config.seed)
     if args.points is not None:
         pts = np.loadtxt(args.points, delimiter=",", ndmin=2)
+        pilots = None
     else:
         grid = precompute_grid(scenario, config.grid_step)
-        pts = grid.points
+        pts, pilots = grid.points, grid.channels
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        tables = simulate_points(scenario, pts, check_domain=False)
+        if pilots is None:
+            pilots = simulate_points(scenario, pts, check_domain=False).channels
         from .propagation import pilot_noise
 
-        pilots = tables.channels
         if config.noisy_query:
             pilots = pilots + pilot_noise(scenario, pilots.shape, rng)
         t_samp = scenario.sample_period
@@ -218,7 +220,7 @@ def cmd_predict(args):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("x,y,pred_dbw\n")
         for (x, y), v in zip(pts, np.atleast_1d(values)):
-            fh.write(f"{x!r},{y!r},{'' if not np.isfinite(v) else repr(float(v))}\n")
+            fh.write(f"{float(x)!r},{float(y)!r},{io._fmt(v)}\n")
     print(f"wrote {path}")
     return EXIT_OK
 

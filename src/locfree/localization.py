@@ -91,18 +91,25 @@ def tdoa_feature_set(pilot, sample_period):
     )
 
 
-def _batch_residuals(x, a0, others, r):
-    """Residuals and Jacobians for stacked points x (n, 2).
-
-    Returns g (n, P) and jac (n, P, 2) for P usable range differences.
-    """
+def _batch_ranges(x, a0, others):
+    """Distances (n,) to the reference anchor and (n, P) to the others."""
     d0 = np.maximum(np.linalg.norm(x - a0, axis=1), 1e-12)
     dl = np.maximum(np.linalg.norm(x[:, None, :] - others[None], axis=2), 1e-12)
-    g = (d0[:, None] - dl) - r
-    jac = (x - a0)[:, None, :] / d0[:, None, None] - (
+    return d0, dl
+
+
+def _batch_residuals(x, a0, others, r):
+    """Residuals g (n, P) of P usable range differences at stacked points x (n, 2)."""
+    d0, dl = _batch_ranges(x, a0, others)
+    return (d0[:, None] - dl) - r
+
+
+def _batch_jacobian(x, a0, others):
+    """Jacobians (n, P, 2) of the residuals at stacked points x (n, 2)."""
+    d0, dl = _batch_ranges(x, a0, others)
+    return (x - a0)[:, None, :] / d0[:, None, None] - (
         x[:, None, :] - others[None]
     ) / dl[:, :, None]
-    return g, jac
 
 
 def _batch_cost(x, g, weights, center, tau):
@@ -117,45 +124,75 @@ def _batch_gauss_newton(x, a0, others, r, weights, center, tau, steps=12):
     in-region scales but removes the spurious minima the range-difference
     cost has along hyperbola asymptotes (quantized measurements can be
     "explained" by points at astronomic distances).
+
+    Rows are independent, so each step works only on the rows it can
+    still move.  Every result is bit-identical to descending all rows
+    until the last one is done:
+
+    - The backtracking line search evaluates only the rows not yet
+      accepted; they all share the current step scale.
+    - A row whose line search rejects every trial keeps its x.  Its next
+      step would recompute the same residuals, Jacobian and step, and be
+      rejected again, so the row is at a fixed point and is retired.
+      Retired rows skip the Hessian, the step and the post-step
+      residuals for the rest of the call.
+    - The early exit tests the active rows.  A retired row with a finite
+      cost always passes the test (its decrease is 0), and one with a
+      non-finite cost always fails it, so the latter blocks the exit.
     """
-    g, jac = _batch_residuals(x, a0, others, r)
+    x = np.array(x, dtype=float)
+    g = _batch_residuals(x, a0, others, r)
     cost = _batch_cost(x, g, weights, center, tau)
+    # Rows still descending (indices into x) and their state; g is theirs.
+    active = np.arange(x.shape[0])
+    x_a, w_a, r_a, cost_a = x.copy(), weights, r, cost.copy()
+    exit_blocked = False
     for _ in range(steps):
-        jw = jac * weights[:, :, None]
+        jac = _batch_jacobian(x_a, a0, others)
+        jw = jac * w_a[:, :, None]
         h11 = np.sum(jw[:, :, 0] * jac[:, :, 0], axis=1) + tau
         h22 = np.sum(jw[:, :, 1] * jac[:, :, 1], axis=1) + tau
         h12 = np.sum(jw[:, :, 0] * jac[:, :, 1], axis=1)
         damp = 1e-12 * (h11 + h22)
         h11 = h11 + damp
         h22 = h22 + damp
-        b1 = -(np.sum(jw[:, :, 0] * g, axis=1) + tau * (x[:, 0] - center[0]))
-        b2 = -(np.sum(jw[:, :, 1] * g, axis=1) + tau * (x[:, 1] - center[1]))
+        b1 = -(np.sum(jw[:, :, 0] * g, axis=1) + tau * (x_a[:, 0] - center[0]))
+        b2 = -(np.sum(jw[:, :, 1] * g, axis=1) + tau * (x_a[:, 1] - center[1]))
         det = h11 * h22 - h12**2
         det = np.where(np.abs(det) > 1e-300, det, 1.0)
         delta = np.stack([(h22 * b1 - h12 * b2) / det, (h11 * b2 - h12 * b1) / det], axis=1)
-        # Backtracking line search, vectorized: halve steps where the full
-        # Gauss-Newton step does not decrease the cost.
-        scale = np.ones(x.shape[0])
-        accepted = np.zeros(x.shape[0], dtype=bool)
-        x_new = x.copy()
+        # Backtracking line search over the pending rows (indices into the
+        # active set): halve the step until the cost does not increase.
+        pending = np.arange(active.size)
+        scale = 1.0
         for _ in range(12):
-            trial = np.where(accepted[:, None], x_new, x + scale[:, None] * delta)
-            g_t, _ = _batch_residuals(trial, a0, others, r)
-            cost_t = _batch_cost(trial, g_t, weights, center, tau)
-            improve = cost_t <= cost
-            newly = improve & ~accepted
-            x_new[newly] = trial[newly]
-            accepted |= improve
-            if accepted.all():
+            trial = x_a[pending] + scale * delta[pending]
+            g_t = _batch_residuals(trial, a0, others, r_a[pending])
+            cost_t = _batch_cost(trial, g_t, w_a[pending], center, tau)
+            improve = cost_t <= cost_a[pending]
+            x_a[pending[improve]] = trial[improve]
+            pending = pending[~improve]
+            if pending.size == 0:
                 break
-            scale = np.where(accepted, scale, scale / 2.0)
-        x = np.where(accepted[:, None], x_new, x)
-        g, jac = _batch_residuals(x, a0, others, r)
-        new_cost = _batch_cost(x, g, weights, center, tau)
-        if np.all(cost - new_cost < 1e-14 * (1.0 + new_cost)):
-            cost = new_cost
+            scale /= 2.0
+        if pending.size:
+            retired = active[pending]
+            x[retired] = x_a[pending]
+            cost[retired] = cost_a[pending]
+            exit_blocked |= not np.all(np.isfinite(cost_a[pending]))
+            moved = np.ones(active.size, dtype=bool)
+            moved[pending] = False
+            active, x_a, w_a, r_a, cost_a = (
+                v[moved] for v in (active, x_a, w_a, r_a, cost_a)
+            )
+        g = _batch_residuals(x_a, a0, others, r_a)
+        new_cost = _batch_cost(x_a, g, w_a, center, tau)
+        converged = np.all(cost_a - new_cost < 1e-14 * (1.0 + new_cost))
+        cost_a = new_cost
+        if active.size == 0 or (converged and not exit_blocked):
             break
-        cost = new_cost
+    x[active] = x_a
+    cost[active] = cost_a
     return x, cost
 
 
@@ -197,7 +234,7 @@ def _srdls_batch(pos, diffs, iters):
         cost = np.full(n, np.inf)
         for _ in range(max(iters, 1)):
             x, cost = _batch_gauss_newton(x, a0, others, diffs, weights, centroid, tau)
-            g, _ = _batch_residuals(x, a0, others, diffs)
+            g = _batch_residuals(x, a0, others, diffs)
             # Scale-aware reweighting: eps at the residual noise floor keeps
             # rows within the floor equally weighted (averaging preserved)
             # while still suppressing multipath-biased outlier rows.
@@ -209,13 +246,13 @@ def _srdls_batch(pos, diffs, iters):
     # Prior-free polish: the prior has done its job (basin selection); a last
     # local descent without it removes its small bias, restoring exactness on
     # consistent inputs.
-    g, _ = _batch_residuals(best_x, a0, others, diffs)
+    g = _batch_residuals(best_x, a0, others, diffs)
     eps = np.maximum(np.median(g**2, axis=1), _REWEIGHT_EPS)
     weights = 1.0 / (g**2 + eps[:, None])
     best_x, _ = _batch_gauss_newton(
         best_x, a0, others, diffs, weights, centroid, 0.0, steps=8
     )
-    g, _ = _batch_residuals(best_x, a0, others, diffs)
+    g = _batch_residuals(best_x, a0, others, diffs)
     data_cost = np.sum(weights * g**2, axis=1)
     best_x[~solvable] = np.nan
     data_cost[~solvable] = np.nan

@@ -209,3 +209,68 @@ def test_verbose_fig11_emits_svp_iteration_logs(tmp_path):
     first = logs[0].read_text().splitlines()
     assert first[0] == "iter,residual"
     assert len(first) > 1
+
+
+def test_predict_writes_query_points_bit_exactly(tmp_path):
+    """The x,y columns of predictions.csv parse back to the query points."""
+    cfg = _fit_config(tmp_path, **{"lambda": 1e-4})
+    out = tmp_path / "out"
+    assert run_cli("fit", "--config", str(cfg), "--out", str(out)) == 0
+    query = [(0.1, 1.0 / 3.0), (12.345678901234567, 7.0), (41.5, 2.0 ** -20)]
+    points = tmp_path / "points.csv"
+    points.write_text("".join(f"{x!r},{y!r}\n" for x, y in query))
+    pred_out = tmp_path / "pred"
+    assert (
+        run_cli(
+            "predict",
+            "--model", str(out / "model.json"),
+            "--config", str(cfg),
+            "--points", str(points),
+            "--out", str(pred_out),
+        )
+        == 0
+    )
+    rows = (pred_out / "predictions.csv").read_text().splitlines()[1:]
+    assert [tuple(float(v) for v in row.split(",")[:2]) for row in rows] == query
+
+
+def test_fit_locb_writes_dropped_training_points_as_empty_fields(tmp_path):
+    """Seed 1002 draws a training point that fails to localize; the fit
+    still succeeds and writes one row per training point."""
+    doc = {
+        "scenario": {"preset": "indoor-fig4"},
+        "estimator": "locb",
+        "n_train": 300,
+        "seed": 1002,
+    }
+    cfg = tmp_path / "fit.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert run_cli("fit", "--config", str(cfg), "--out", str(out)) == 0
+    lines = (out / "training_features.csv").read_text().splitlines()
+    assert lines[0] == "x,y,f1,f2"
+    assert len(lines) == 301
+    assert any(line.endswith(",,") for line in lines[1:])
+
+
+def test_predict_on_grid_matches_points_run_on_grid_points(tmp_path):
+    """Without --points, predict evaluates the grid; the output equals a
+    --points run on the grid's own points, byte for byte."""
+    from locfree.cli import _experiment_config
+    from locfree.propagation import evaluation_grid
+
+    cfg = _fit_config(tmp_path, **{"lambda": 1e-4, "grid_step": 4.0, "noisy_query": True})
+    out = tmp_path / "out"
+    assert run_cli("fit", "--config", str(cfg), "--out", str(out)) == 0
+    config = _experiment_config(json.loads(cfg.read_text()))
+    grid_points = evaluation_grid(config.scenario, config.grid_step)[0]
+    points = tmp_path / "points.csv"
+    points.write_text("".join(f"{x!r},{y!r}\n" for x, y in grid_points.tolist()))
+    outputs = []
+    for extra in ([], ["--points", str(points)]):
+        pred_out = tmp_path / f"pred{len(extra)}"
+        argv = ["predict", "--model", str(out / "model.json"), "--config", str(cfg)]
+        assert run_cli(*argv, *extra, "--out", str(pred_out)) == 0
+        outputs.append((pred_out / "predictions.csv").read_bytes())
+    assert outputs[0].count(b"\n") == grid_points.shape[0] + 1
+    assert outputs[0] == outputs[1]

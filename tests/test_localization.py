@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import grid_aligned_free_space
+from locfree import localization
 from locfree.errors import ConfigurationError
 from locfree.kernels import GaussianKernel, fit, predict
 from locfree.localization import (
@@ -14,7 +15,7 @@ from locfree.localization import (
     write_location_csv,
 )
 from locfree.propagation import pilot_noise, sample_sensor_locations, simulate_points, synthesize_pilot_matrix
-from locfree.scenario import SPEED_OF_LIGHT
+from locfree.scenario import SPEED_OF_LIGHT, preset
 
 
 def random_anchors(rng, count=4):
@@ -170,3 +171,105 @@ def test_location_csv_dump(tmp_path):
     assert lines[0] == "x_true,y_true,x_est,y_est,residual"
     assert lines[1] == "1.0,2.0,1.1,2.1,0.5"
     assert lines[2] == "3.0,4.0,,,"
+
+
+def _reference_residuals(x, a0, others, r):
+    """Residuals and Jacobians for stacked points, as one full-row pass."""
+    d0 = np.maximum(np.linalg.norm(x - a0, axis=1), 1e-12)
+    dl = np.maximum(np.linalg.norm(x[:, None, :] - others[None], axis=2), 1e-12)
+    g = (d0[:, None] - dl) - r
+    jac = (x - a0)[:, None, :] / d0[:, None, None] - (
+        x[:, None, :] - others[None]
+    ) / dl[:, :, None]
+    return g, jac
+
+
+def _reference_gauss_newton(x, a0, others, r, weights, center, tau, steps=12):
+    """Full-row Gauss-Newton: every row takes part in every line-search
+    trial and every step until the last row is done.  The oracle for the
+    active-set solver, which must reproduce it bit for bit."""
+    cost_of = localization._batch_cost
+    g, jac = _reference_residuals(x, a0, others, r)
+    cost = cost_of(x, g, weights, center, tau)
+    for _ in range(steps):
+        jw = jac * weights[:, :, None]
+        h11 = np.sum(jw[:, :, 0] * jac[:, :, 0], axis=1) + tau
+        h22 = np.sum(jw[:, :, 1] * jac[:, :, 1], axis=1) + tau
+        h12 = np.sum(jw[:, :, 0] * jac[:, :, 1], axis=1)
+        damp = 1e-12 * (h11 + h22)
+        h11 = h11 + damp
+        h22 = h22 + damp
+        b1 = -(np.sum(jw[:, :, 0] * g, axis=1) + tau * (x[:, 0] - center[0]))
+        b2 = -(np.sum(jw[:, :, 1] * g, axis=1) + tau * (x[:, 1] - center[1]))
+        det = h11 * h22 - h12**2
+        det = np.where(np.abs(det) > 1e-300, det, 1.0)
+        delta = np.stack([(h22 * b1 - h12 * b2) / det, (h11 * b2 - h12 * b1) / det], axis=1)
+        scale = np.ones(x.shape[0])
+        accepted = np.zeros(x.shape[0], dtype=bool)
+        x_new = x.copy()
+        for _ in range(12):
+            trial = np.where(accepted[:, None], x_new, x + scale[:, None] * delta)
+            g_t, _ = _reference_residuals(trial, a0, others, r)
+            cost_t = cost_of(trial, g_t, weights, center, tau)
+            improve = cost_t <= cost
+            newly = improve & ~accepted
+            x_new[newly] = trial[newly]
+            accepted |= improve
+            if accepted.all():
+                break
+            scale = np.where(accepted, scale, scale / 2.0)
+        x = np.where(accepted[:, None], x_new, x)
+        g, jac = _reference_residuals(x, a0, others, r)
+        new_cost = cost_of(x, g, weights, center, tau)
+        if np.all(cost - new_cost < 1e-14 * (1.0 + new_cost)):
+            cost = new_cost
+            break
+        cost = new_cost
+    return x, cost
+
+
+@pytest.mark.parametrize("walls", [0, 5])
+def test_active_set_gauss_newton_matches_full_row_reference(walls, monkeypatch):
+    """Multipath 200 MHz range differences: the SRD-LS estimates and costs
+    equal those of the full-row reference exactly, for a batch and for
+    one row on its own."""
+    scn = preset("indoor-dense", bandwidth_hz=200e6, wall_count=walls)
+    rng = np.random.default_rng(20 + walls)
+    pts = sample_sensor_locations(scn, 300, rng)
+    tables = simulate_points(scn, pts)
+    pilots = tables.channels + pilot_noise(scn, tables.channels.shape, rng)
+    diffs = np.stack([tdoa_feature_set(p, scn.sample_period) for p in pilots])
+    diffs = diffs[np.all(np.isfinite(diffs), axis=1)]
+    assert diffs.shape[0] >= 250
+    pos = scn.tx_positions()
+    batches = (diffs, diffs[:1])
+    active_set = [localization._srdls_batch(pos, d, 3) for d in batches]
+    monkeypatch.setattr(localization, "_batch_gauss_newton", _reference_gauss_newton)
+    reference = [localization._srdls_batch(pos, d, 3) for d in batches]
+    for (xy, cost), (xy_ref, cost_ref) in zip(active_set, reference):
+        assert np.array_equal(xy, xy_ref)
+        assert np.array_equal(cost, cost_ref)
+
+
+def test_active_set_gauss_newton_non_finite_rows_match_reference():
+    """Rows with NaN or infinite costs.  A retired row with a non-finite
+    cost blocks the early exit, so the finite rows keep descending exactly
+    as the full-row reference does (stopping them early moves their
+    estimates by about 1e-9 m)."""
+    pos = np.array([[5.0, 5.0], [55.0, 6.0], [54.0, 35.0], [6.0, 34.0], [30.0, 20.0]])
+    rng = np.random.default_rng(2)
+    truth = rng.uniform((2.0, 2.0), (58.0, 38.0), (4, 2))
+    d = np.linalg.norm(truth[:, None, :] - pos[None], axis=2)
+    r = d[:, :1] - d[:, 1:] + rng.normal(0.0, 0.3, (4, 4))
+    r[2, 1] = np.nan
+    r[3, 0] = np.inf
+    center = pos.mean(axis=0)
+    x0 = np.broadcast_to(center, (4, 2)).copy()
+    for tau in (1e-4, 0.0):
+        args = (pos[0], pos[1:], r, np.ones_like(r), center, tau)
+        with np.errstate(invalid="ignore", over="ignore"):
+            x, cost = localization._batch_gauss_newton(x0, *args)
+            x_ref, cost_ref = _reference_gauss_newton(x0, *args)
+        assert np.isnan(cost[2]) and not np.isfinite(cost[3])
+        assert np.array_equal(x, x_ref, equal_nan=True)
+        assert np.array_equal(cost, cost_ref, equal_nan=True)
