@@ -13,14 +13,14 @@ import json
 import logging
 import os
 import sys
-import warnings
+from dataclasses import replace
 
 import numpy as np
 
-from . import experiments, features, io, kernels, localization
+from . import experiments, features, io, kernels, localization, reduction
 from .errors import ConfigurationError, SolverError
-from .evaluation import ExperimentConfig, mask_features, precompute_grid, _draw_world
-from .propagation import sample_sensor_locations, simulate_points
+from .evaluation import ExperimentConfig, mask_features, precompute_grid, run_experiment, _draw_world
+from .propagation import pilot_noise, sample_sensor_locations, simulate_points
 from .scenario import (
     SCENARIO_PRESETS,
     load_scenario,
@@ -135,41 +135,37 @@ def cmd_fit(args):
     out = args.out or "."
     os.makedirs(out, exist_ok=True)
     grid = precompute_grid(config.scenario, config.grid_step)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        world = _draw_world(config, grid, 0)
-        t_samp = config.scenario.sample_period
-        if config.estimator == "locb":
-            anchors = localization.AnchorSet.from_scenario(config.scenario)
-            fitted, report = localization.locb_fit(
-                anchors, world.train_pilots, world.targets, t_samp,
-                kernels.GaussianKernel(config.sigma_loc), config.lam_loc,
-                iters=config.loc_iters, center_targets=config.center_targets,
-            )
-            # Dropped measurements come out as NaN rows, written as empty fields.
-            train_features = report.estimates.T
-        else:
-            train_features = features.feature_matrix_nosync(world.train_pilots, t_samp)
-            kernel = kernels.GaussianKernel(config.sigma)
-            if config.estimator == "locf_reduced":
-                from . import reduction
-
-                if config.rank is not None:
-                    basis, reduced = reduction.reduce_features(train_features, rank=config.rank)
-                else:
-                    basis, reduced = reduction.reduce_features(
-                        train_features, eta=config.eta or 0.99
-                    )
-                fitted = kernels.fit(
-                    reduced, world.targets, kernel, config.lam,
-                    center_targets=config.center_targets,
-                )
-                fitted = kernels.with_basis(fitted, basis)
+    world = _draw_world(config, grid, 0)
+    t_samp = config.scenario.sample_period
+    if config.estimator == "locb":
+        anchors = localization.AnchorSet.from_scenario(config.scenario)
+        fitted, report = localization.locb_fit(
+            anchors, world.train_pilots, world.targets, t_samp,
+            kernels.GaussianKernel(config.sigma_loc), config.lam_loc,
+            iters=config.loc_iters, center_targets=config.center_targets,
+        )
+        # Dropped measurements come out as NaN rows, written as empty fields.
+        train_features = report.estimates.T
+    else:
+        train_features = features.feature_matrix_nosync(world.train_pilots, t_samp)
+        kernel = kernels.GaussianKernel(config.sigma)
+        if config.estimator == "locf_reduced":
+            if config.rank is not None:
+                basis, reduced = reduction.reduce_features(train_features, rank=config.rank)
             else:
-                fitted = kernels.fit(
-                    train_features, world.targets, kernel, config.lam,
-                    center_targets=config.center_targets,
+                basis, reduced = reduction.reduce_features(
+                    train_features, eta=config.eta or 0.99
                 )
+            fitted = kernels.fit(
+                reduced, world.targets, kernel, config.lam,
+                center_targets=config.center_targets,
+            )
+            fitted = kernels.with_basis(fitted, basis)
+        else:
+            fitted = kernels.fit(
+                train_features, world.targets, kernel, config.lam,
+                center_targets=config.center_targets,
+            )
     model_path = os.path.join(out, "model.json")
     kernels.save_model(fitted, model_path)
     io.write_feature_csv(
@@ -193,27 +189,23 @@ def cmd_predict(args):
     else:
         grid = precompute_grid(scenario, config.grid_step)
         pts, pilots = grid.points, grid.channels
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        if pilots is None:
-            pilots = simulate_points(scenario, pts, check_domain=False).channels
-        from .propagation import pilot_noise
-
-        if config.noisy_query:
-            pilots = pilots + pilot_noise(scenario, pilots.shape, rng)
-        t_samp = scenario.sample_period
-        if config.estimator == "locb":
-            anchors = localization.AnchorSet.from_scenario(scenario)
-            values = np.array(
-                [
-                    localization.locb_predict(fitted, anchors, pilots[i], t_samp,
-                                              iters=config.loc_iters)
-                    for i in range(pts.shape[0])
-                ]
-            )
-        else:
-            query = features.feature_matrix_nosync(pilots, t_samp)
-            values = kernels.predict(fitted, query)
+    if pilots is None:
+        pilots = simulate_points(scenario, pts, check_domain=False).channels
+    if config.noisy_query:
+        pilots = pilots + pilot_noise(scenario, pilots.shape, rng)
+    t_samp = scenario.sample_period
+    if config.estimator == "locb":
+        anchors = localization.AnchorSet.from_scenario(scenario)
+        values = np.array(
+            [
+                localization.locb_predict(fitted, anchors, pilots[i], t_samp,
+                                          iters=config.loc_iters)
+                for i in range(pts.shape[0])
+            ]
+        )
+    else:
+        query = features.feature_matrix_nosync(pilots, t_samp)
+        values = kernels.predict(fitted, query)
     out = args.out or "."
     os.makedirs(out, exist_ok=True)
     path = os.path.join(out, "predictions.csv")
@@ -244,15 +236,9 @@ def cmd_experiment(args):
         doc = _load_json(args.name)
         config = _experiment_config(doc, seed_override=args.seed)
         if args.runs is not None:
-            from dataclasses import replace
-
             config = replace(config, runs=args.runs)
         os.makedirs(out, exist_ok=True)
-        from .evaluation import run_experiment
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            result = run_experiment(config, jobs=args.jobs)
+        result = run_experiment(config, jobs=args.jobs)
         summary = {
             config.estimator: {
                 "mean": result.mean,
@@ -284,17 +270,13 @@ def cmd_features(args):
     config = _experiment_config(doc, seed_override=args.seed)
     scenario = config.scenario
     rng = np.random.default_rng(config.seed)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        pts = sample_sensor_locations(scenario, config.n_train, rng)
-        tables = simulate_points(scenario, pts, check_domain=False)
-        from .propagation import pilot_noise
-
-        pilots = tables.channels + pilot_noise(scenario, tables.channels.shape, rng)
-        matrix = features.feature_matrix_nosync(pilots, scenario.sample_period)
-        if np.isfinite(config.gamma_dbw):
-            incomplete = mask_features(matrix, tables.pilot_powers, config.gamma_dbw)
-            matrix = np.where(incomplete.observed, incomplete.values, np.nan)
+    pts = sample_sensor_locations(scenario, config.n_train, rng)
+    tables = simulate_points(scenario, pts, check_domain=False)
+    pilots = tables.channels + pilot_noise(scenario, tables.channels.shape, rng)
+    matrix = features.feature_matrix_nosync(pilots, scenario.sample_period)
+    if np.isfinite(config.gamma_dbw):
+        incomplete = mask_features(matrix, tables.pilot_powers, config.gamma_dbw)
+        matrix = np.where(incomplete.observed, incomplete.values, np.nan)
     out = args.out or "."
     os.makedirs(out, exist_ok=True)
     path = os.path.join(out, "features.csv")

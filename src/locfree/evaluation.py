@@ -18,7 +18,6 @@ same seed see identical worlds (common random numbers).
 
 import logging
 import os
-import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -141,9 +140,7 @@ def precompute_grid(scenario, step=1.0):
     points, shape, flat_index, xs, ys = evaluation_grid(scenario, step)
     if points.shape[0] == 0:
         raise ConfigurationError("evaluation grid is empty")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        tables = simulate_points(scenario, points, check_domain=False)
+    tables = simulate_points(scenario, points, check_domain=False)
     p_bar = float(np.mean(tables.true_power))
     return PrecomputedGrid(
         points=points,
@@ -175,9 +172,7 @@ def _draw_world(config, grid, run_idx):
     scenario = config.scenario
     rng = np.random.default_rng(config.seed + run_idx)
     pts = sample_sensor_locations(scenario, config.n_train, rng)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        tables = simulate_points(scenario, pts, check_domain=False)
+    tables = simulate_points(scenario, pts, check_domain=False)
     train_pilots = tables.channels + pilot_noise(scenario, tables.channels.shape, rng)
     noise_std = grid.noise_std if config.measurement_noise else 0.0
     targets = tables.true_power + (
@@ -243,6 +238,10 @@ def _predict_locf_completion(config, grid, world, run_idx=0):
         incomplete,
         completion.CompletionConfig(rank=rank, max_iters=2000, adaptive_step=False),
     )
+    if not completed.converged:
+        log.warning("run %d: SVP completion stopped unconverged after %d iterations "
+                    "(final residual %.6g)", run_idx, completed.iterations,
+                    completed.final_residual)
     if config.diagnostics_dir:
         completion.write_iteration_log(
             completed,

@@ -15,7 +15,6 @@ arbitrary 0 dBW).
 """
 
 import os
-import warnings
 
 import numpy as np
 
@@ -330,8 +329,6 @@ def run_preset(name, out_dir, runs=None, seed=0, jobs=1, gamma_sweep=None,
     kwargs = dict(runs=runs, seed=seed, jobs=jobs, gamma_sweep=gamma_sweep)
     if verbose and name == "fig11-missing":
         kwargs["diagnostics_dir"] = out_dir
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        summary = PRESETS[name](out_dir, **kwargs)
+    summary = PRESETS[name](out_dir, **kwargs)
     io.write_summary_json(summary, os.path.join(out_dir, "summary.json"))
     return summary

@@ -22,10 +22,10 @@ from .scenario import SPEED_OF_LIGHT
 
 MISSING = np.nan
 
-
-def is_missing(values):
-    """Missing-entry mask (non-finite entries are missing)."""
-    return ~np.isfinite(np.asarray(values, dtype=float))
+# Correlation magnitudes this close to the peak, relative to it, tie.
+_TIE_RTOL = 1e-12
+# Complex entries in each intermediate array of one block of points.
+_BLOCK_ENTRIES = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -96,14 +96,16 @@ def cross_correlate(row_a, row_b):
 def estimate_tdoa(corr, sample_period):
     """Argmax time difference of arrival: T * lag of maximum |c[i]|.
 
-    Exact magnitude ties break toward the smallest |lag|, then toward the
-    negative lag.  Returns NaN for an all-zero correlation.
+    Magnitude ties (within a relative 1e-12, so that roundoff cannot break
+    an exact tie differently here and in tdoa_range_differences) break
+    toward the smallest |lag|, then toward the negative lag.  Returns NaN
+    for an all-zero correlation.
     """
     mag = np.abs(corr.values)
     peak = mag.max()
     if peak == 0.0:
         return MISSING
-    candidates = corr.lags[mag == peak]
+    candidates = corr.lags[peak - mag <= _TIE_RTOL * peak]
     best = min(candidates, key=lambda lag: (abs(lag), lag))
     return sample_period * float(best)
 
@@ -153,18 +155,9 @@ def feature_vector_nosync(pilot, sample_period):
     """Pairwise cross-correlation CoM features scaled to meters.
 
     Entry order follows pair_indices; length M = L(L-1)/2.  Requires at
-    least two pilot rows.
+    least two pilot rows.  The n=1 case of feature_matrix_nosync.
     """
-    pilot = np.asarray(pilot)
-    if pilot.shape[0] < 2:
-        raise ValueError("nosync features need at least two pilot rows")
-    scale = sample_period * SPEED_OF_LIGHT
-    values = np.array(
-        [
-            scale * com_crosscorr(cross_correlate(pilot[i], pilot[j]))
-            for i, j in pair_indices(pilot.shape[0])
-        ]
-    )
+    values = feature_matrix_nosync(np.asarray(pilot)[None], sample_period)[:, 0]
     return FeatureVector(values=values, kind="com_nosync", scale="meters")
 
 
@@ -177,25 +170,65 @@ def toa_feature_vector(pilot, gamma, sample_period):
     return FeatureVector(values=values, kind="toa", scale="meters")
 
 
+def _reduce_pair_correlations(pilots, pairs, reduce):
+    """Batched kernel: (n, P) reductions of the pilot pair correlations.
+
+    Per block of points: one FFT of the (b, L, K) pilots, zero-padded to a
+    power of two >= 2K-1 so the circular correlation does not wrap, then
+    one product and inverse FFT per pair (i, j).  ``reduce(corr, lags)``
+    maps the (b, P, 2K-1) correlations of rows i and j, as cross_correlate
+    gives them, to (b, P) values.
+    """
+    if pilots.ndim != 3 or pilots.shape[1] < 2:
+        raise ValueError("pairwise features need (n, L, K) pilots with L >= 2")
+    n, n_rows, k = pilots.shape
+    lags = np.arange(-(k - 1), k)
+    size = 1 << (2 * k - 2).bit_length()
+    first, second = np.asarray(pairs).T
+    block = max(1, _BLOCK_ENTRIES // (max(n_rows, len(pairs)) * size))
+    out = np.empty((n, len(pairs)))
+    for start in range(0, n, block):
+        spectra = np.fft.fft(pilots[start:start + block], size, axis=2)
+        corr = np.fft.ifft(spectra[:, first] * spectra[:, second].conj(), axis=2)
+        out[start:start + block] = reduce(corr[:, :, lags % size], lags)
+    return out
+
+
+def _mean_lag(corr, lags):
+    energy = np.abs(corr) ** 2
+    with np.errstate(invalid="ignore"):  # 0/0 for a dead pilot
+        return np.sum(energy * lags, axis=2) / np.sum(energy, axis=2)
+
+
+def _peak_lag(corr, lags):
+    mag = np.abs(corr)
+    peak = mag.max(axis=2, keepdims=True)
+    # estimate_tdoa's tie rule: the smallest |lag| wins, then the negative one.
+    preference = 2 * np.abs(lags) + (lags > 0)
+    tied = peak - mag <= _TIE_RTOL * peak
+    lag = lags[np.argmin(np.where(tied, preference, np.inf), axis=2)]
+    return np.where(peak[:, :, 0] == 0.0, MISSING, lag)
+
+
 def feature_matrix_nosync(pilots, sample_period):
     """Stacked nosync feature columns for a batch of pilot matrices.
 
-    pilots -- (n, L, K) array of received pilot matrices
-    returns (M, n) with M = L(L-1)/2
+    pilots -- (n, L, K) array of received pilot matrices, L >= 2
+    returns (M, n) with M = L(L-1)/2, NaN where a pair correlation
+    carries no energy (dead pilot)
     """
     pilots = np.asarray(pilots)
-    n = pilots.shape[0]
-    m = pilots.shape[1] * (pilots.shape[1] - 1) // 2
-    out = np.empty((m, n))
-    for idx in range(n):
-        out[:, idx] = feature_vector_nosync(pilots[idx], sample_period).values
-    return out
+    com = _reduce_pair_correlations(pilots, pair_indices(pilots.shape[1]), _mean_lag)
+    return (sample_period * SPEED_OF_LIGHT) * np.ascontiguousarray(com.T)
 
 
-def feature_matrix_sync(pilots):
-    """Stacked sync (impulse CoM) feature columns: (L, n) for (n, L, K) pilots."""
+def tdoa_range_differences(pilots, sample_period):
+    """Range differences c * TDoA(0, l) against the reference pilot row 0.
+
+    pilots -- (n, L, K) array of received pilot matrices, L >= 2
+    returns (n, L-1) in meters: c * estimate_tdoa of each pair's
+    cross_correlate, NaN where it carries no energy (dead pilot)
+    """
     pilots = np.asarray(pilots)
-    out = np.empty((pilots.shape[1], pilots.shape[0]))
-    for idx in range(pilots.shape[0]):
-        out[:, idx] = feature_vector_sync(pilots[idx]).values
-    return out
+    pairs = [(0, l) for l in range(1, pilots.shape[1])]
+    return SPEED_OF_LIGHT * (sample_period * _reduce_pair_correlations(pilots, pairs, _peak_lag))

@@ -27,9 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .features import cross_correlate, estimate_tdoa
+from .features import tdoa_range_differences
 from .kernels import fit, predict
-from .scenario import SPEED_OF_LIGHT
 
 _REWEIGHT_EPS = 1e-6
 # Weight of the quadratic pull toward the anchor centroid (m^-2 scale);
@@ -76,19 +75,10 @@ class LocationEstimate:
 def tdoa_feature_set(pilot, sample_period):
     """Range differences c * TDoA(1, l') against the reference pilot.
 
-    Returns an (L-1,) vector in meters with NaN where the pair correlation
-    carries no energy (dead pilot).
+    The n=1 case of tdoa_range_differences: an (L-1,) vector in meters,
+    NaN where the pair correlation carries no energy (dead pilot).
     """
-    pilot = np.asarray(pilot)
-    if pilot.shape[0] < 2:
-        raise ValueError("need at least two pilot rows")
-    return np.array(
-        [
-            SPEED_OF_LIGHT
-            * estimate_tdoa(cross_correlate(pilot[0], pilot[l]), sample_period)
-            for l in range(1, pilot.shape[0])
-        ]
-    )
+    return tdoa_range_differences(np.asarray(pilot)[None], sample_period)[0]
 
 
 def _batch_ranges(x, a0, others):
@@ -312,9 +302,8 @@ def localize_batch(anchors, pilots, sample_period, iters=3):
     vectorized solve; points with missing differences fall back to the
     per-point path.
     """
-    pilots = np.asarray(pilots)
-    n = pilots.shape[0]
-    diffs = np.stack([tdoa_feature_set(pilots[i], sample_period) for i in range(n)])
+    diffs = tdoa_range_differences(pilots, sample_period)
+    n = diffs.shape[0]
     estimates = np.full((n, 2), np.nan)
     residuals = np.full(n, np.nan)
     complete = np.all(np.isfinite(diffs), axis=1)

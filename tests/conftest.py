@@ -1,5 +1,6 @@
 import warnings
 
+import numpy as np
 import pytest
 
 from locfree.scenario import Scenario, Transmitter, preset
@@ -49,4 +50,34 @@ def grid_aligned_free_space(delays_in_samples, bandwidth=20e6, carrier=None, k=N
         carrier_hz=carrier if carrier is not None else 800e6,
         num_samples=k if k is not None else max(delays_in_samples) + 4,
         noise_variance=0.0,
+    )
+
+
+def scalar_com_columns(pilots, sample_period):
+    """Nosync CoM features from one cross_correlate per point and pair: (M, n)."""
+    from locfree.features import com_crosscorr, cross_correlate, pair_indices
+    from locfree.scenario import SPEED_OF_LIGHT
+
+    scale = sample_period * SPEED_OF_LIGHT
+    return np.array(
+        [
+            [scale * com_crosscorr(cross_correlate(p[i], p[j])) for i, j in pair_indices(p.shape[0])]
+            for p in pilots
+        ]
+    ).T
+
+
+def scalar_range_differences(pilots, sample_period):
+    """Argmax-TDoA range differences from one cross_correlate per point and pair: (n, L-1)."""
+    from locfree.features import cross_correlate, estimate_tdoa
+    from locfree.scenario import SPEED_OF_LIGHT
+
+    return np.array(
+        [
+            [
+                SPEED_OF_LIGHT * estimate_tdoa(cross_correlate(p[0], p[l]), sample_period)
+                for l in range(1, p.shape[0])
+            ]
+            for p in pilots
+        ]
     )

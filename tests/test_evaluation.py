@@ -1,10 +1,13 @@
+import logging
 import warnings
 
 import numpy as np
 import pytest
 
+from locfree import experiments
 from locfree.errors import ConfigurationError
 from locfree.evaluation import (
+    ESTIMATORS,
     ExperimentConfig,
     NmseResult,
     mask_features,
@@ -14,7 +17,7 @@ from locfree.evaluation import (
     run_experiment,
     run_once,
 )
-from locfree.scenario import Scenario, Transmitter
+from locfree.scenario import Scenario, Transmitter, preset
 
 
 @pytest.fixture(scope="module")
@@ -200,3 +203,42 @@ def test_pooled_std():
     a = NmseResult(mean=1.0, std=0.3, per_run=(1.0,))
     b = NmseResult(mean=2.0, std=0.4, per_run=(2.0,))
     assert pooled_std(a, b) == pytest.approx(np.sqrt((0.09 + 0.16) / 2))
+
+
+@pytest.fixture(scope="module")
+def fig4_coarse():
+    """indoor-fig4 on a 3 m grid and one config per estimator; the
+    completion config masks features."""
+    scn = preset("indoor-fig4")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        grid = precompute_grid(scn, 3.0)
+    gamma = experiments.default_gamma_sweep(grid)[1]
+    return grid, {
+        "locf": experiments._locf_config(scn),
+        "locf_reduced": experiments._locf_config(scn, estimator="locf_reduced", rank=4),
+        "locf_completion": experiments._locf_config(
+            scn, estimator="locf_completion", rank=4, gamma_dbw=gamma
+        ),
+        "locb": experiments._locb_config(scn),
+    }
+
+
+def test_every_estimator_runs_without_warnings(fig4_coarse):
+    grid, configs = fig4_coarse
+    assert sorted(configs) == sorted(ESTIMATORS)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for config in configs.values():
+            value, _ = run_once(config, grid, 0)
+            assert np.isfinite(value)
+
+
+def test_unconverged_completion_is_logged_once_per_run(fig4_coarse, caplog):
+    grid, configs = fig4_coarse
+    with caplog.at_level(logging.WARNING, logger="locfree.evaluation"):
+        run_once(configs["locf_completion"], grid, 0)
+    records = [r for r in caplog.records if "SVP completion" in r.getMessage()]
+    assert len(records) == 1
+    assert "after 2000 iterations" in records[0].getMessage()
+    assert "final residual" in records[0].getMessage()

@@ -1,9 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from conftest import grid_aligned_free_space
+from conftest import grid_aligned_free_space, scalar_com_columns, scalar_range_differences
+from locfree import features
 from locfree.features import (
     com_crosscorr,
     com_impulse,
@@ -16,6 +18,7 @@ from locfree.features import (
     feature_vector_nosync,
     feature_vector_sync,
     pair_indices,
+    tdoa_range_differences,
     toa_feature_vector,
 )
 from locfree.propagation import pilot_noise, simulate_points, synthesize_pilot_matrix
@@ -318,3 +321,82 @@ def test_com_features_spatially_smoother_than_toa(indoor, indoor_grid):
     steps_toa = np.array(steps_toa)
     keep = np.isfinite(steps_toa)
     assert np.percentile(steps_com, 95) < np.percentile(steps_toa[keep], 95)
+
+
+def test_batched_com_matches_cross_correlate_loop_on_noisy_grid(indoor, indoor_grid):
+    rng = np.random.default_rng(21)
+    pilots = indoor_grid.channels + pilot_noise(indoor, indoor_grid.channels.shape, rng)
+    matrix = feature_matrix_nosync(pilots, indoor.sample_period)
+    expected = scalar_com_columns(pilots, indoor.sample_period)
+    assert np.max(np.abs(matrix - expected)) <= 1e-9
+
+
+@pytest.mark.parametrize("block_entries", [None, 64])
+@pytest.mark.parametrize("n_tx, k", [(2, 1), (3, 1), (2, 6), (5, 10), (4, 33)])
+def test_pair_kernel_edge_shapes_match_scalar_loops(n_tx, k, block_entries, monkeypatch):
+    """Seven points: one partial block by default, and several blocks with
+    a remainder when the block budget is cut to 64 entries."""
+    if block_entries is not None:
+        monkeypatch.setattr(features, "_BLOCK_ENTRIES", block_entries)
+    rng = np.random.default_rng(n_tx * 100 + k)
+    pilots = rng.normal(size=(7, n_tx, k)) + 1j * rng.normal(size=(7, n_tx, k))
+    period = 1.0 / 20e6
+    matrix = feature_matrix_nosync(pilots, period)
+    assert matrix.shape == (n_tx * (n_tx - 1) // 2, 7)
+    assert np.max(np.abs(matrix - scalar_com_columns(pilots, period))) <= 1e-9
+    diffs = tdoa_range_differences(pilots, period)
+    assert diffs.shape == (7, n_tx - 1)
+    assert np.array_equal(diffs, scalar_range_differences(pilots, period))
+
+
+@pytest.mark.parametrize("k", [1, 2, 10])
+def test_batched_tdoa_single_taps_at_every_lag(k):
+    """One tap per row at every position pair, the extreme lags +-(K-1)
+    included: the range difference is c T (ka - kb)."""
+    ka, kb = np.divmod(np.arange(k * k), k)
+    pilots = np.zeros((k * k, 2, k), dtype=complex)
+    pilots[np.arange(k * k), 0, ka] = 1.3
+    pilots[np.arange(k * k), 1, kb] = 0.4j
+    diffs = tdoa_range_differences(pilots, 1.0 / 20e6)[:, 0]
+    assert np.array_equal(diffs, SPEED_OF_LIGHT * (1.0 / 20e6 * (ka - kb).astype(float)))
+
+
+def test_batched_tdoa_exact_ties_pick_negative_lag():
+    """One tap against two equal taps at +-d around it: |c| ties exactly at
+    lags d and -d, and both the batched and the scalar path pick -d even
+    though the FFT leaves roundoff between the two magnitudes."""
+    rng = np.random.default_rng(5)
+    period = 1.0 / 200e6
+    for k in (10, 100):
+        n = 400
+        pilots = np.zeros((n, 2, k), dtype=complex)
+        center = rng.integers(1, k - 1, size=n)
+        half = np.array([rng.integers(1, min(c, k - 1 - c) + 1) for c in center])
+        single = rng.integers(0, 2, size=n)
+        for i in range(n):
+            one, two = single[i], 1 - single[i]
+            pilots[i, one, center[i]] = rng.normal() + 1j * rng.normal()
+            pilots[i, two, [center[i] - half[i], center[i] + half[i]]] = rng.normal() + 1j * rng.normal()
+        expected = SPEED_OF_LIGHT * (period * -half.astype(float))
+        assert np.array_equal(tdoa_range_differences(pilots, period)[:, 0], expected)
+        assert np.array_equal(scalar_range_differences(pilots, period)[:, 0], expected)
+
+
+def test_dead_pilot_row_gives_nan_in_both_outputs():
+    rng = np.random.default_rng(9)
+    pilots = rng.normal(size=(3, 4, 8)) + 1j * rng.normal(size=(3, 4, 8))
+    pilots[1, 2] = 0.0
+    pilots[2, 0] = 0.0
+    period = 1.0 / 20e6
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        matrix = feature_matrix_nosync(pilots, period)
+        diffs = tdoa_range_differences(pilots, period)
+    pairs = pair_indices(4)
+    dead = np.zeros_like(matrix, dtype=bool)
+    dead[:, 1] = [2 in pair for pair in pairs]
+    dead[:, 2] = [0 in pair for pair in pairs]
+    assert np.array_equal(np.isnan(matrix), dead)
+    assert np.array_equal(np.isnan(diffs), [[False] * 3, [False, True, False], [True] * 3])
+    assert np.allclose(matrix, scalar_com_columns(pilots, period), rtol=0, atol=1e-9, equal_nan=True)
+    assert np.array_equal(diffs, scalar_range_differences(pilots, period), equal_nan=True)

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from conftest import grid_aligned_free_space
+from conftest import grid_aligned_free_space, scalar_range_differences
 from locfree import localization
 from locfree.errors import ConfigurationError
+from locfree.evaluation import precompute_grid
+from locfree.features import tdoa_range_differences
 from locfree.kernels import GaussianKernel, fit, predict
 from locfree.localization import (
     AnchorSet,
@@ -52,6 +54,23 @@ def test_tdoa_feature_set_exact_on_grid_channels():
 def test_tdoa_feature_set_length(indoor):
     pilot = synthesize_pilot_matrix(indoor, (33.0, 22.0), np.random.default_rng(1))
     assert tdoa_feature_set(pilot, indoor.sample_period).shape == (4,)
+
+
+@pytest.mark.parametrize(
+    "name, bandwidth, walls",
+    [("indoor-fig4", 20e6, 5), ("indoor-dense", 200e6, 0), ("indoor-dense", 200e6, 5)],
+)
+def test_batched_tdoa_equals_scalar_loop_on_noisy_grid(name, bandwidth, walls):
+    """The FFT kernel picks the same argmax lag as np.correlate at every
+    grid point, under two noise draws, so locb sees bit-identical range
+    differences."""
+    scn = preset(name, bandwidth_hz=bandwidth, wall_count=walls)
+    grid = precompute_grid(scn)
+    for seed in (31, 32):
+        rng = np.random.default_rng(seed)
+        pilots = grid.channels + pilot_noise(scn, grid.channels.shape, rng)
+        diffs = tdoa_range_differences(pilots, scn.sample_period)
+        assert np.array_equal(diffs, scalar_range_differences(pilots, scn.sample_period))
 
 
 def test_srdls_exact_recovery_on_noiseless_geometry():
