@@ -41,10 +41,8 @@ rng = np.random.default_rng(0)
 pilots = grid.channels + pilot_noise(scenario, grid.channels.shape, rng)
 gamma = default_toa_threshold(scenario.noise_variance)
 
-com = np.stack([feature_vector_sync(p).values for p in pilots], axis=1)
-toa = np.stack(
-    [toa_feature_vector(p, gamma, scenario.sample_period).values for p in pilots], axis=1
-)
+com = np.stack([feature_vector_sync(p) for p in pilots], axis=1)
+toa = np.stack([toa_feature_vector(p, gamma, scenario.sample_period) for p in pilots], axis=1)
 toa /= SPEED_OF_LIGHT * scenario.sample_period  # lag units
 
 index = {tuple(np.round(p, 6)): i for i, p in enumerate(grid.points)}

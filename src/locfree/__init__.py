@@ -27,7 +27,6 @@ from .propagation import (
 )
 from .features import (
     CrossCorrelation,
-    FeatureVector,
     com_crosscorr,
     com_impulse,
     cross_correlate,
@@ -60,7 +59,6 @@ from .localization import (
     AnchorSet,
     LocationEstimate,
     locb_fit,
-    locb_predict,
     srdls_localize,
     tdoa_feature_set,
 )

@@ -17,9 +17,17 @@ from dataclasses import replace
 
 import numpy as np
 
-from . import experiments, features, io, kernels, localization, reduction
+from . import experiments, features, io, kernels
 from .errors import ConfigurationError, SolverError
-from .evaluation import ExperimentConfig, mask_features, precompute_grid, run_experiment, _draw_world
+from .evaluation import (
+    ExperimentConfig,
+    Model,
+    _draw_world,
+    fit_estimator,
+    mask_features,
+    precompute_grid,
+    predict_estimator,
+)
 from .propagation import pilot_noise, sample_sensor_locations, simulate_points
 from .scenario import (
     SCENARIO_PRESETS,
@@ -122,96 +130,62 @@ def cmd_scenario(args):
     return EXIT_OK
 
 
-def cmd_fit(args):
+def _serving_config(args, command):
+    """Config of ``fit``/``predict``: only estimators a model file can hold."""
     if args.config is None:
-        raise ConfigurationError("fit needs --config PATH")
-    doc = _load_json(args.config)
-    config = _experiment_config(doc, seed_override=args.seed)
+        raise ConfigurationError(f"{command} needs --config PATH")
+    config = _experiment_config(_load_json(args.config), seed_override=args.seed)
     if config.estimator == "locf_completion":
         raise ConfigurationError(
-            "estimator 'locf_completion' is experiment-only; fit supports "
+            f"estimator 'locf_completion' is experiment-only; {command} supports "
             "locf, locf_reduced and locb"
         )
+    if config.n_features is not None:
+        raise ConfigurationError(
+            f"n_features is experiment-only; {command} uses all feature pairs"
+        )
+    return config
+
+
+def cmd_fit(args):
+    config = _serving_config(args, "fit")
     out = args.out or "."
     os.makedirs(out, exist_ok=True)
     grid = precompute_grid(config.scenario, config.grid_step)
     world = _draw_world(config, grid, 0)
-    t_samp = config.scenario.sample_period
-    if config.estimator == "locb":
-        anchors = localization.AnchorSet.from_scenario(config.scenario)
-        fitted, report = localization.locb_fit(
-            anchors, world.train_pilots, world.targets, t_samp,
-            kernels.GaussianKernel(config.sigma_loc), config.lam_loc,
-            iters=config.loc_iters, center_targets=config.center_targets,
-        )
-        # Dropped measurements come out as NaN rows, written as empty fields.
-        train_features = report.estimates.T
-    else:
-        train_features = features.feature_matrix_nosync(world.train_pilots, t_samp)
-        kernel = kernels.GaussianKernel(config.sigma)
-        if config.estimator == "locf_reduced":
-            if config.rank is not None:
-                basis, reduced = reduction.reduce_features(train_features, rank=config.rank)
-            else:
-                basis, reduced = reduction.reduce_features(
-                    train_features, eta=config.eta or 0.99
-                )
-            fitted = kernels.fit(
-                reduced, world.targets, kernel, config.lam,
-                center_targets=config.center_targets,
-            )
-            fitted = kernels.with_basis(fitted, basis)
-        else:
-            fitted = kernels.fit(
-                train_features, world.targets, kernel, config.lam,
-                center_targets=config.center_targets,
-            )
+    model, columns = fit_estimator(config, world)
     model_path = os.path.join(out, "model.json")
-    kernels.save_model(fitted, model_path)
+    kernels.save_model(model.fitted, model_path)
     io.write_feature_csv(
-        world.train_points, train_features, os.path.join(out, "training_features.csv")
+        world.train_points, columns, os.path.join(out, "training_features.csv")
     )
     print(f"wrote {model_path} and training_features.csv in {out}")
     return EXIT_OK
 
 
 def cmd_predict(args):
-    if args.model is None or args.config is None:
+    if args.model is None:
         raise ConfigurationError("predict needs --model PATH and --config PATH")
-    doc = _load_json(args.config)
-    config = _experiment_config(doc, seed_override=args.seed)
-    fitted = kernels.load_model(args.model)
+    config = _serving_config(args, "predict")
+    model = Model(kernels.load_model(args.model))
     scenario = config.scenario
     rng = np.random.default_rng(config.seed)
     if args.points is not None:
         pts = np.loadtxt(args.points, delimiter=",", ndmin=2)
-        pilots = None
-    else:
-        grid = precompute_grid(scenario, config.grid_step)
-        pts, pilots = grid.points, grid.channels
-    if pilots is None:
-        pilots = simulate_points(scenario, pts, check_domain=False).channels
+        tables = simulate_points(scenario, pts, check_domain=False)
+    else:  # the grid carries the same channels and pilot powers
+        tables = precompute_grid(scenario, config.grid_step)
+        pts = tables.points
+    pilots = tables.channels
     if config.noisy_query:
         pilots = pilots + pilot_noise(scenario, pilots.shape, rng)
-    t_samp = scenario.sample_period
-    if config.estimator == "locb":
-        anchors = localization.AnchorSet.from_scenario(scenario)
-        values = np.array(
-            [
-                localization.locb_predict(fitted, anchors, pilots[i], t_samp,
-                                          iters=config.loc_iters)
-                for i in range(pts.shape[0])
-            ]
-        )
-    else:
-        query = features.feature_matrix_nosync(pilots, t_samp)
-        values = kernels.predict(fitted, query)
+    values = predict_estimator(config, model, pilots, tables.pilot_powers)
     out = args.out or "."
     os.makedirs(out, exist_ok=True)
     path = os.path.join(out, "predictions.csv")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("x,y,pred_dbw\n")
-        for (x, y), v in zip(pts, np.atleast_1d(values)):
+        for (x, y), v in zip(pts, values):
             fh.write(f"{float(x)!r},{float(y)!r},{io._fmt(v)}\n")
     print(f"wrote {path}")
     return EXIT_OK
@@ -238,27 +212,14 @@ def cmd_experiment(args):
         if args.runs is not None:
             config = replace(config, runs=args.runs)
         os.makedirs(out, exist_ok=True)
-        result = run_experiment(config, jobs=args.jobs)
-        summary = {
-            config.estimator: {
-                "mean": result.mean,
-                "std": result.std,
-                "per_run": list(result.per_run),
-                "failed": result.failed,
-                "avg_missing": result.avg_missing,
-            }
-        }
-        io.write_results_csv(
-            [(config.estimator, config.n_train, i, v) for i, v in enumerate(result.per_run)],
-            os.path.join(out, "results.csv"),
-        )
+        summary = experiments._run_sweep([(config.estimator, config)], out, args.jobs)
         io.write_summary_json(summary, os.path.join(out, "summary.json"))
     else:
         raise ConfigurationError(
             f"unknown experiment {args.name!r}; presets: "
             + ", ".join(sorted(experiments.PRESETS))
         )
-    print(json.dumps({k: v for k, v in summary.items() if k != "per_run"}, default=str)[:2000])
+    print(json.dumps(summary, default=str))
     print(f"artifacts in {out}")
     return EXIT_OK
 

@@ -50,7 +50,7 @@ def nmse(truth, prediction, p_bar):
     return float(np.mean((truth - prediction) ** 2) / denom)
 
 
-def mask_features(feature_matrix, tx_powers, gamma_dbw, pairs=None):
+def mask_features(feature_matrix, tx_powers, gamma_dbw):
     """Missing-feature mask from a pilot sensitivity threshold.
 
     A pairwise feature at one location is missing when the received power
@@ -62,8 +62,7 @@ def mask_features(feature_matrix, tx_powers, gamma_dbw, pairs=None):
     """
     values = np.asarray(feature_matrix, dtype=float)
     powers = np.asarray(tx_powers, dtype=float)
-    if pairs is None:
-        pairs = features.pair_indices(powers.shape[1])
+    pairs = features.pair_indices(powers.shape[1])
     if len(pairs) != values.shape[0]:
         raise ValueError("one pair per feature row is required")
     pair_min = np.stack(
@@ -95,7 +94,6 @@ class ExperimentConfig:
     noisy_query: bool = True     # noisy pilots at evaluation points
     measurement_noise: bool = True
     center_targets: bool = False
-    loc_iters: int = 3
     diagnostics_dir: str = None  # completion iteration logs land here if set
 
     def __post_init__(self):
@@ -150,7 +148,7 @@ def precompute_grid(scenario, step=1.0):
         channels=tables.channels,
         pilot_powers=tables.pilot_powers,
         p_bar=p_bar,
-        noise_std=measurement_noise_std(scenario, p_bar=p_bar),
+        noise_std=measurement_noise_std(p_bar),
         xs=xs,
         ys=ys,
     )
@@ -191,46 +189,64 @@ def _draw_world(config, grid, run_idx):
     )
 
 
-def _predict_locf(config, grid, world):
+@dataclass(frozen=True)
+class Model:
+    """A fitted estimator: its kernel map plus what predict needs besides it.
+
+    fitted   -- FittedMap over feature, reduced-feature or location columns
+    subset   -- feature rows a locf fit with ``n_features`` keeps
+    recovery -- QueryRecoveryContext of a locf_completion fit
+    missing  -- average count of unobserved training features per point
+    """
+
+    fitted: kernels.FittedMap
+    subset: np.ndarray = None
+    recovery: completion.QueryRecoveryContext = None
+    missing: float = 0.0
+
+
+def fit_estimator(config, world, run_idx=0):
+    """Fit ``config.estimator`` on a run's training draw.
+
+    Returns (Model, columns): the (M, N) training features, or for locb the
+    (2, N) location estimates, NaN where a point failed to localize.
+    """
     t_samp = config.scenario.sample_period
+    if config.estimator == "locb":
+        fitted, report = localization.locb_fit(
+            localization.AnchorSet.from_scenario(config.scenario), world.train_pilots,
+            world.targets, t_samp, kernels.GaussianKernel(config.sigma_loc),
+            config.lam_loc, center_targets=config.center_targets,
+        )
+        if report.n_dropped:
+            log.warning("dropped %d unlocalizable measurements", report.n_dropped)
+        return Model(fitted), report.estimates.T
     train_f = features.feature_matrix_nosync(world.train_pilots, t_samp)
-    query_f = features.feature_matrix_nosync(world.query_pilots, t_samp)
-    if config.n_features is not None:
-        subset = np.sort(
+    columns, extra = train_f, {}
+    if config.estimator == "locf_reduced":
+        eta = None if config.rank is not None else config.eta or 0.99
+        basis, columns = reduction.reduce_features(train_f, eta=eta, rank=config.rank)
+    elif config.estimator == "locf_completion":
+        columns, extra = _complete(config, world, train_f, run_idx)
+    elif config.n_features is not None:
+        extra["subset"] = np.sort(
             world.rng.choice(train_f.shape[0], size=config.n_features, replace=False)
         )
-        train_f = train_f[subset]
-        query_f = query_f[subset]
-    kernel = kernels.GaussianKernel(config.sigma)
+        train_f = columns = train_f[extra["subset"]]
     fitted = kernels.fit(
-        train_f, world.targets, kernel, config.lam, center_targets=config.center_targets
+        columns, world.targets, kernels.GaussianKernel(config.sigma), config.lam,
+        center_targets=config.center_targets,
     )
-    return kernels.predict(fitted, query_f)
+    if config.estimator == "locf_reduced":
+        fitted = kernels.with_basis(fitted, basis)
+    return Model(fitted, **extra), train_f
 
 
-def _predict_locf_reduced(config, grid, world):
-    t_samp = config.scenario.sample_period
-    train_f = features.feature_matrix_nosync(world.train_pilots, t_samp)
-    query_f = features.feature_matrix_nosync(world.query_pilots, t_samp)
-    if config.rank is not None:
-        basis, reduced = reduction.reduce_features(train_f, rank=config.rank)
-    else:
-        basis, reduced = reduction.reduce_features(train_f, eta=config.eta or 0.99)
-    kernel = kernels.GaussianKernel(config.sigma)
-    fitted = kernels.fit(
-        reduced, world.targets, kernel, config.lam, center_targets=config.center_targets
-    )
-    fitted = kernels.with_basis(fitted, basis)
-    return kernels.predict(fitted, query_f)
-
-
-def _predict_locf_completion(config, grid, world, run_idx=0):
-    scenario = config.scenario
-    t_samp = scenario.sample_period
-    train_f = features.feature_matrix_nosync(world.train_pilots, t_samp)
-    query_f = features.feature_matrix_nosync(world.query_pilots, t_samp)
+def _complete(config, world, train_f, run_idx):
+    """SVP-complete the masked training features; returns the reduced
+    training columns and the Model fields recovery and missing."""
+    rank = config.rank if config.rank is not None else config.scenario.n_transmitters - 1
     incomplete = mask_features(train_f, world.train_powers, config.gamma_dbw)
-    rank = config.rank if config.rank is not None else scenario.n_transmitters - 1
     # Noisy structured masks: run the plain monotone iteration to its noise
     # floor rather than the accelerated steps (which can park in a worse
     # basin on approximately-low-rank data).
@@ -252,68 +268,61 @@ def _predict_locf_completion(config, grid, world, run_idx=0):
         )
     basis = completion.gram_schmidt_basis(completed.matrix, rank)
     reduced_train = basis.T @ completed.matrix
-    ctx = completion.build_recovery_context(basis, reduced_train, config.mu)
-    kernel = kernels.GaussianKernel(config.sigma)
-    fitted = kernels.fit(
-        reduced_train, world.targets, kernel, config.lam,
-        center_targets=config.center_targets,
-    )
-    query_masked = mask_features(query_f, grid.pilot_powers, config.gamma_dbw)
-    fallback = float(np.mean(world.targets))
-    n_query = query_f.shape[1]
-    predictions = np.empty(n_query)
-    for i in range(n_query):
+    return reduced_train, {
+        "recovery": completion.build_recovery_context(basis, reduced_train, config.mu),
+        "missing": float(np.mean(np.sum(~incomplete.observed, axis=0))),
+    }
+
+
+def predict_estimator(config, model, query_pilots, query_powers):
+    """Map values at (n, L, K) query pilots, whose (n, L) pilot powers in
+    dBW mask the completion features.  Returns (n,) values, NaN where no
+    input column can be formed: an unlocalized locb query, or a completion
+    query with nothing observed."""
+    t_samp = config.scenario.sample_period
+    values = np.full(query_pilots.shape[0], np.nan)
+    if config.estimator == "locb":
+        estimates, _ = localization.localize_batch(
+            localization.AnchorSet.from_scenario(config.scenario), query_pilots, t_samp
+        )
+        located = np.isfinite(estimates[:, 0])
+        if np.any(located):
+            values[located] = kernels.predict(model.fitted, estimates[located].T)
+        return values
+    query_f = features.feature_matrix_nosync(query_pilots, t_samp)
+    if config.estimator != "locf_completion":
+        if model.subset is not None:
+            query_f = query_f[model.subset]
+        return kernels.predict(model.fitted, query_f)
+    masked = mask_features(query_f, query_powers, config.gamma_dbw)
+    for i in range(values.shape[0]):
         recovered = completion.rls_recover_query(
-            ctx, query_masked.values[:, i], query_masked.observed[:, i]
+            model.recovery, masked.values[:, i], masked.observed[:, i]
         )
-        if recovered.status == "empty":
-            predictions[i] = fallback
-        else:
-            predictions[i] = kernels.predict(fitted, recovered.reduced)
-    missing = float(np.mean(np.sum(~incomplete.observed, axis=0)))
-    return predictions, missing
+        if recovered.status != "empty":
+            values[i] = kernels.predict(model.fitted, recovered.reduced)
+    return values
 
 
-def _predict_locb(config, grid, world):
-    scenario = config.scenario
-    t_samp = scenario.sample_period
-    anchors = localization.AnchorSet.from_scenario(scenario)
-    kernel = kernels.GaussianKernel(config.sigma_loc)
-    fitted, report = localization.locb_fit(
-        anchors, world.train_pilots, world.targets, t_samp, kernel,
-        config.lam_loc, iters=config.loc_iters,
-        center_targets=config.center_targets,
-    )
-    if report.n_dropped:
-        log.warning("dropped %d unlocalizable measurements", report.n_dropped)
-    estimates, _ = localization.localize_batch(
-        anchors, world.query_pilots, t_samp, iters=config.loc_iters
-    )
-    located = np.isfinite(estimates[:, 0])
-    predictions = np.full(estimates.shape[0], float(np.mean(world.targets)))
-    if np.any(located):
-        predictions[located] = kernels.predict(fitted, estimates[located].T)
-    if np.any(~located):
-        log.warning(
-            "substituted the training average at %d unlocalizable query points",
-            int(np.sum(~located)),
-        )
-    return predictions
+def fit_and_predict(config, grid, run_idx):
+    """Draw run ``run_idx``, fit, and predict the grid map; query points
+    without a prediction get the training average.  Returns (world, model,
+    predictions)."""
+    world = _draw_world(config, grid, run_idx)
+    model, _ = fit_estimator(config, world, run_idx)
+    predictions = predict_estimator(config, model, world.query_pilots, grid.pilot_powers)
+    fallback = np.isnan(predictions)
+    if np.any(fallback):
+        log.warning("run %d: substituted the training average at %d query points "
+                    "without a prediction", run_idx, int(np.sum(fallback)))
+        predictions[fallback] = float(np.mean(world.targets))
+    return world, model, predictions
 
 
 def run_once(config, grid, run_idx):
     """One Monte Carlo run; returns (nmse, avg_missing_feature_count)."""
-    world = _draw_world(config, grid, run_idx)
-    missing = 0.0
-    if config.estimator == "locf":
-        predictions = _predict_locf(config, grid, world)
-    elif config.estimator == "locf_reduced":
-        predictions = _predict_locf_reduced(config, grid, world)
-    elif config.estimator == "locf_completion":
-        predictions, missing = _predict_locf_completion(config, grid, world, run_idx)
-    else:
-        predictions = _predict_locb(config, grid, world)
-    return nmse(grid.truth, predictions, grid.p_bar), missing
+    _, model, predictions = fit_and_predict(config, grid, run_idx)
+    return nmse(grid.truth, predictions, grid.p_bar), model.missing
 
 
 def _run_safely(args):

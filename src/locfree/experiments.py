@@ -15,6 +15,7 @@ arbitrary 0 dBW).
 """
 
 import os
+from dataclasses import asdict
 
 import numpy as np
 
@@ -22,7 +23,8 @@ from . import features, io, localization
 from .errors import ConfigurationError
 from .evaluation import (
     ExperimentConfig,
-    _draw_world,
+    fit_and_predict,
+    nmse,
     precompute_grid,
     run_experiment,
 )
@@ -87,16 +89,6 @@ def _locb_config(scenario, tuned=True, **overrides):
     return ExperimentConfig(**base)
 
 
-def _result_entry(result):
-    return {
-        "mean": result.mean,
-        "std": result.std,
-        "per_run": list(result.per_run),
-        "failed": result.failed,
-        "avg_missing": result.avg_missing,
-    }
-
-
 def _run_sweep(entries, out_dir, jobs, grid_cache=None):
     """Run (label, config) pairs, write results.csv and return the summary."""
     grid_cache = {} if grid_cache is None else grid_cache
@@ -107,7 +99,7 @@ def _run_sweep(entries, out_dir, jobs, grid_cache=None):
         if key not in grid_cache:
             grid_cache[key] = precompute_grid(config.scenario, config.grid_step)
         result = run_experiment(config, grid=grid_cache[key], jobs=jobs)
-        summary[label] = _result_entry(result)
+        summary[label] = asdict(result)
         for run, value in enumerate(result.per_run):
             rows.append((label, config.n_train, run, value))
     io.write_results_csv(rows, os.path.join(out_dir, "results.csv"))
@@ -116,15 +108,7 @@ def _run_sweep(entries, out_dir, jobs, grid_cache=None):
 
 def _render_single_fit(config, grid, out_dir, tag):
     """Fit once (run 0) and export the predicted map as CSV + PGM."""
-    from .evaluation import _predict_locb, _predict_locf, nmse
-
-    world = _draw_world(config, grid, 0)
-    if config.estimator == "locf":
-        predictions = _predict_locf(config, grid, world)
-    elif config.estimator == "locb":
-        predictions = _predict_locb(config, grid, world)
-    else:
-        raise ConfigurationError(f"no map renderer for estimator {config.estimator}")
+    world, _, predictions = fit_and_predict(config, grid, 0)
     io.write_map_csv(grid, predictions, os.path.join(out_dir, f"{tag}_map.csv"))
     io.write_pgm(
         io.lattice_field(grid, predictions), os.path.join(out_dir, f"{tag}_map.pgm")

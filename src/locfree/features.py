@@ -128,27 +128,10 @@ def pair_indices(n_transmitters):
     ]
 
 
-@dataclass(frozen=True)
-class FeatureVector:
-    """Feature entries plus the kind/scale they were extracted with.
-
-    kind  -- "toa" | "com_sync" | "tdoa" | "com_nosync"
-    scale -- "lag" (sample/lag units) or "meters"
-    """
-
-    values: np.ndarray
-    kind: str
-    scale: str
-
-    def __len__(self):
-        return len(self.values)
-
-
 def feature_vector_sync(pilot):
     """Per-transmitter impulse-response CoM features (lag units), length L."""
     pilot = np.asarray(pilot)
-    values = np.array([com_impulse(estimate_impulse_response(row)) for row in pilot])
-    return FeatureVector(values=values, kind="com_sync", scale="lag")
+    return np.array([com_impulse(estimate_impulse_response(row)) for row in pilot])
 
 
 def feature_vector_nosync(pilot, sample_period):
@@ -157,17 +140,15 @@ def feature_vector_nosync(pilot, sample_period):
     Entry order follows pair_indices; length M = L(L-1)/2.  Requires at
     least two pilot rows.  The n=1 case of feature_matrix_nosync.
     """
-    values = feature_matrix_nosync(np.asarray(pilot)[None], sample_period)[:, 0]
-    return FeatureVector(values=values, kind="com_nosync", scale="meters")
+    return feature_matrix_nosync(np.asarray(pilot)[None], sample_period)[:, 0]
 
 
 def toa_feature_vector(pilot, gamma, sample_period):
     """Per-transmitter thresholded-ToA features scaled to meters, length L."""
     pilot = np.asarray(pilot)
-    values = np.array(
+    return np.array(
         [SPEED_OF_LIGHT * estimate_toa(row, gamma, sample_period) for row in pilot]
     )
-    return FeatureVector(values=values, kind="toa", scale="meters")
 
 
 def _reduce_pair_correlations(pilots, pairs, reduce):

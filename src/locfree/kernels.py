@@ -11,7 +11,7 @@ kernel expansion d(phi) = sum_n alpha_n kappa(phi, phi_n).
 """
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -113,14 +113,7 @@ def fit(features, targets, kernel, lam, center_targets=False):
 
 def with_basis(fitted, basis):
     """Attach a reduction basis so ``predict`` accepts raw feature vectors."""
-    return FittedMap(
-        kernel=fitted.kernel,
-        lam=fitted.lam,
-        features=fitted.features,
-        alpha=fitted.alpha,
-        target_mean=fitted.target_mean,
-        basis=basis,
-    )
+    return replace(fitted, basis=basis)
 
 
 def predict(fitted, phi):

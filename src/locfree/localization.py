@@ -28,9 +28,11 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .features import tdoa_range_differences
-from .kernels import fit, predict
+from .kernels import fit
 
 _REWEIGHT_EPS = 1e-6
+# Residual-reweighted Gauss-Newton rounds per start.
+_REWEIGHT_ROUNDS = 3
 # Weight of the quadratic pull toward the anchor centroid (m^-2 scale);
 # irrelevant at in-region scales, decisive against asymptote ghosts.
 _CENTROID_PRIOR = 1e-4
@@ -66,10 +68,6 @@ class LocationEstimate:
     x: float
     y: float
     residual: float
-
-    @property
-    def xy(self):
-        return np.array([self.x, self.y])
 
 
 def tdoa_feature_set(pilot, sample_period):
@@ -186,7 +184,7 @@ def _batch_gauss_newton(x, a0, others, r, weights, center, tau, steps=12):
     return x, cost
 
 
-def _srdls_batch(pos, diffs, iters):
+def _srdls_batch(pos, diffs):
     """Vectorized iteratively reweighted range-difference localization.
 
     pos   -- (L, 2) anchor positions, row 0 the reference
@@ -222,7 +220,7 @@ def _srdls_batch(pos, diffs, iters):
         x = np.array(start, dtype=float)
         weights = np.ones_like(diffs)
         cost = np.full(n, np.inf)
-        for _ in range(max(iters, 1)):
+        for _ in range(_REWEIGHT_ROUNDS):
             x, cost = _batch_gauss_newton(x, a0, others, diffs, weights, centroid, tau)
             g = _batch_residuals(x, a0, others, diffs)
             # Scale-aware reweighting: eps at the residual noise floor keeps
@@ -249,13 +247,14 @@ def _srdls_batch(pos, diffs, iters):
     return best_x, data_cost
 
 
-def srdls_localize(anchors, range_diffs, iters=3):
+def srdls_localize(anchors, range_diffs):
     """Iteratively reweighted range-difference least squares.
 
     range_diffs[l-1] = ||x - a_0|| - ||x - a_l||, NaN entries are skipped.
-    The squared-range-difference linear solve initializes ``iters`` rounds
-    of residual-reweighted Gauss-Newton refinement (multi-started to avoid
-    the squared system's occasional blowups and near-anchor ghost valleys).
+    The squared-range-difference linear solve initializes
+    ``_REWEIGHT_ROUNDS`` rounds of residual-reweighted Gauss-Newton
+    refinement (multi-started to avoid the squared system's occasional
+    blowups and near-anchor ghost valleys).
     Returns a LocationEstimate, or None when fewer than two usable rows
     remain or the linear system is rank-deficient (collinear usable
     anchors).
@@ -268,7 +267,7 @@ def srdls_localize(anchors, range_diffs, iters=3):
         return None
     pos = anchors.positions
     sub = np.vstack([pos[0], pos[usable + 1]])
-    xy, cost = _srdls_batch(sub, diffs[usable][None, :], iters)
+    xy, cost = _srdls_batch(sub, diffs[usable][None, :])
     if not np.isfinite(xy[0, 0]):
         return None
     return LocationEstimate(x=float(xy[0, 0]), y=float(xy[0, 1]), residual=float(cost[0]))
@@ -295,7 +294,7 @@ class LocBFitReport:
         return int(np.sum(~self.used))
 
 
-def localize_batch(anchors, pilots, sample_period, iters=3):
+def localize_batch(anchors, pilots, sample_period):
     """Localize every pilot matrix in an (N, L, K) stack.
 
     Points whose range-difference vector is fully observed go through one
@@ -308,19 +307,18 @@ def localize_batch(anchors, pilots, sample_period, iters=3):
     residuals = np.full(n, np.nan)
     complete = np.all(np.isfinite(diffs), axis=1)
     if np.any(complete):
-        xy, cost = _srdls_batch(anchors.positions, diffs[complete], iters)
+        xy, cost = _srdls_batch(anchors.positions, diffs[complete])
         estimates[complete] = xy
         residuals[complete] = cost
     for i in np.flatnonzero(~complete):
-        est = srdls_localize(anchors, diffs[i], iters=iters)
+        est = srdls_localize(anchors, diffs[i])
         if est is not None:
             estimates[i] = (est.x, est.y)
             residuals[i] = est.residual
     return estimates, residuals
 
 
-def locb_fit(anchors, pilots, targets, sample_period, kernel, lam, iters=3,
-             center_targets=False):
+def locb_fit(anchors, pilots, targets, sample_period, kernel, lam, center_targets=False):
     """Localization-based map fit: estimate coordinates, then ridge-regress.
 
     Measurements whose localization fails are dropped (reported in the
@@ -328,7 +326,7 @@ def locb_fit(anchors, pilots, targets, sample_period, kernel, lam, iters=3,
     solver used by the feature-based estimator.
     """
     targets = np.asarray(targets, dtype=float)
-    estimates, residuals = localize_batch(anchors, pilots, sample_period, iters=iters)
+    estimates, residuals = localize_batch(anchors, pilots, sample_period)
     report = LocBFitReport(estimates=estimates, residuals=residuals)
     used = report.used
     if used.sum() < 2:
@@ -337,16 +335,6 @@ def locb_fit(anchors, pilots, targets, sample_period, kernel, lam, iters=3,
         estimates[used].T, targets[used], kernel, lam, center_targets=center_targets
     )
     return fitted, report
-
-
-def locb_predict(fitted, anchors, pilot, sample_period, iters=3):
-    """Map value at a query pilot matrix; NaN when localization fails."""
-    est = srdls_localize(
-        anchors, tdoa_feature_set(np.asarray(pilot), sample_period), iters=iters
-    )
-    if est is None:
-        return np.nan
-    return predict(fitted, est.xy)
 
 
 def write_location_csv(path, true_xy, estimates, residuals):

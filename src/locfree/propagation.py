@@ -25,7 +25,6 @@ which is also the noiseless received pilot row for unit-sample pilots.
 
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -261,27 +260,17 @@ def discretize_channel(paths, scenario):
     Implements ``h[k] = sum_p alpha_p exp(-j 2 pi f_c t_p) sinc(k - t_p/T)``
     with sinc(x) = sin(pi x)/(pi x).  Paths whose delay exceeds the tap
     window (t/T > K-1) are kept, with a warning: their energy leaks into
-    the sinc tails, and K should be sized to avoid this.
+    the sinc tails, and K should be sized to avoid this.  The 1-row case of
+    _batch_channels.
     """
-    k_taps = scenario.num_samples
-    taps = np.zeros(k_taps, dtype=complex)
-    if not paths:
-        return taps
-    t_samp = scenario.sample_period
-    k_grid = np.arange(k_taps)
-    overflow = False
-    for p in paths:
-        frac = p.delay / t_samp
-        if frac > k_taps - 1:
-            overflow = True
-        phase = np.exp(-2j * np.pi * scenario.carrier_hz * p.delay)
-        taps += p.amplitude * phase * np.sinc(k_grid - frac)
-    if overflow:
+    amps = np.array([[p.amplitude for p in paths]], dtype=float)
+    delays = np.array([[p.delay for p in paths]], dtype=float)
+    if np.any(delays / scenario.sample_period > scenario.num_samples - 1):
         warnings.warn(
             "path delay exceeds the tap window (t/T > K-1); energy leaks into sinc tails",
             stacklevel=2,
         )
-    return taps
+    return _batch_channels(scenario, amps, delays)[0]
 
 
 def _batch_channels(scenario, amps, delays):
@@ -412,33 +401,17 @@ def evaluation_grid(scenario, step=1.0):
     )
 
 
-@lru_cache(maxsize=32)
-def spatial_average_power(scenario, step=1.0):
-    """Spatial average of the true map over the admissible region.
-
-    Uniform grid quadrature over the cell-center lattice; cached per
-    scenario (Scenario is immutable and hashable).
-    """
-    points, _, _, _, _ = evaluation_grid(scenario, step)
-    tables = simulate_points(scenario, points, check_domain=False)
-    return float(np.mean(tables.true_power))
-
-
-def measurement_noise_std(scenario, p_bar=None, snr_db=40.0, step=1.0):
+def measurement_noise_std(p_bar, snr_db=40.0):
     """Power-measurement noise sigma_eps from the dB-domain SNR rule.
 
     Solves ``10 log10(p_bar^2 / sigma_eps^2) = snr_db`` for the spatial
-    average ``p_bar`` of the map.
+    average ``p_bar`` of the map (PrecomputedGrid.p_bar).
     """
-    if p_bar is None:
-        p_bar = spatial_average_power(scenario, step)
     return abs(p_bar) / 10.0 ** (snr_db / 20.0)
 
 
-def measure_power(scenario, point, rng, noise_std=None):
+def measure_power(scenario, point, rng, noise_std):
     """Noisy power measurement: true map value plus N(0, sigma_eps^2) in dB."""
-    if noise_std is None:
-        noise_std = measurement_noise_std(scenario)
     value = true_power(scenario, point)
     if noise_std == 0.0:
         return value

@@ -10,7 +10,7 @@ rate ``T = 1/B``.
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -358,12 +358,3 @@ def preset(name, n_transmitters=5, bandwidth_hz=20e6, wall_count=None,
 
 
 SCENARIO_PRESETS = ("indoor-fig4", "indoor-dense", "freespace")
-
-
-def with_bandwidth(scenario, bandwidth_hz):
-    """Copy of a scenario at a new bandwidth with K resized accordingly."""
-    return replace(
-        scenario,
-        bandwidth_hz=bandwidth_hz,
-        num_samples=samples_for_bandwidth(bandwidth_hz),
-    )

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from locfree.cli import main
@@ -119,6 +120,73 @@ def test_fit_rejects_completion_estimator(tmp_path, capsys):
     cfg = _fit_config(tmp_path, estimator="locf_completion")
     assert run_cli("fit", "--config", str(cfg)) == 2
     assert "experiment-only" in capsys.readouterr().err
+
+
+def test_fit_rejects_feature_subset(tmp_path, capsys):
+    """A model file holds no feature subset, so fit does not drop n_features."""
+    cfg = _fit_config(tmp_path, n_features=4)
+    assert run_cli("fit", "--config", str(cfg), "--out", str(tmp_path / "out")) == 2
+    assert "n_features" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_predict_rejects_completion_estimator(tmp_path, capsys):
+    cfg = _fit_config(tmp_path, **{"lambda": 1e-4})
+    out = tmp_path / "out"
+    assert run_cli("fit", "--config", str(cfg), "--out", str(out)) == 0
+    cfg = _fit_config(tmp_path, estimator="locf_completion")
+    argv = ["predict", "--model", str(out / "model.json"), "--config", str(cfg)]
+    assert run_cli(*argv, "--out", str(tmp_path / "pred")) == 2
+    assert "experiment-only" in capsys.readouterr().err
+    assert not (tmp_path / "pred").exists()
+
+
+def test_fit_then_predict_locb_matches_in_process_predict(tmp_path):
+    """locb through the CLI: the model equals the in-process fit, and the
+    grid predictions equal predict_estimator on the same noisy pilots.  On
+    the 1.5 m grid the query at (21.75, 15.75) has all range differences 0,
+    so it cannot be localized and is written as an empty field."""
+    from locfree.cli import _experiment_config
+    from locfree.evaluation import (
+        _draw_world, fit_estimator, precompute_grid, predict_estimator,
+    )
+    from locfree.kernels import save_model
+    from locfree.propagation import pilot_noise
+
+    doc = {
+        "scenario": {"preset": "indoor-fig4"},
+        "estimator": "locb",
+        "n_train": 100,
+        "seed": 3,
+        "sigma_loc": 5.0,
+        "lambda_loc": 3e-4,
+        "center_targets": True,
+        "grid_step": 1.5,
+    }
+    cfg = tmp_path / "locb.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert run_cli("fit", "--config", str(cfg), "--out", str(out)) == 0
+    pred_out = tmp_path / "pred"
+    argv = ["predict", "--model", str(out / "model.json"), "--config", str(cfg)]
+    assert run_cli(*argv, "--out", str(pred_out)) == 0
+
+    config = _experiment_config(doc)
+    grid = precompute_grid(config.scenario, config.grid_step)
+    model, _ = fit_estimator(config, _draw_world(config, grid, 0))
+    save_model(model.fitted, tmp_path / "in_process.json")
+    assert (tmp_path / "in_process.json").read_bytes() == (out / "model.json").read_bytes()
+    rng = np.random.default_rng(config.seed)
+    pilots = grid.channels + pilot_noise(config.scenario, grid.channels.shape, rng)
+    expected = predict_estimator(config, model, pilots, grid.pilot_powers)
+
+    rows = [row.split(",") for row in (pred_out / "predictions.csv").read_text().splitlines()[1:]]
+    assert len(rows) == grid.points.shape[0]
+    unlocalized = np.isnan(expected)
+    assert grid.points[unlocalized].tolist() == [[21.75, 15.75]]
+    assert [row[2] == "" for row in rows] == unlocalized.tolist()
+    written = np.array([float(row[2]) for row in rows if row[2]])
+    assert np.array_equal(written, expected[~unlocalized])
 
 
 def test_fit_indoor_reference_parameters(tmp_path):

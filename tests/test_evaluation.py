@@ -10,10 +10,13 @@ from locfree.evaluation import (
     ESTIMATORS,
     ExperimentConfig,
     NmseResult,
+    _draw_world,
+    fit_estimator,
     mask_features,
     nmse,
     pooled_std,
     precompute_grid,
+    predict_estimator,
     run_experiment,
     run_once,
 )
@@ -180,6 +183,26 @@ def test_estimator_dispatch_all_kinds(small_world):
         )
         value, missing = run_once(cfg, grid, 0)
         assert np.isfinite(value) and value >= 0
+
+
+def test_completion_predict_is_nan_where_nothing_is_observed(small_world):
+    """A completion query whose pilots are all below the threshold has no
+    input column: predict gives NaN there and the same values elsewhere."""
+    scn, grid = small_world
+    cfg = ExperimentConfig(
+        scenario=scn, estimator="locf_completion", n_train=40, runs=1, seed=3,
+        sigma=20.0, lam=1e-4, rank=4, gamma_dbw=-90.0,
+    )
+    world = _draw_world(cfg, grid, 0)
+    model, columns = fit_estimator(cfg, world)
+    assert columns.shape == (10, 40)
+    powers = grid.pilot_powers.copy()
+    powers[:3] = -np.inf
+    values = predict_estimator(cfg, model, world.query_pilots, powers)
+    observed = predict_estimator(cfg, model, world.query_pilots, grid.pilot_powers)
+    assert np.all(np.isnan(values[:3]))
+    assert np.array_equal(values[3:], observed[3:])
+    assert np.all(np.isfinite(observed))
 
 
 def test_completion_estimator_reports_missing_counts(small_world):

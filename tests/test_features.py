@@ -225,8 +225,6 @@ def test_nosync_feature_count_for_five_transmitters(indoor):
     pilot = synthesize_pilot_matrix(indoor, (33.0, 22.0), np.random.default_rng(0))
     vec = feature_vector_nosync(pilot, indoor.sample_period)
     assert len(vec) == 10
-    assert vec.kind == "com_nosync"
-    assert vec.scale == "meters"
 
 
 def test_nosync_two_transmitters_reduces_to_scaled_tdoa():
@@ -234,13 +232,13 @@ def test_nosync_two_transmitters_reduces_to_scaled_tdoa():
     pilot = synthesize_pilot_matrix(scn, (0.0, 0.0), np.random.default_rng(0))
     vec = feature_vector_nosync(pilot, scn.sample_period)
     expected = SPEED_OF_LIGHT * scn.sample_period * (3 - 7)
-    assert vec.values[0] == pytest.approx(expected, rel=1e-9)
+    assert vec[0] == pytest.approx(expected, rel=1e-9)
 
 
 def test_nosync_linear_dependence_identity_on_grid():
     scn = grid_aligned_free_space([2, 5, 9], k=14)
     pilot = synthesize_pilot_matrix(scn, (0.0, 0.0), np.random.default_rng(0))
-    vec = feature_vector_nosync(pilot, scn.sample_period).values
+    vec = feature_vector_nosync(pilot, scn.sample_period)
     # entries ordered (1,2), (1,3), (2,3)
     assert vec[2] == pytest.approx(vec[1] - vec[0], rel=1e-9)
 
@@ -249,7 +247,7 @@ def test_noiseless_free_space_features_are_range_differences():
     delays = [2, 6, 9]
     scn = grid_aligned_free_space(delays, k=14)
     pilot = synthesize_pilot_matrix(scn, (0.0, 0.0), np.random.default_rng(0))
-    vec = feature_vector_nosync(pilot, scn.sample_period).values
+    vec = feature_vector_nosync(pilot, scn.sample_period)
     step = SPEED_OF_LIGHT * scn.sample_period
     expected = [step * (delays[i] - delays[j]) for i, j in pair_indices(3)]
     assert np.allclose(vec, expected, rtol=1e-9)
@@ -259,7 +257,7 @@ def test_sync_features_single_tap_channels():
     scn = grid_aligned_free_space([3, 6], k=10)
     pilot = synthesize_pilot_matrix(scn, (0.0, 0.0), np.random.default_rng(0))
     vec = feature_vector_sync(pilot)
-    assert vec.values == pytest.approx([3.0, 6.0], rel=1e-9)
+    assert vec == pytest.approx([3.0, 6.0], rel=1e-9)
     assert len(vec) == 2
 
 
@@ -291,7 +289,7 @@ def test_feature_matrix_nosync_stacks_columns(indoor):
     matrix = feature_matrix_nosync(pilots, indoor.sample_period)
     assert matrix.shape == (10, 3)
     for i in range(3):
-        single = feature_vector_nosync(pilots[i], indoor.sample_period).values
+        single = feature_vector_nosync(pilots[i], indoor.sample_period)
         assert np.array_equal(matrix[:, i], single)
 
 
@@ -305,8 +303,8 @@ def test_com_features_spatially_smoother_than_toa(indoor, indoor_grid):
     com = np.empty((5, n))
     toa = np.empty((5, n))
     for i in range(n):
-        com[:, i] = feature_vector_sync(pilots[i]).values
-        toa[:, i] = toa_feature_vector(pilots[i], gamma, indoor.sample_period).values
+        com[:, i] = feature_vector_sync(pilots[i])
+        toa[:, i] = toa_feature_vector(pilots[i], gamma, indoor.sample_period)
     toa /= SPEED_OF_LIGHT * indoor.sample_period  # back to lag units
     # pair up horizontally adjacent grid cells
     index = {tuple(np.round(p, 6)): i for i, p in enumerate(grid.points)}

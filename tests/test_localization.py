@@ -4,13 +4,12 @@ import pytest
 from conftest import grid_aligned_free_space, scalar_range_differences
 from locfree import localization
 from locfree.errors import ConfigurationError
-from locfree.evaluation import precompute_grid
+from locfree.evaluation import ExperimentConfig, Model, precompute_grid, predict_estimator
 from locfree.features import tdoa_range_differences
 from locfree.kernels import GaussianKernel, fit, predict
 from locfree.localization import (
     AnchorSet,
     locb_fit,
-    locb_predict,
     localize_batch,
     srdls_localize,
     tdoa_feature_set,
@@ -170,12 +169,14 @@ def test_locb_fit_shares_the_kernel_solver(indoor):
     assert np.array_equal(fitted.alpha, direct.alpha)
     assert np.array_equal(fitted.features, direct.features)
     # prediction equals plain kernel prediction at the estimated coordinates
-    pilot_q = synthesize_pilot_matrix(indoor, (33.0, 22.0), rng)
+    query = np.array([[33.0, 22.0]])
+    pilot_q = synthesize_pilot_matrix(indoor, query[0], rng)
     est, _ = localize_batch(anchors, pilot_q[None], indoor.sample_period)
     expected = predict(direct, est[0])
-    assert locb_predict(fitted, anchors, pilot_q, indoor.sample_period) == pytest.approx(
-        expected, rel=1e-12
-    )
+    config = ExperimentConfig(scenario=indoor, estimator="locb")
+    powers_q = simulate_points(indoor, query).pilot_powers
+    values = predict_estimator(config, Model(fitted), pilot_q[None], powers_q)
+    assert values.tolist() == [expected]
 
 
 def test_location_csv_dump(tmp_path):
@@ -262,9 +263,9 @@ def test_active_set_gauss_newton_matches_full_row_reference(walls, monkeypatch):
     assert diffs.shape[0] >= 250
     pos = scn.tx_positions()
     batches = (diffs, diffs[:1])
-    active_set = [localization._srdls_batch(pos, d, 3) for d in batches]
+    active_set = [localization._srdls_batch(pos, d) for d in batches]
     monkeypatch.setattr(localization, "_batch_gauss_newton", _reference_gauss_newton)
-    reference = [localization._srdls_batch(pos, d, 3) for d in batches]
+    reference = [localization._srdls_batch(pos, d) for d in batches]
     for (xy, cost), (xy_ref, cost_ref) in zip(active_set, reference):
         assert np.array_equal(xy, xy_ref)
         assert np.array_equal(cost, cost_ref)

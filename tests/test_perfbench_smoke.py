@@ -1,6 +1,8 @@
 """Smoke test of the benchmark: a quick run of two workloads completes and
 checks its outputs.  Wall time is not gated; it is too noisy on small hosts."""
 
+import importlib
+import importlib.util
 import json
 import subprocess
 import sys
@@ -28,3 +30,17 @@ def test_quick_benchmark_run_is_correct(workload):
     assert result["correct"] is True
     assert result["failed"] == 0
     assert result["attempted"] > 0
+
+
+def test_traced_layer_functions_exist():
+    """``--trace 1`` wraps every function named in tracing.LAYER_FUNCTIONS
+    and fails on a missing one; the quick runs above use ``--trace 0``."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", ROOT / "perfbench" / "tracing.py"
+    )
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for layer, names in tracing.LAYER_FUNCTIONS.items():
+        module = importlib.import_module(f"locfree.{layer}")
+        for name in names:
+            assert callable(getattr(module, name, None)), f"locfree.{layer}.{name}"

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from locfree.propagation import (
     measurement_noise_std,
     sample_sensor_locations,
     simulate_points,
-    spatial_average_power,
     synthesize_pilot_matrix,
     trace_paths,
     true_power,
@@ -159,6 +159,30 @@ def test_discretize_matches_scalar_sum_of_sincs():
             )
             expected += p.amplitude * phase * sinc(k - p.delay / t)
         assert taps[k] == pytest.approx(expected, abs=1e-12)
+
+
+def _scalar_discretize(paths, scenario):
+    """The per-path loop discretize_channel replaced: the reference."""
+    taps = np.zeros(scenario.num_samples, dtype=complex)
+    k_grid = np.arange(scenario.num_samples)
+    for p in paths:
+        phase = np.exp(-2j * np.pi * scenario.carrier_hz * p.delay)
+        taps += p.amplitude * phase * np.sinc(k_grid - p.delay / scenario.sample_period)
+    return taps
+
+
+def test_discretize_equals_scalar_loop_on_traced_paths(indoor):
+    """Bit-identical taps on multipath indoor rays, at 20 and 200 MHz."""
+    rng = np.random.default_rng(5)
+    rx_points = sample_sensor_locations(indoor, 20, rng)
+    path_counts = []
+    for scn in (indoor, replace(indoor, bandwidth_hz=200e6, num_samples=100)):
+        for tx in scn.tx_positions():
+            for rx in rx_points:
+                paths = trace_paths(scn, tx, rx)
+                path_counts.append(len(paths))
+                assert np.array_equal(discretize_channel(paths, scn), _scalar_discretize(paths, scn))
+    assert np.median(path_counts) >= 5
 
 
 def test_discretize_empty_paths_gives_zero_channel():
@@ -345,8 +369,8 @@ def test_measurement_noise_variance(free_space):
     assert abs(sample_var - sigma**2) < 3 * std_err
 
 
-def test_snr_rule_is_exact_by_construction(indoor):
-    p_bar = spatial_average_power(indoor)
-    sigma = measurement_noise_std(indoor, p_bar=p_bar)
+def test_snr_rule_is_exact_by_construction(indoor_grid):
+    p_bar = indoor_grid.p_bar
+    sigma = measurement_noise_std(p_bar)
     snr = 10.0 * math.log10(p_bar**2 / sigma**2)
     assert snr == pytest.approx(40.0, abs=0.01)
