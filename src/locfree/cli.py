@@ -207,6 +207,8 @@ def cmd_experiment(args):
             jobs=args.jobs, gamma_sweep=gamma_sweep, verbose=args.verbose,
         )
     elif os.path.exists(args.name):
+        if gamma_sweep is not None:
+            raise ConfigurationError("--gamma-sweep applies only to fig11-missing")
         doc = _load_json(args.name)
         config = _experiment_config(doc, seed_override=args.seed)
         if args.runs is not None:

@@ -95,7 +95,6 @@ class CompletionResult:
     residuals: tuple
     iterations: int
     converged: bool
-    final_step: float
 
     @property
     def final_residual(self):
@@ -168,7 +167,6 @@ def svp_complete(incomplete, config):
         residuals=tuple(residuals),
         iterations=iterations,
         converged=converged,
-        final_step=step,
     )
 
 

@@ -50,6 +50,16 @@ def nmse(truth, prediction, p_bar):
     return float(np.mean((truth - prediction) ** 2) / denom)
 
 
+def pair_min_power(tx_powers):
+    """(M, N) weaker received pilot power of each transmitter pair, in dBW.
+
+    tx_powers -- (N, L) per-location received pilot powers in dBW
+    """
+    powers = np.asarray(tx_powers, dtype=float)
+    pairs = features.pair_indices(powers.shape[1])
+    return np.stack([np.minimum(powers[:, i], powers[:, j]) for i, j in pairs])
+
+
 def mask_features(feature_matrix, tx_powers, gamma_dbw):
     """Missing-feature mask from a pilot sensitivity threshold.
 
@@ -61,14 +71,10 @@ def mask_features(feature_matrix, tx_powers, gamma_dbw):
     tx_powers      -- (N, L) per-location received pilot powers in dBW
     """
     values = np.asarray(feature_matrix, dtype=float)
-    powers = np.asarray(tx_powers, dtype=float)
-    pairs = features.pair_indices(powers.shape[1])
-    if len(pairs) != values.shape[0]:
+    n_tx = np.shape(tx_powers)[1]
+    if n_tx * (n_tx - 1) // 2 != values.shape[0]:
         raise ValueError("one pair per feature row is required")
-    pair_min = np.stack(
-        [np.minimum(powers[:, i], powers[:, j]) for i, j in pairs], axis=0
-    )
-    observed = (pair_min >= gamma_dbw) & np.isfinite(values)
+    observed = (pair_min_power(tx_powers) >= gamma_dbw) & np.isfinite(values)
     return completion.IncompleteFeatureMatrix(values=values, observed=observed)
 
 

@@ -25,6 +25,7 @@ from .evaluation import (
     ExperimentConfig,
     fit_and_predict,
     nmse,
+    pair_min_power,
     precompute_grid,
     run_experiment,
 )
@@ -116,7 +117,7 @@ def _render_single_fit(config, grid, out_dir, tag):
     return world, predictions, nmse(grid.truth, predictions, grid.p_bar)
 
 
-def run_fig4_maps(out_dir, runs=None, seed=0, jobs=1, gamma_sweep=None):
+def run_fig4_maps(out_dir, runs=None, seed=0, jobs=1):
     """True map plus feature-based and location-based estimates, N=300."""
     scenario = scenario_preset("indoor-fig4", seed=seed)
     grid = precompute_grid(scenario)
@@ -140,7 +141,7 @@ def run_fig4_maps(out_dir, runs=None, seed=0, jobs=1, gamma_sweep=None):
     return summary
 
 
-def run_fig5_featuremaps(out_dir, runs=None, seed=0, jobs=1, gamma_sweep=None):
+def run_fig5_featuremaps(out_dir, runs=None, seed=0, jobs=1):
     """Maps of the M = L(L-1)/2 pairwise features over the whole region."""
     scenario = scenario_preset("indoor-fig4", seed=seed)
     grid = precompute_grid(scenario)
@@ -162,7 +163,7 @@ def run_fig5_featuremaps(out_dir, runs=None, seed=0, jobs=1, gamma_sweep=None):
     }
 
 
-def run_fig6_nmse_vs_n(out_dir, runs=None, seed=0, jobs=1, gamma_sweep=None):
+def run_fig6_nmse_vs_n(out_dir, runs=None, seed=0, jobs=1):
     """Feature-based vs location-based NMSE over the measurement count."""
     runs = runs or DEFAULT_RUNS
     scenario = scenario_preset("indoor-fig4", seed=seed)
@@ -173,7 +174,7 @@ def run_fig6_nmse_vs_n(out_dir, runs=None, seed=0, jobs=1, gamma_sweep=None):
     return _run_sweep(entries, out_dir, jobs)
 
 
-def run_fig7_nmse_vs_walls(out_dir, runs=None, seed=0, jobs=1, gamma_sweep=None):
+def run_fig7_nmse_vs_walls(out_dir, runs=None, seed=0, jobs=1):
     """NMSE as the wall count grows, at 200 MHz pilot bandwidth."""
     runs = runs or DEFAULT_RUNS
     entries = []
@@ -190,7 +191,7 @@ def run_fig7_nmse_vs_walls(out_dir, runs=None, seed=0, jobs=1, gamma_sweep=None)
     return _run_sweep(entries, out_dir, jobs)
 
 
-def run_fig8_nmse_vs_m(out_dir, runs=None, seed=0, jobs=1, gamma_sweep=None):
+def run_fig8_nmse_vs_m(out_dir, runs=None, seed=0, jobs=1):
     """NMSE over the number of raw features used (random subsets per run)."""
     runs = runs or DEFAULT_RUNS
     scenario = scenario_preset("indoor-fig4", seed=seed)
@@ -208,7 +209,7 @@ def run_fig8_nmse_vs_m(out_dir, runs=None, seed=0, jobs=1, gamma_sweep=None):
     return _run_sweep(entries, out_dir, jobs)
 
 
-def run_fig10_reduced(out_dir, runs=None, seed=0, jobs=1, gamma_sweep=None):
+def run_fig10_reduced(out_dir, runs=None, seed=0, jobs=1):
     """Full features vs rank-reduced features on the denser indoor scenario."""
     runs = runs or DEFAULT_RUNS
     scenario = scenario_preset("indoor-dense", seed=seed)
@@ -244,10 +245,7 @@ def default_gamma_sweep(grid, quantiles=(0.25, 0.4, 0.55)):
     The first point sits below the weakest pair power on the evaluation
     grid; the rest are quantiles of the per-pair minimum pilot power.
     """
-    pairs = features.pair_indices(grid.pilot_powers.shape[1])
-    pair_min = np.stack(
-        [np.minimum(grid.pilot_powers[:, i], grid.pilot_powers[:, j]) for i, j in pairs]
-    )
+    pair_min = pair_min_power(grid.pilot_powers)
     lo = float(pair_min.min()) - 5.0
     return [lo] + [float(np.quantile(pair_min, q)) for q in quantiles]
 
@@ -302,17 +300,21 @@ def run_preset(name, out_dir, runs=None, seed=0, jobs=1, gamma_sweep=None,
                verbose=False):
     """Run a named experiment preset and write its artifacts into out_dir.
 
-    With ``verbose`` the missing-feature preset also dumps per-run SVP
-    iteration logs (iter,residual CSVs) into out_dir.
+    Only the missing-feature preset takes ``gamma_sweep``; with ``verbose``
+    it also dumps per-run SVP iteration logs (iter,residual CSVs) into
+    out_dir.
     """
     if name not in PRESETS:
         raise ConfigurationError(
             f"unknown experiment preset {name!r}; available: {', '.join(sorted(PRESETS))}"
         )
+    kwargs = dict(runs=runs, seed=seed, jobs=jobs)
+    if name == "fig11-missing":
+        kwargs["gamma_sweep"] = gamma_sweep
+        kwargs["diagnostics_dir"] = out_dir if verbose else None
+    elif gamma_sweep is not None:
+        raise ConfigurationError(f"gamma_sweep applies only to fig11-missing, not {name}")
     os.makedirs(out_dir, exist_ok=True)
-    kwargs = dict(runs=runs, seed=seed, jobs=jobs, gamma_sweep=gamma_sweep)
-    if verbose and name == "fig11-missing":
-        kwargs["diagnostics_dir"] = out_dir
     summary = PRESETS[name](out_dir, **kwargs)
     io.write_summary_json(summary, os.path.join(out_dir, "summary.json"))
     return summary

@@ -90,6 +90,7 @@ def fit(features, targets, kernel, lam, center_targets=False):
     rhs = targets - mean
     gram = gram_matrix(features, kernel)
     system = gram + lam * n * np.eye(n)
+    tol = 1e-8 * max(np.linalg.norm(rhs), 1.0)
     try:
         alpha = cho_solve(cho_factor(system), rhs)
     except np.linalg.LinAlgError as exc:
@@ -97,12 +98,10 @@ def fit(features, targets, kernel, lam, center_targets=False):
             raise SolverError(
                 "Gram matrix is numerically singular; use lambda > 0"
             ) from exc
+        alpha = None
+    if alpha is None or np.linalg.norm(system @ alpha - rhs) > tol:
         alpha, *_ = np.linalg.lstsq(system, rhs, rcond=None)
-    residual = np.linalg.norm(system @ alpha - rhs)
-    if residual > 1e-8 * max(np.linalg.norm(rhs), 1.0):
-        alpha, *_ = np.linalg.lstsq(system, rhs, rcond=None)
-        residual = np.linalg.norm(system @ alpha - rhs)
-        if residual > 1e-8 * max(np.linalg.norm(rhs), 1.0):
+        if np.linalg.norm(system @ alpha - rhs) > tol:
             if lam == 0:
                 raise SolverError("Gram matrix is numerically singular; use lambda > 0")
             raise SolverError("ridge system solve did not reach the required residual")

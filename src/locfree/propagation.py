@@ -4,10 +4,15 @@ The propagation model is a 2-D multi-wall ray model.  For a transmitter /
 receiver pair it enumerates
 
 * the direct ray,
-* up to ``MAX_FIRST_ORDER`` strongest single-bounce specular reflections
-  (image method, one image per wall),
-* up to ``MAX_SECOND_ORDER`` strongest wall-to-wall double bounces
-  (double-image method over ordered wall pairs).
+* up to ``MAX_FIRST_ORDER`` strongest single-bounce specular reflections,
+* up to ``MAX_SECOND_ORDER`` strongest wall-to-wall double bounces.
+
+Both bounce orders come from one image-method loop over wall sequences
+(every wall, then every ordered pair of distinct walls): the transmitter is
+mirrored through each wall of the sequence in turn, and the ray is unfolded
+back from the receiver through those images to find the bounce points.  A
+sequence has no ray when the transmitter or an image lies on the plane of
+the next wall.
 
 Path amplitude combines the free-space magnitude law
 ``alpha = c / (4 pi f_c d)`` over the unfolded path length d, an
@@ -23,6 +28,7 @@ complex taps::
 which is also the noiseless received pilot row for unit-sample pilots.
 """
 
+import itertools
 import warnings
 from dataclasses import dataclass
 
@@ -77,11 +83,12 @@ def _wall_geometry(scenario):
     return p1, p2, normals, cross_factor
 
 
-def _segment_params(starts, ends, a, b):
-    """Intersection parameters of segments (starts->ends) with segment (a, b).
+def _wall_hit(starts, ends, a, b):
+    """Where segments starts->ends cross the wall (a, b).
 
-    Returns (t, u, ok): ``t`` along start->end, ``u`` along a->b, ``ok``
-    False where the segment is parallel to the wall.
+    Returns (t, hit): ``t`` along start->end, and ``hit`` True where the
+    crossing lies strictly inside the segment and on the wall (parallel
+    segments never hit).
     """
     starts = np.atleast_2d(starts)
     ends = np.atleast_2d(ends)
@@ -93,7 +100,7 @@ def _segment_params(starts, ends, a, b):
     qp = a - starts
     t = (qp[:, 0] * s[1] - qp[:, 1] * s[0]) / safe
     u = (qp[:, 0] * r[:, 1] - qp[:, 1] * r[:, 0]) / safe
-    return t, u, ok
+    return t, ok & (t > _EPS_T) & (t < 1.0 - _EPS_T) & (u >= 0.0) & (u <= 1.0)
 
 
 def _crossing_factors(starts, ends, geom, exclude=()):
@@ -104,14 +111,9 @@ def _crossing_factors(starts, ends, geom, exclude=()):
     for w in range(p1.shape[0]):
         if w in exclude:
             continue
-        t, u, ok = _segment_params(starts, ends, p1[w], p2[w])
-        crossed = ok & (t > _EPS_T) & (t < 1.0 - _EPS_T) & (u >= 0.0) & (u <= 1.0)
+        _, crossed = _wall_hit(starts, ends, p1[w], p2[w])
         out = np.where(crossed, out * factors[w], out)
     return out
-
-
-def _mirror(point, p1, normal):
-    return point - 2.0 * np.dot(point - p1, normal) * normal
 
 
 def _friis_amplitude(distance, carrier_hz):
@@ -128,107 +130,71 @@ def _top_k(amps, delays, k):
     return amps[rows, idx], delays[rows, idx]
 
 
+def _reflected_ray(scenario, tx, rx, geom, seq):
+    """Image-method ray tx -> walls ``seq`` in order -> each rx row.
+
+    Returns (amps, delays) of shape (n,), with zero amplitude where a bounce
+    point misses its wall, or None when the source or an image lies on the
+    plane of the next wall (no image exists).
+    """
+    p1, p2, normals, _ = geom
+    images = [tx]
+    for w in seq:
+        offset = np.dot(images[-1] - p1[w], normals[w])
+        if abs(offset) < 1e-12:
+            return None
+        images.append(images[-1] - 2.0 * offset * normals[w])
+    # Unfold from the receiver back through each image to the bounce points.
+    points = [rx]
+    valid = np.ones(rx.shape[0], dtype=bool)
+    refl = 1.0
+    lengths = []
+    for w, image in zip(seq[::-1], images[:0:-1]):
+        leg = points[0] - image
+        t, hit = _wall_hit(image, points[0], p1[w], p2[w])
+        valid &= hit
+        points.insert(0, image + t[:, None] * leg)
+        lengths.append(np.linalg.norm(leg, axis=1))
+        cos = np.abs(leg @ normals[w]) / np.maximum(lengths[-1], 1e-12)
+        refl = scenario.walls[w].reflection_amplitude(cos) * refl
+    points.insert(0, tx)
+    length = lengths[0]  # receiver to the last image: the unfolded path
+    amp = _friis_amplitude(np.maximum(length, 1e-12), scenario.carrier_hz) * refl
+    # Each leg crosses walls freely except the ones it starts or ends on.
+    for j in range(len(seq) + 1):
+        amp = amp * _crossing_factors(
+            points[j], points[j + 1], geom, exclude=seq[max(j - 1, 0):j + 1]
+        )
+    return np.where(valid, amp, 0.0), length / SPEED_OF_LIGHT
+
+
 def _trace_tx(scenario, tx, rx, geom):
     """All kept ray amplitudes/delays from one transmitter to rx (n, 2).
 
     Returns (amps, delays, orders): (n, P) float arrays plus a (P,) order
     vector; invalid candidate slots carry zero amplitude.
     """
-    walls = scenario.walls
-    n_walls = len(walls)
-    p1, p2, normals, _ = geom
     rx = np.atleast_2d(np.asarray(rx, dtype=float))
-    n = rx.shape[0]
-    fc = scenario.carrier_hz
-
-    # Direct ray.
     d = np.linalg.norm(rx - tx, axis=1)
     if np.any(d <= 0.0):
         raise DomainError("receiver coincides with a transmitter (near-field singularity)")
-    amp_direct = _friis_amplitude(d, fc) * _crossing_factors(tx, rx, geom)
+    amp_direct = _friis_amplitude(d, scenario.carrier_hz) * _crossing_factors(tx, rx, geom)
     amps = [amp_direct[:, None]]
     delays = [(d / SPEED_OF_LIGHT)[:, None]]
     orders = [np.zeros(1, dtype=int)]
-
-    # Single-bounce candidates, one per wall.
-    first_amp = np.zeros((n, 0))
-    first_delay = np.ones((n, 0))
-    if n_walls:
-        cand_a, cand_d = [], []
-        for w in range(n_walls):
-            offset = np.dot(tx - p1[w], normals[w])
-            if abs(offset) < 1e-12:
-                continue  # transmitter on the wall plane: no image
-            image = _mirror(tx, p1[w], normals[w])
-            t, u, ok = _segment_params(image, rx, p1[w], p2[w])
-            valid = ok & (t > _EPS_T) & (t < 1.0 - _EPS_T) & (u >= 0.0) & (u <= 1.0)
-            q = image + t[:, None] * (rx - image)
-            length = np.linalg.norm(rx - image, axis=1)
-            with np.errstate(invalid="ignore", divide="ignore"):
-                cos_inc = np.abs((rx - image) @ normals[w]) / length
-            refl = walls[w].reflection_amplitude(cos_inc)
-            amp = (
-                _friis_amplitude(np.maximum(length, 1e-12), fc)
-                * refl
-                * _crossing_factors(tx, q, geom, exclude=(w,))
-                * _crossing_factors(q, rx, geom, exclude=(w,))
-            )
-            cand_a.append(np.where(valid, amp, 0.0))
-            cand_d.append(length / SPEED_OF_LIGHT)
-        if cand_a:
-            first_amp, first_delay = _top_k(
-                np.stack(cand_a, axis=1), np.stack(cand_d, axis=1), MAX_FIRST_ORDER
-            )
-    if first_amp.shape[1]:
-        amps.append(first_amp)
-        delays.append(first_delay)
-        orders.append(np.ones(first_amp.shape[1], dtype=int))
-
-    # Double-bounce candidates over ordered wall pairs.
-    second_amp = np.zeros((n, 0))
-    second_delay = np.ones((n, 0))
-    if n_walls >= 2:
-        cand_a, cand_d = [], []
-        for w1 in range(n_walls):
-            if abs(np.dot(tx - p1[w1], normals[w1])) < 1e-12:
-                continue
-            image1 = _mirror(tx, p1[w1], normals[w1])
-            for w2 in range(n_walls):
-                if w2 == w1:
-                    continue
-                if abs(np.dot(image1 - p1[w2], normals[w2])) < 1e-12:
-                    continue
-                image2 = _mirror(image1, p1[w2], normals[w2])
-                t2, u2, ok2 = _segment_params(image2, rx, p1[w2], p2[w2])
-                valid = ok2 & (t2 > _EPS_T) & (t2 < 1.0 - _EPS_T) & (u2 >= 0.0) & (u2 <= 1.0)
-                q2 = image2 + t2[:, None] * (rx - image2)
-                t1, u1, ok1 = _segment_params(image1, q2, p1[w1], p2[w1])
-                valid &= ok1 & (t1 > _EPS_T) & (t1 < 1.0 - _EPS_T) & (u1 >= 0.0) & (u1 <= 1.0)
-                q1 = image1 + t1[:, None] * (q2 - image1)
-                length = np.linalg.norm(rx - image2, axis=1)
-                leg2 = np.linalg.norm(q2 - image1, axis=1)
-                with np.errstate(invalid="ignore", divide="ignore"):
-                    cos2 = np.abs((rx - image2) @ normals[w2]) / length
-                    cos1 = np.abs((q2 - image1) @ normals[w1]) / np.maximum(leg2, 1e-12)
-                refl = walls[w1].reflection_amplitude(cos1) * walls[w2].reflection_amplitude(cos2)
-                amp = (
-                    _friis_amplitude(np.maximum(length, 1e-12), fc)
-                    * refl
-                    * _crossing_factors(tx, q1, geom, exclude=(w1,))
-                    * _crossing_factors(q1, q2, geom, exclude=(w1, w2))
-                    * _crossing_factors(q2, rx, geom, exclude=(w2,))
-                )
-                cand_a.append(np.where(valid, amp, 0.0))
-                cand_d.append(length / SPEED_OF_LIGHT)
-        if cand_a:
-            second_amp, second_delay = _top_k(
-                np.stack(cand_a, axis=1), np.stack(cand_d, axis=1), MAX_SECOND_ORDER
-            )
-    if second_amp.shape[1]:
-        amps.append(second_amp)
-        delays.append(second_delay)
-        orders.append(np.full(second_amp.shape[1], 2, dtype=int))
-
+    walls = range(len(scenario.walls))
+    for order, keep in ((1, MAX_FIRST_ORDER), (2, MAX_SECOND_ORDER)):
+        rays = [
+            ray
+            for seq in itertools.permutations(walls, order)
+            if (ray := _reflected_ray(scenario, tx, rx, geom, seq)) is not None
+        ]
+        if rays:
+            cand_a, cand_d = zip(*rays)
+            a, t = _top_k(np.stack(cand_a, axis=1), np.stack(cand_d, axis=1), keep)
+            amps.append(a)
+            delays.append(t)
+            orders.append(np.full(a.shape[1], order, dtype=int))
     return np.concatenate(amps, axis=1), np.concatenate(delays, axis=1), np.concatenate(orders)
 
 
@@ -240,8 +206,6 @@ def trace_paths(scenario, tx, rx):
     """
     tx = np.asarray(tx, dtype=float)
     rx = np.asarray(rx, dtype=float)
-    if np.array_equal(tx, rx):
-        raise DomainError("receiver coincides with transmitter (near-field singularity)")
     if not scenario.contains(rx)[0]:
         raise DomainError(f"receiver {tuple(rx)} lies outside the region")
     geom = _wall_geometry(scenario)

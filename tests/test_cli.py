@@ -1,9 +1,11 @@
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from locfree.cli import main
+from locfree.cli import _build_parser, main
 
 
 def run_cli(*argv):
@@ -51,6 +53,32 @@ def test_unknown_experiment_preset_lists_options(tmp_path, capsys):
     assert run_cli("experiment", "fig99-nothing", "--out", str(tmp_path)) == 2
     err = capsys.readouterr().err
     assert "fig6-nmse-vs-N" in err and "fig11-missing" in err
+
+
+def test_gamma_sweep_rejected_outside_fig11(tmp_path, capsys):
+    out = tmp_path / "fig6"
+    assert run_cli("experiment", "fig6-nmse-vs-N", "--gamma-sweep=-90", "--out", str(out)) == 2
+    assert "fig11-missing" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_gamma_sweep_rejected_for_config_experiment(tmp_path, capsys):
+    cfg = tmp_path / "exp.json"
+    cfg.write_text(json.dumps({"scenario": "freespace", "n_train": 30, "runs": 1}))
+    out = tmp_path / "out"
+    assert run_cli("experiment", str(cfg), "--gamma-sweep=-90", "--out", str(out)) == 2
+    assert "fig11-missing" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_readme_command_lines_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("locfree ")]
+    assert len(commands) >= 6
+    parser = _build_parser()
+    for argv in commands:
+        parser.parse_args(argv)
 
 
 def _fit_config(tmp_path, **overrides):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from locfree import kernels
 from locfree.errors import SolverError
 from locfree.kernels import (
     FittedMap,
@@ -85,6 +86,37 @@ def test_fit_lambda_zero_singular_advises_regularization():
     features = np.array([[1.0, 1.0], [2.0, 2.0]])  # duplicate columns -> singular K
     with pytest.raises(SolverError, match="lambda > 0"):
         fit(features, np.array([1.0, 2.0]), GaussianKernel(1.0), lam=0.0)
+
+
+def _failing_cho_factor(*args, **kwargs):
+    raise np.linalg.LinAlgError("not positive definite")
+
+
+def test_fit_falls_back_to_lstsq_when_cholesky_fails(monkeypatch):
+    rng = np.random.default_rng(4)
+    features, targets, kernel = _random_instance(rng, n=60, m=3)
+    lam = 1e-3
+    monkeypatch.setattr(kernels, "cho_factor", _failing_cho_factor)
+    fitted = fit(features, targets, kernel, lam)
+    system = gram_matrix(features, kernel) + lam * targets.size * np.eye(targets.size)
+    expected, *_ = np.linalg.lstsq(system, targets, rcond=None)
+    assert np.array_equal(fitted.alpha, expected)
+
+
+def test_fit_fallback_runs_lstsq_once_before_raising(monkeypatch):
+    rng = np.random.default_rng(4)
+    features, targets, kernel = _random_instance(rng, n=60, m=3)
+    calls = []
+
+    def poor_lstsq(a, b, rcond=None):
+        calls.append(1)
+        return np.zeros_like(b), None, None, None
+
+    monkeypatch.setattr(kernels, "cho_factor", _failing_cho_factor)
+    monkeypatch.setattr(kernels.np.linalg, "lstsq", poor_lstsq)
+    with pytest.raises(SolverError, match="did not reach the required residual"):
+        fit(features, targets, kernel, lam=1e-3)
+    assert len(calls) == 1
 
 
 def test_fit_residual_invariant():

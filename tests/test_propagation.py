@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from locfree import propagation
 from locfree.errors import ConfigurationError, DomainError
 from locfree.propagation import (
     PathComponent,
@@ -16,7 +17,14 @@ from locfree.propagation import (
     trace_paths,
     true_power,
 )
-from locfree.scenario import SPEED_OF_LIGHT, Scenario, Transmitter, WallSegment
+from locfree.scenario import (
+    SPEED_OF_LIGHT,
+    Scenario,
+    Transmitter,
+    WallSegment,
+    canonical_walls,
+    preset,
+)
 
 
 def test_free_space_single_path(free_space):
@@ -105,6 +113,187 @@ def test_near_field_and_region_domain_errors(free_space):
         trace_paths(free_space, (0.0, 0.0), (0.0, 0.0))
     with pytest.raises(DomainError):
         trace_paths(free_space, (0.0, 0.0), (100.0, 0.0))
+
+
+# ---------------------------------------------------------------------------
+# image-method oracle: one hand-unrolled block per bounce order
+# ---------------------------------------------------------------------------
+
+_EPS_T = 1e-9
+
+
+def _oracle_segment_params(starts, ends, a, b):
+    starts = np.atleast_2d(starts)
+    ends = np.atleast_2d(ends)
+    r = ends - starts
+    s = b - a
+    denom = r[:, 0] * s[1] - r[:, 1] * s[0]
+    ok = np.abs(denom) > 1e-15
+    safe = np.where(ok, denom, 1.0)
+    qp = a - starts
+    t = (qp[:, 0] * s[1] - qp[:, 1] * s[0]) / safe
+    u = (qp[:, 0] * r[:, 1] - qp[:, 1] * r[:, 0]) / safe
+    return t, u, ok
+
+
+def _oracle_crossing_factors(starts, ends, geom, exclude=()):
+    p1, p2, _, factors = geom
+    n = np.atleast_2d(ends).shape[0]
+    out = np.ones(n)
+    for w in range(p1.shape[0]):
+        if w in exclude:
+            continue
+        t, u, ok = _oracle_segment_params(starts, ends, p1[w], p2[w])
+        crossed = ok & (t > _EPS_T) & (t < 1.0 - _EPS_T) & (u >= 0.0) & (u <= 1.0)
+        out = np.where(crossed, out * factors[w], out)
+    return out
+
+
+def _oracle_mirror(point, p1, normal):
+    return point - 2.0 * np.dot(point - p1, normal) * normal
+
+
+def _two_block_trace_tx(scenario, tx, rx, geom):
+    """The tracer with single and double bounces written out as two blocks."""
+    friis = propagation._friis_amplitude
+    top_k = propagation._top_k
+    walls = scenario.walls
+    n_walls = len(walls)
+    p1, p2, normals, _ = geom
+    rx = np.atleast_2d(np.asarray(rx, dtype=float))
+    n = rx.shape[0]
+    fc = scenario.carrier_hz
+
+    d = np.linalg.norm(rx - tx, axis=1)
+    if np.any(d <= 0.0):
+        raise DomainError("receiver coincides with a transmitter (near-field singularity)")
+    amp_direct = friis(d, fc) * _oracle_crossing_factors(tx, rx, geom)
+    amps = [amp_direct[:, None]]
+    delays = [(d / SPEED_OF_LIGHT)[:, None]]
+    orders = [np.zeros(1, dtype=int)]
+
+    first_amp = np.zeros((n, 0))
+    first_delay = np.ones((n, 0))
+    if n_walls:
+        cand_a, cand_d = [], []
+        for w in range(n_walls):
+            offset = np.dot(tx - p1[w], normals[w])
+            if abs(offset) < 1e-12:
+                continue
+            image = _oracle_mirror(tx, p1[w], normals[w])
+            t, u, ok = _oracle_segment_params(image, rx, p1[w], p2[w])
+            valid = ok & (t > _EPS_T) & (t < 1.0 - _EPS_T) & (u >= 0.0) & (u <= 1.0)
+            q = image + t[:, None] * (rx - image)
+            length = np.linalg.norm(rx - image, axis=1)
+            with np.errstate(invalid="ignore", divide="ignore"):
+                cos_inc = np.abs((rx - image) @ normals[w]) / length
+            refl = walls[w].reflection_amplitude(cos_inc)
+            amp = (
+                friis(np.maximum(length, 1e-12), fc)
+                * refl
+                * _oracle_crossing_factors(tx, q, geom, exclude=(w,))
+                * _oracle_crossing_factors(q, rx, geom, exclude=(w,))
+            )
+            cand_a.append(np.where(valid, amp, 0.0))
+            cand_d.append(length / SPEED_OF_LIGHT)
+        if cand_a:
+            first_amp, first_delay = top_k(
+                np.stack(cand_a, axis=1), np.stack(cand_d, axis=1), propagation.MAX_FIRST_ORDER
+            )
+    if first_amp.shape[1]:
+        amps.append(first_amp)
+        delays.append(first_delay)
+        orders.append(np.ones(first_amp.shape[1], dtype=int))
+
+    second_amp = np.zeros((n, 0))
+    second_delay = np.ones((n, 0))
+    if n_walls >= 2:
+        cand_a, cand_d = [], []
+        for w1 in range(n_walls):
+            if abs(np.dot(tx - p1[w1], normals[w1])) < 1e-12:
+                continue
+            image1 = _oracle_mirror(tx, p1[w1], normals[w1])
+            for w2 in range(n_walls):
+                if w2 == w1:
+                    continue
+                if abs(np.dot(image1 - p1[w2], normals[w2])) < 1e-12:
+                    continue
+                image2 = _oracle_mirror(image1, p1[w2], normals[w2])
+                t2, u2, ok2 = _oracle_segment_params(image2, rx, p1[w2], p2[w2])
+                valid = ok2 & (t2 > _EPS_T) & (t2 < 1.0 - _EPS_T) & (u2 >= 0.0) & (u2 <= 1.0)
+                q2 = image2 + t2[:, None] * (rx - image2)
+                t1, u1, ok1 = _oracle_segment_params(image1, q2, p1[w1], p2[w1])
+                valid &= ok1 & (t1 > _EPS_T) & (t1 < 1.0 - _EPS_T) & (u1 >= 0.0) & (u1 <= 1.0)
+                q1 = image1 + t1[:, None] * (q2 - image1)
+                length = np.linalg.norm(rx - image2, axis=1)
+                leg2 = np.linalg.norm(q2 - image1, axis=1)
+                with np.errstate(invalid="ignore", divide="ignore"):
+                    cos2 = np.abs((rx - image2) @ normals[w2]) / length
+                    cos1 = np.abs((q2 - image1) @ normals[w1]) / np.maximum(leg2, 1e-12)
+                refl = walls[w1].reflection_amplitude(cos1) * walls[w2].reflection_amplitude(cos2)
+                amp = (
+                    friis(np.maximum(length, 1e-12), fc)
+                    * refl
+                    * _oracle_crossing_factors(tx, q1, geom, exclude=(w1,))
+                    * _oracle_crossing_factors(q1, q2, geom, exclude=(w1, w2))
+                    * _oracle_crossing_factors(q2, rx, geom, exclude=(w2,))
+                )
+                cand_a.append(np.where(valid, amp, 0.0))
+                cand_d.append(length / SPEED_OF_LIGHT)
+        if cand_a:
+            second_amp, second_delay = top_k(
+                np.stack(cand_a, axis=1), np.stack(cand_d, axis=1), propagation.MAX_SECOND_ORDER
+            )
+    if second_amp.shape[1]:
+        amps.append(second_amp)
+        delays.append(second_delay)
+        orders.append(np.full(second_amp.shape[1], 2, dtype=int))
+
+    return np.concatenate(amps, axis=1), np.concatenate(delays, axis=1), np.concatenate(orders)
+
+
+def _tx_on_wall_plane():
+    """Two vertical walls plus a divider at y = 20: three anchors on its plane,
+    and every mirror of them through a vertical wall as well."""
+    walls = canonical_walls(2) + (WallSegment(9.0, 20.0, 51.0, 20.0),)
+    return replace(preset("indoor-fig4"), walls=walls)
+
+
+_ORACLE_SCENARIOS = {
+    "fig4-20MHz": lambda: preset("indoor-fig4"),
+    "fig4-200MHz": lambda: preset("indoor-fig4", bandwidth_hz=200e6),
+    "fig4-700MHz": lambda: preset("indoor-fig4", bandwidth_hz=700e6),
+    **{
+        f"dense-200MHz-w{w}": (
+            lambda w=w: preset("indoor-dense", bandwidth_hz=200e6, wall_count=w)
+        )
+        for w in range(7)
+    },
+    "freespace": lambda: preset("freespace"),
+    "dense-7tx": lambda: preset("indoor-dense", n_transmitters=7),
+    "tx-on-wall-plane": _tx_on_wall_plane,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ORACLE_SCENARIOS))
+def test_wall_sequence_tracer_matches_two_block_oracle(name, monkeypatch):
+    """Bit-identical rays, taps, pilot powers and map values on 2,000 points."""
+    scn = _ORACLE_SCENARIOS[name]()
+    pts = sample_sensor_locations(scn, 2000, np.random.default_rng(17))
+    geom = propagation._wall_geometry(scn)
+    for tx in scn.tx_positions():
+        got = propagation._trace_tx(scn, tx, pts, geom)
+        want = _two_block_trace_tx(scn, tx, pts, geom)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+    new_tables = simulate_points(scn, pts)
+    new_paths = [trace_paths(scn, tx, p) for tx in scn.tx_positions() for p in pts[:4]]
+    monkeypatch.setattr(propagation, "_trace_tx", _two_block_trace_tx)
+    old_tables = simulate_points(scn, pts)
+    old_paths = [trace_paths(scn, tx, p) for tx in scn.tx_positions() for p in pts[:4]]
+    for field in ("channels", "pilot_powers", "true_power"):
+        assert np.array_equal(getattr(new_tables, field), getattr(old_tables, field))
+    assert new_paths == old_paths
 
 
 # ---------------------------------------------------------------------------
