@@ -152,7 +152,8 @@ def cmd_fit(args):
     out = args.out or "."
     os.makedirs(out, exist_ok=True)
     grid = precompute_grid(config.scenario, config.grid_step)
-    world = _draw_world(config, grid, 0)
+    # The fit never reads query pilots, so it draws no noise for them.
+    world = _draw_world(replace(config, noisy_query=False), grid, 0)
     model, columns = fit_estimator(config, world)
     model_path = os.path.join(out, "model.json")
     kernels.save_model(model.fitted, model_path)

@@ -117,7 +117,7 @@ def _render_single_fit(config, grid, out_dir, tag):
     return world, predictions, nmse(grid.truth, predictions, grid.p_bar)
 
 
-def run_fig4_maps(out_dir, runs=None, seed=0, jobs=1):
+def run_fig4_maps(out_dir, seed=0, jobs=1):
     """True map plus feature-based and location-based estimates, N=300."""
     scenario = scenario_preset("indoor-fig4", seed=seed)
     grid = precompute_grid(scenario)
@@ -141,7 +141,7 @@ def run_fig4_maps(out_dir, runs=None, seed=0, jobs=1):
     return summary
 
 
-def run_fig5_featuremaps(out_dir, runs=None, seed=0, jobs=1):
+def run_fig5_featuremaps(out_dir, seed=0, jobs=1):
     """Maps of the M = L(L-1)/2 pairwise features over the whole region."""
     scenario = scenario_preset("indoor-fig4", seed=seed)
     grid = precompute_grid(scenario)
@@ -302,13 +302,18 @@ def run_preset(name, out_dir, runs=None, seed=0, jobs=1, gamma_sweep=None,
 
     Only the missing-feature preset takes ``gamma_sweep``; with ``verbose``
     it also dumps per-run SVP iteration logs (iter,residual CSVs) into
-    out_dir.
+    out_dir.  The map presets fit once, so they take no ``runs``.
     """
     if name not in PRESETS:
         raise ConfigurationError(
             f"unknown experiment preset {name!r}; available: {', '.join(sorted(PRESETS))}"
         )
-    kwargs = dict(runs=runs, seed=seed, jobs=jobs)
+    kwargs = dict(seed=seed, jobs=jobs)
+    if name in ("fig4-maps", "fig5-featuremaps"):
+        if runs is not None:
+            raise ConfigurationError(f"runs applies only to Monte Carlo presets, not {name}")
+    else:
+        kwargs["runs"] = runs
     if name == "fig11-missing":
         kwargs["gamma_sweep"] = gamma_sweep
         kwargs["diagnostics_dir"] = out_dir if verbose else None

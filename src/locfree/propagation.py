@@ -7,12 +7,17 @@ receiver pair it enumerates
 * up to ``MAX_FIRST_ORDER`` strongest single-bounce specular reflections,
 * up to ``MAX_SECOND_ORDER`` strongest wall-to-wall double bounces.
 
-Both bounce orders come from one image-method loop over wall sequences
+Both bounce orders come from one image-method pass over wall sequences
 (every wall, then every ordered pair of distinct walls): the transmitter is
 mirrored through each wall of the sequence in turn, and the ray is unfolded
 back from the receiver through those images to find the bounce points.  A
 sequence has no ray when the transmitter or an image lies on the plane of
-the next wall.
+the next wall.  One pass traces every sequence of a bounce order at once,
+on a (sequence, receiver row) layout: the unfold, the bounce-point hit
+tests, the path lengths and the reflection coefficients run over the whole
+block, and the wall-crossing factors only over the entries whose bounce
+points all hit their walls.  Rows are taken in blocks of at most
+``_BLOCK_ENTRIES`` entries, so memory does not grow with the sequence count.
 
 Path amplitude combines the free-space magnitude law
 ``alpha = c / (4 pi f_c d)`` over the unfolded path length d, an
@@ -43,6 +48,10 @@ MAX_SECOND_ORDER = 5
 # Strict-interior tolerance for "the leg crosses this wall"; keeps the
 # reflection point itself from counting as a crossing of its own wall.
 _EPS_T = 1e-9
+
+# Upper bound on the (wall sequence x receiver row) entries one reflection
+# pass works on at a time.
+_BLOCK_ENTRIES = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -84,34 +93,36 @@ def _wall_geometry(scenario):
 
 
 def _wall_hit(starts, ends, a, b):
-    """Where segments starts->ends cross the wall (a, b).
+    """Where segments starts->ends cross the walls (a, b).
 
+    All four broadcast against each other, with x, y on the last axis.
     Returns (t, hit): ``t`` along start->end, and ``hit`` True where the
     crossing lies strictly inside the segment and on the wall (parallel
     segments never hit).
     """
-    starts = np.atleast_2d(starts)
-    ends = np.atleast_2d(ends)
     r = ends - starts
     s = b - a
-    denom = r[:, 0] * s[1] - r[:, 1] * s[0]
+    denom = r[..., 0] * s[..., 1] - r[..., 1] * s[..., 0]
     ok = np.abs(denom) > 1e-15
     safe = np.where(ok, denom, 1.0)
     qp = a - starts
-    t = (qp[:, 0] * s[1] - qp[:, 1] * s[0]) / safe
-    u = (qp[:, 0] * r[:, 1] - qp[:, 1] * r[:, 0]) / safe
+    t = (qp[..., 0] * s[..., 1] - qp[..., 1] * s[..., 0]) / safe
+    u = (qp[..., 0] * r[..., 1] - qp[..., 1] * r[..., 0]) / safe
     return t, ok & (t > _EPS_T) & (t < 1.0 - _EPS_T) & (u >= 0.0) & (u <= 1.0)
 
 
 def _crossing_factors(starts, ends, geom, exclude=()):
-    """Amplitude factor from wall crossings along each leg (strict interior)."""
+    """Amplitude factor from wall crossings along each leg (strict interior).
+
+    ``exclude`` holds wall indices, scalars or integer arrays broadcast
+    against the legs, whose crossings a leg does not count.
+    """
     p1, p2, _, factors = geom
-    n = np.atleast_2d(ends).shape[0]
-    out = np.ones(n)
+    out = np.ones(np.broadcast_shapes(np.shape(starts), np.shape(ends))[:-1])
     for w in range(p1.shape[0]):
-        if w in exclude:
-            continue
         _, crossed = _wall_hit(starts, ends, p1[w], p2[w])
+        for walls in exclude:
+            crossed &= walls != w
         out = np.where(crossed, out * factors[w], out)
     return out
 
@@ -130,42 +141,81 @@ def _top_k(amps, delays, k):
     return amps[rows, idx], delays[rows, idx]
 
 
-def _reflected_ray(scenario, tx, rx, geom, seq):
-    """Image-method ray tx -> walls ``seq`` in order -> each rx row.
+def _wall_sequences(tx, geom, order):
+    """Wall sequences of length ``order`` that have images, and the images.
 
-    Returns (amps, delays) of shape (n,), with zero amplitude where a bounce
-    point misses its wall, or None when the source or an image lies on the
-    plane of the next wall (no image exists).
+    Returns (seqs, images): (S, order) wall indices in permutation order,
+    and (S, order + 1, 2) points, tx first and then its mirror through each
+    wall of the sequence in turn.  A sequence is left out when the source
+    or an image lies on the plane of the next wall.
+    """
+    p1, _, normals, _ = geom
+    seqs, images = [], []
+    for seq in itertools.permutations(range(p1.shape[0]), order):
+        chain = [tx]
+        for w in seq:
+            offset = np.dot(chain[-1] - p1[w], normals[w])
+            if abs(offset) < 1e-12:
+                break
+            chain.append(chain[-1] - 2.0 * offset * normals[w])
+        else:
+            seqs.append(seq)
+            images.append(chain)
+    seqs = np.array(seqs, dtype=int).reshape(-1, order)
+    return seqs, np.array(images).reshape(-1, order + 1, 2)
+
+
+def _reflections(scenario, tx, rx, geom, order):
+    """Image-method rays tx -> ``order`` walls -> each rx row, every sequence.
+
+    Returns (amps, delays) of shape (n, S) over the S sequences of
+    _wall_sequences, with zero amplitude where a bounce point misses its
+    wall.
     """
     p1, p2, normals, _ = geom
-    images = [tx]
-    for w in seq:
-        offset = np.dot(images[-1] - p1[w], normals[w])
-        if abs(offset) < 1e-12:
-            return None
-        images.append(images[-1] - 2.0 * offset * normals[w])
-    # Unfold from the receiver back through each image to the bounce points.
-    points = [rx]
-    valid = np.ones(rx.shape[0], dtype=bool)
-    refl = 1.0
-    lengths = []
-    for w, image in zip(seq[::-1], images[:0:-1]):
-        leg = points[0] - image
-        t, hit = _wall_hit(image, points[0], p1[w], p2[w])
-        valid &= hit
-        points.insert(0, image + t[:, None] * leg)
-        lengths.append(np.linalg.norm(leg, axis=1))
-        cos = np.abs(leg @ normals[w]) / np.maximum(lengths[-1], 1e-12)
-        refl = scenario.walls[w].reflection_amplitude(cos) * refl
-    points.insert(0, tx)
-    length = lengths[0]  # receiver to the last image: the unfolded path
-    amp = _friis_amplitude(np.maximum(length, 1e-12), scenario.carrier_hz) * refl
-    # Each leg crosses walls freely except the ones it starts or ends on.
-    for j in range(len(seq) + 1):
-        amp = amp * _crossing_factors(
-            points[j], points[j + 1], geom, exclude=seq[max(j - 1, 0):j + 1]
-        )
-    return np.where(valid, amp, 0.0), length / SPEED_OF_LIGHT
+    seqs, images = _wall_sequences(tx, geom, order)
+    n_seq, n = seqs.shape[0], rx.shape[0]
+    amps = np.zeros((n, n_seq))
+    delays = np.zeros((n, n_seq))
+    if n_seq == 0:
+        return amps, delays
+    # Per bounce position: each wall with the sequences that bounce off it.
+    groups = [[(w, seqs[:, j] == w) for w in np.unique(seqs[:, j])] for j in range(order)]
+    block = max(1, _BLOCK_ENTRIES // n_seq)
+    for start in range(0, n, block):
+        rows = slice(start, start + block)
+        # Unfold from the receiver back through each image to the bounce points.
+        points = [rx[rows]]
+        valid = np.ones((n_seq, points[0].shape[0]), dtype=bool)
+        refl = np.ones(valid.shape)
+        for j in range(order - 1, -1, -1):
+            walls = seqs[:, j]
+            image = images[:, j + 1, None]
+            leg = points[0] - image
+            t, hit = _wall_hit(image, points[0], p1[walls, None], p2[walls, None])
+            valid &= hit
+            points.insert(0, image + t[..., None] * leg)
+            length = np.linalg.norm(leg, axis=-1)
+            if j == order - 1:
+                path = length  # receiver to the last image: the unfolded path
+            # A matmul per sequence, as for one sequence: x*nx + y*ny rounds differently.
+            cos = np.abs(leg @ normals[walls, :, None])[..., 0] / np.maximum(length, 1e-12)
+            for w, cols in groups[j]:
+                refl[cols] = scenario.walls[w].reflection_amplitude(cos[cols]) * refl[cols]
+        # Crossing factors only where every bounce point hits its wall.
+        hit_seq, hit_row = np.nonzero(valid)
+        amp = _friis_amplitude(np.maximum(path[hit_seq, hit_row], 1e-12), scenario.carrier_hz)
+        amp = amp * refl[hit_seq, hit_row]
+        ray = [tx] + [q[hit_seq, hit_row] for q in points[:-1]] + [points[-1][hit_row]]
+        # Each leg crosses walls freely except the ones it starts or ends on.
+        for j in range(order + 1):
+            amp = amp * _crossing_factors(
+                ray[j], ray[j + 1], geom,
+                exclude=[seqs[hit_seq, i] for i in (j - 1, j) if 0 <= i < order],
+            )
+        amps[start + hit_row, hit_seq] = amp
+        delays[rows] = (path / SPEED_OF_LIGHT).T
+    return amps, delays
 
 
 def _trace_tx(scenario, tx, rx, geom):
@@ -182,16 +232,10 @@ def _trace_tx(scenario, tx, rx, geom):
     amps = [amp_direct[:, None]]
     delays = [(d / SPEED_OF_LIGHT)[:, None]]
     orders = [np.zeros(1, dtype=int)]
-    walls = range(len(scenario.walls))
     for order, keep in ((1, MAX_FIRST_ORDER), (2, MAX_SECOND_ORDER)):
-        rays = [
-            ray
-            for seq in itertools.permutations(walls, order)
-            if (ray := _reflected_ray(scenario, tx, rx, geom, seq)) is not None
-        ]
-        if rays:
-            cand_a, cand_d = zip(*rays)
-            a, t = _top_k(np.stack(cand_a, axis=1), np.stack(cand_d, axis=1), keep)
+        cand_a, cand_d = _reflections(scenario, tx, rx, geom, order)
+        if cand_a.shape[1]:
+            a, t = _top_k(cand_a, cand_d, keep)
             amps.append(a)
             delays.append(t)
             orders.append(np.full(a.shape[1], order, dtype=int))

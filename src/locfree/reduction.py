@@ -12,7 +12,6 @@ dimensions (differences of L per-transmitter delays), so r = L-1 is the
 natural choice there.
 """
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,11 +113,3 @@ def project(basis, phi):
     out = basis.vectors.T @ (cols - basis.mean[:, None])
     return out[:, 0] if single else out
 
-
-def write_basis_csv(basis, path):
-    """Standalone basis export: mean row, then one row per basis column."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([repr(float(v)) for v in basis.mean])
-        for col in basis.vectors.T:
-            writer.writerow([repr(float(v)) for v in col])

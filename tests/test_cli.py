@@ -71,6 +71,14 @@ def test_gamma_sweep_rejected_for_config_experiment(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("name", ["fig4-maps", "fig5-featuremaps"])
+def test_runs_rejected_for_map_presets(name, tmp_path, capsys):
+    out = tmp_path / name
+    assert run_cli("experiment", name, "--runs", "3", "--out", str(out)) == 2
+    assert "Monte Carlo" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_readme_command_lines_parse():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = readme.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
@@ -110,6 +118,23 @@ def test_fit_writes_model_and_features(tmp_path):
     lines = (out / "training_features.csv").read_text().splitlines()
     assert lines[0] == "x,y," + ",".join(f"f{i}" for i in range(1, 11))
     assert len(lines) == 26
+
+
+def test_fit_draws_no_query_pilot_noise(tmp_path, monkeypatch):
+    """The fit reads no query pilots, so only the training pilots get noise."""
+    from locfree import evaluation
+
+    shapes = []
+    draw = evaluation.pilot_noise
+
+    def spy(scenario, shape, rng):
+        shapes.append(shape)
+        return draw(scenario, shape, rng)
+
+    monkeypatch.setattr(evaluation, "pilot_noise", spy)
+    cfg = _fit_config(tmp_path, noisy_query=True)
+    assert run_cli("fit", "--config", str(cfg), "--out", str(tmp_path / "out")) == 0
+    assert [shape[0] for shape in shapes] == [25]
 
 
 def test_fit_then_predict_reproduces_training_targets(tmp_path):

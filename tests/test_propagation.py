@@ -9,6 +9,7 @@ from locfree.errors import ConfigurationError, DomainError
 from locfree.propagation import (
     PathComponent,
     discretize_channel,
+    evaluation_grid,
     measure_power,
     measurement_noise_std,
     sample_sensor_locations,
@@ -259,6 +260,24 @@ def _tx_on_wall_plane():
     return replace(preset("indoor-fig4"), walls=walls)
 
 
+def _custom_reflection_walls():
+    """Mixed max_reflection values and custom reflection laws, so every
+    bounce position has sequences on walls with different coefficients."""
+    laws = (
+        None,
+        lambda theta: 0.5 * np.cos(theta) ** 2 + 0.1,
+        None,
+        lambda theta: np.full_like(theta, 0.4),
+        None,
+        lambda theta: 0.8 * np.sin(theta),
+    )
+    walls = tuple(
+        replace(w, max_reflection=m, reflection=law)
+        for w, m, law in zip(canonical_walls(6), (0.3, 0.9, 0.7, 0.5, 0.7, 1.0), laws)
+    )
+    return replace(preset("indoor-dense", bandwidth_hz=200e6), walls=walls)
+
+
 _ORACLE_SCENARIOS = {
     "fig4-20MHz": lambda: preset("indoor-fig4"),
     "fig4-200MHz": lambda: preset("indoor-fig4", bandwidth_hz=200e6),
@@ -272,6 +291,7 @@ _ORACLE_SCENARIOS = {
     "freespace": lambda: preset("freespace"),
     "dense-7tx": lambda: preset("indoor-dense", n_transmitters=7),
     "tx-on-wall-plane": _tx_on_wall_plane,
+    "custom-reflection": _custom_reflection_walls,
 }
 
 
@@ -294,6 +314,27 @@ def test_wall_sequence_tracer_matches_two_block_oracle(name, monkeypatch):
     for field in ("channels", "pilot_powers", "true_power"):
         assert np.array_equal(getattr(new_tables, field), getattr(old_tables, field))
     assert new_paths == old_paths
+
+
+def test_traced_rows_do_not_depend_on_their_batch(monkeypatch):
+    """A row's rays equal its 1-row call, and the row blocking changes nothing."""
+    scn = preset("indoor-fig4")
+    grid = evaluation_grid(scn)[0]
+    rng = np.random.default_rng(29)
+    pts = grid[rng.choice(grid.shape[0], 2000, replace=False)]
+    pts = pts + rng.uniform(-0.5, 0.5, pts.shape)
+    geom = propagation._wall_geometry(scn)
+    txs = scn.tx_positions()
+    batch = [propagation._trace_tx(scn, tx, pts, geom) for tx in txs]
+    for i, p in enumerate(pts):  # one transmitter per row, in turn
+        k = i % len(txs)
+        got = propagation._trace_tx(scn, txs[k], p[None, :], geom)
+        for g, w in zip(got[:2], batch[k][:2]):
+            assert np.array_equal(g[0], w[i])
+    monkeypatch.setattr(propagation, "_BLOCK_ENTRIES", 997)  # several blocks plus a remainder
+    for tx, want in zip(txs, batch):
+        for g, w in zip(propagation._trace_tx(scn, tx, pts, geom), want):
+            assert np.array_equal(g, w)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ from locfree.reduction import (
     project,
     reduce_features,
     select_rank,
-    write_basis_csv,
 )
 from locfree.scenario import Scenario, Transmitter
 
@@ -180,16 +179,6 @@ def test_deterministic_sign_convention():
     for j in range(3):
         col = basis.vectors[:, j]
         assert col[np.argmax(np.abs(col))] > 0
-
-
-def test_basis_csv_export(tmp_path):
-    basis, _ = reduce_features(np.random.default_rng(9).normal(size=(4, 12)), rank=2)
-    path = tmp_path / "basis.csv"
-    write_basis_csv(basis, path)
-    rows = path.read_text().strip().splitlines()
-    assert len(rows) == 3  # mean row + 2 basis rows
-    mean_back = np.array([float(v) for v in rows[0].split(",")])
-    assert np.array_equal(mean_back, basis.mean)
 
 
 def test_com_features_lie_near_low_dimensional_subspace():
