@@ -19,7 +19,7 @@ from locfree.completion import (
     CompletionConfig,
     build_recovery_context,
     gram_schmidt_basis,
-    rls_recover_query,
+    rls_recover_queries,
     svp_complete,
 )
 from locfree.evaluation import mask_features, precompute_grid
@@ -58,10 +58,9 @@ for gamma in sweep:
     fitted = fit(reduced, targets, kernel, lam)
 
     query_masked = mask_features(query, grid.pilot_powers, gamma)
-    predictions = np.empty(query.shape[1])
-    fallback = targets.mean()
-    for i in range(query.shape[1]):
-        rec = rls_recover_query(ctx, query_masked.values[:, i], query_masked.observed[:, i])
-        predictions[i] = fallback if rec.status == "empty" else predict(fitted, rec.reduced)
+    recovered = rls_recover_queries(ctx, query_masked.values, query_masked.observed)
+    predictions = predict(fitted, recovered)
+    # a query with nothing observed predicts NaN: use the training average
+    predictions[np.isnan(predictions)] = targets.mean()
     missing = np.mean(np.sum(~incomplete.observed, axis=0))
     print(f"{gamma:10.1f} {missing:12.2f} {nmse(grid.truth, predictions, grid.p_bar):7.3f}")

@@ -260,31 +260,49 @@ class RecoveredQuery:
     status: str
 
 
-def rls_recover_query(ctx, values, observed):
-    """Regularized least-squares recovery of reduced query features.
+def rls_recover_queries(ctx, values, observed):
+    """Regularized least-squares recovery of (M, n) query feature columns.
 
-    Solves, over the observed rows S of the basis U,
+    Solves, for each column over its observed rows S of the basis U,
 
         min_z ||S phi - S U z||^2 + mu (z - mean)^T cov^-1 (z - mean)
 
     via the closed form
-    z = (U^T S^T S U + mu cov^-1)^-1 (U^T S^T S phi + mu cov^-1 mean).
+    z = (U^T S^T S U + mu cov^-1)^-1 (U^T S^T S phi + mu cov^-1 mean),
+    with one solve per distinct observation pattern.  Returns (r, n)
+    reduced columns, NaN where nothing is observed.
     """
     values = np.asarray(values, dtype=float)
     observed = np.asarray(observed, dtype=bool)
-    if values.shape != observed.shape or values.ndim != 1:
-        raise ValueError("values and observed mask must be equal-length vectors")
+    if values.shape != observed.shape or values.ndim != 2:
+        raise ValueError("values and observed mask must be equal-shape (M, n) arrays")
     if values.shape[0] != ctx.basis.shape[0]:
         raise ValueError("query vector length must match the basis row count")
     if not np.all(np.isfinite(values[observed])):
         raise ValueError("observed query features must be finite")
+    reduced = np.full((ctx.basis.shape[1], values.shape[1]), np.nan)
+    prior = ctx.mu * ctx.cov_inv
+    patterns, inverse = np.unique(observed.T, axis=0, return_inverse=True)
+    for k, rows in enumerate(patterns):
+        if not rows.any():
+            continue
+        cols = inverse.reshape(-1) == k
+        u_obs = ctx.basis[rows]
+        lhs = u_obs.T @ u_obs + prior
+        rhs = u_obs.T @ values[rows][:, cols] + (prior @ ctx.mean)[:, None]
+        reduced[:, cols] = np.linalg.solve(lhs, rhs)
+    return reduced
+
+
+def rls_recover_query(ctx, values, observed):
+    """Recovery of one (M,) query vector: the n=1 case of rls_recover_queries,
+    with its status."""
+    observed = np.asarray(observed, dtype=bool)
+    if np.ndim(values) != 1 or observed.ndim != 1:
+        raise ValueError("values and observed mask must be equal-length vectors")
+    reduced = rls_recover_queries(ctx, np.asarray(values)[:, None], observed[:, None])[:, 0]
     n_obs = int(observed.sum())
-    r = ctx.basis.shape[1]
     if n_obs == 0:
         return RecoveredQuery(reduced=None, status="empty")
-    u_obs = ctx.basis[observed]
-    lhs = u_obs.T @ u_obs + ctx.mu * ctx.cov_inv
-    rhs = u_obs.T @ values[observed] + ctx.mu * ctx.cov_inv @ ctx.mean
-    reduced = np.linalg.solve(lhs, rhs)
-    status = "ok" if n_obs >= r else "underdetermined"
+    status = "ok" if n_obs >= ctx.basis.shape[1] else "underdetermined"
     return RecoveredQuery(reduced=reduced, status=status)

@@ -203,12 +203,14 @@ class Model:
     subset   -- feature rows a locf fit with ``n_features`` keeps
     recovery -- QueryRecoveryContext of a locf_completion fit
     missing  -- average count of unobserved training features per point
+    located  -- LocBFitReport of a locb fit: its training-point estimates
     """
 
     fitted: kernels.FittedMap
     subset: np.ndarray = None
     recovery: completion.QueryRecoveryContext = None
     missing: float = 0.0
+    located: localization.LocBFitReport = None
 
 
 def fit_estimator(config, world, run_idx=0):
@@ -226,7 +228,7 @@ def fit_estimator(config, world, run_idx=0):
         )
         if report.n_dropped:
             log.warning("dropped %d unlocalizable measurements", report.n_dropped)
-        return Model(fitted), report.estimates.T
+        return Model(fitted, located=report), report.estimates.T
     train_f = features.feature_matrix_nosync(world.train_pilots, t_samp)
     columns, extra = train_f, {}
     if config.estimator == "locf_reduced":
@@ -284,30 +286,20 @@ def predict_estimator(config, model, query_pilots, query_powers):
     """Map values at (n, L, K) query pilots, whose (n, L) pilot powers in
     dBW mask the completion features.  Returns (n,) values, NaN where no
     input column can be formed: an unlocalized locb query, or a completion
-    query with nothing observed."""
+    query with nothing observed (a NaN column predicts NaN)."""
     t_samp = config.scenario.sample_period
-    values = np.full(query_pilots.shape[0], np.nan)
     if config.estimator == "locb":
-        estimates, _ = localization.localize_batch(
+        columns = localization.localize_batch(
             localization.AnchorSet.from_scenario(config.scenario), query_pilots, t_samp
-        )
-        located = np.isfinite(estimates[:, 0])
-        if np.any(located):
-            values[located] = kernels.predict(model.fitted, estimates[located].T)
-        return values
-    query_f = features.feature_matrix_nosync(query_pilots, t_samp)
-    if config.estimator != "locf_completion":
-        if model.subset is not None:
-            query_f = query_f[model.subset]
-        return kernels.predict(model.fitted, query_f)
-    masked = mask_features(query_f, query_powers, config.gamma_dbw)
-    for i in range(values.shape[0]):
-        recovered = completion.rls_recover_query(
-            model.recovery, masked.values[:, i], masked.observed[:, i]
-        )
-        if recovered.status != "empty":
-            values[i] = kernels.predict(model.fitted, recovered.reduced)
-    return values
+        )[0].T
+    else:
+        columns = features.feature_matrix_nosync(query_pilots, t_samp)
+    if model.subset is not None:
+        columns = columns[model.subset]
+    if config.estimator == "locf_completion":
+        masked = mask_features(columns, query_powers, config.gamma_dbw)
+        columns = completion.rls_recover_queries(model.recovery, masked.values, masked.observed)
+    return kernels.predict(model.fitted, columns)
 
 
 def fit_and_predict(config, grid, run_idx):

@@ -109,12 +109,12 @@ def _run_sweep(entries, out_dir, jobs, grid_cache=None):
 
 def _render_single_fit(config, grid, out_dir, tag):
     """Fit once (run 0) and export the predicted map as CSV + PGM."""
-    world, _, predictions = fit_and_predict(config, grid, 0)
+    world, model, predictions = fit_and_predict(config, grid, 0)
     io.write_map_csv(grid, predictions, os.path.join(out_dir, f"{tag}_map.csv"))
     io.write_pgm(
         io.lattice_field(grid, predictions), os.path.join(out_dir, f"{tag}_map.pgm")
     )
-    return world, predictions, nmse(grid.truth, predictions, grid.p_bar)
+    return world, model, nmse(grid.truth, predictions, grid.p_bar)
 
 
 def run_fig4_maps(out_dir, seed=0, jobs=1):
@@ -128,15 +128,11 @@ def run_fig4_maps(out_dir, seed=0, jobs=1):
     _, _, nmse_f = _render_single_fit(cfg_f, grid, out_dir, "locf")
     summary["locf_nmse"] = nmse_f
     cfg_b = _locb_config(scenario, tuned=False, n_train=300, runs=1, seed=seed)
-    world, _, nmse_b = _render_single_fit(cfg_b, grid, out_dir, "locb")
+    world, model, nmse_b = _render_single_fit(cfg_b, grid, out_dir, "locb")
     summary["locb_nmse"] = nmse_b
-    anchors = localization.AnchorSet.from_scenario(scenario)
-    estimates, residuals = localization.localize_batch(
-        anchors, world.train_pilots, scenario.sample_period
-    )
     localization.write_location_csv(
         os.path.join(out_dir, "locb_locations.csv"),
-        world.train_points, estimates, residuals,
+        world.train_points, model.located.estimates, model.located.residuals,
     )
     return summary
 

@@ -36,7 +36,8 @@ class GaussianKernel:
         a = np.atleast_2d(np.asarray(cols_a, dtype=float))
         b = np.atleast_2d(np.asarray(cols_b, dtype=float))
         sq = cdist(a.T, b.T, "sqeuclidean")
-        return np.exp(-sq / (2.0 * self.sigma**2))
+        # In place on the (na, nb) block; sq / -c has the bits of -sq / c.
+        return np.exp(np.divide(sq, -(2.0 * self.sigma**2), out=sq), out=sq)
 
 
 def gram_matrix(features, kernel):

@@ -19,6 +19,10 @@ with weights w_l = 1/(g_l^2 + eps) recomputed each round to down-weight
 multipath-corrupted rows.  Estimates are never clamped to the region:
 badly corrupted features yield wild but finite coordinates, which is
 exactly what the map learner then has to cope with.
+
+Batches are solved per pattern of usable range differences, and the
+rows of a batch are independent: a point's estimate never depends on
+which other points share its batch.
 """
 
 import csv
@@ -113,20 +117,11 @@ def _batch_gauss_newton(x, a0, others, r, weights, center, tau, steps=12):
     cost has along hyperbola asymptotes (quantized measurements can be
     "explained" by points at astronomic distances).
 
-    Rows are independent, so each step works only on the rows it can
-    still move.  Every result is bit-identical to descending all rows
-    until the last one is done:
-
-    - The backtracking line search evaluates only the rows not yet
-      accepted; they all share the current step scale.
-    - A row whose line search rejects every trial keeps its x.  Its next
-      step would recompute the same residuals, Jacobian and step, and be
-      rejected again, so the row is at a fixed point and is retired.
-      Retired rows skip the Hessian, the step and the post-step
-      residuals for the rest of the call.
-    - The early exit tests the active rows.  A retired row with a finite
-      cost always passes the test (its decrease is 0), and one with a
-      non-finite cost always fails it, so the latter blocks the exit.
+    Rows are independent: each step works only on the rows still
+    descending, and a row retires as soon as its own cost decrease passes
+    the convergence test or its line search rejects every trial (it keeps
+    its x, a fixed point of the step).  So every row gets exactly what a
+    1-row call would give it.
     """
     x = np.array(x, dtype=float)
     g = _batch_residuals(x, a0, others, r)
@@ -134,7 +129,6 @@ def _batch_gauss_newton(x, a0, others, r, weights, center, tau, steps=12):
     # Rows still descending (indices into x) and their state; g is theirs.
     active = np.arange(x.shape[0])
     x_a, w_a, r_a, cost_a = x.copy(), weights, r, cost.copy()
-    exit_blocked = False
     for _ in range(steps):
         jac = _batch_jacobian(x_a, a0, others)
         jw = jac * w_a[:, :, None]
@@ -163,24 +157,20 @@ def _batch_gauss_newton(x, a0, others, r, weights, center, tau, steps=12):
             if pending.size == 0:
                 break
             scale /= 2.0
-        if pending.size:
-            retired = active[pending]
-            x[retired] = x_a[pending]
-            cost[retired] = cost_a[pending]
-            exit_blocked |= not np.all(np.isfinite(cost_a[pending]))
-            moved = np.ones(active.size, dtype=bool)
-            moved[pending] = False
-            active, x_a, w_a, r_a, cost_a = (
-                v[moved] for v in (active, x_a, w_a, r_a, cost_a)
-            )
         g = _batch_residuals(x_a, a0, others, r_a)
         new_cost = _batch_cost(x_a, g, w_a, center, tau)
-        converged = np.all(cost_a - new_cost < 1e-14 * (1.0 + new_cost))
+        done = cost_a - new_cost < 1e-14 * (1.0 + new_cost)
+        done[pending] = True
+        new_cost[pending] = cost_a[pending]
         cost_a = new_cost
-        if active.size == 0 or (converged and not exit_blocked):
+        x[active] = x_a
+        cost[active] = cost_a
+        keep = ~done
+        active, x_a, w_a, r_a, cost_a, g = (
+            v[keep] for v in (active, x_a, w_a, r_a, cost_a, g)
+        )
+        if active.size == 0:
             break
-    x[active] = x_a
-    cost[active] = cost_a
     return x, cost
 
 
@@ -188,7 +178,7 @@ def _srdls_batch(pos, diffs):
     """Vectorized iteratively reweighted range-difference localization.
 
     pos   -- (L, 2) anchor positions, row 0 the reference
-    diffs -- (n, L-1) range differences, all finite.
+    diffs -- (n, L-1) range differences, all finite, L-1 >= 3.
     Returns estimates (n, 2) with NaN rows for rank-deficient systems, and
     the final data costs (n,).
     """
@@ -199,9 +189,6 @@ def _srdls_batch(pos, diffs):
     a_cols = np.broadcast_to(2.0 * (others - a0), (n,) + others.shape)
     a = np.concatenate([a_cols, -2.0 * diffs[:, :, None]], axis=2)
     b = (np.sum(others**2, axis=1) - np.sum(a0**2))[None, :] - diffs**2
-    if a.shape[1] < 3:
-        # fewer rows than unknowns (x, y, d_0): rank-deficient by construction
-        return np.full((n, 2), np.nan), np.full(n, np.nan)
     s = np.linalg.svd(a, compute_uv=False)
     solvable = s[:, -1] > 1e-9 * s[:, 0]
     if not np.any(solvable):
@@ -247,6 +234,23 @@ def _srdls_batch(pos, diffs):
     return best_x, data_cost
 
 
+def _localize_diffs(pos, diffs):
+    """Estimates (n, 2) and data costs (n,) from (n, L-1) range differences,
+    with one _srdls_batch call per pattern of finite differences, on that
+    pattern's anchors.  NaN rows where localization fails, among them rows
+    with fewer usable differences than the 3 unknowns (x, y, d_0)."""
+    estimates = np.full((diffs.shape[0], 2), np.nan)
+    residuals = np.full(diffs.shape[0], np.nan)
+    patterns, inverse = np.unique(np.isfinite(diffs), axis=0, return_inverse=True)
+    for k, usable in enumerate(patterns):
+        if usable.sum() < 3:
+            continue
+        rows = inverse.reshape(-1) == k
+        sub = np.vstack([pos[0], pos[1:][usable]])
+        estimates[rows], residuals[rows] = _srdls_batch(sub, diffs[rows][:, usable])
+    return estimates, residuals
+
+
 def srdls_localize(anchors, range_diffs):
     """Iteratively reweighted range-difference least squares.
 
@@ -254,20 +258,16 @@ def srdls_localize(anchors, range_diffs):
     The squared-range-difference linear solve initializes
     ``_REWEIGHT_ROUNDS`` rounds of residual-reweighted Gauss-Newton
     refinement (multi-started to avoid the squared system's occasional
-    blowups and near-anchor ghost valleys).
-    Returns a LocationEstimate, or None when fewer than two usable rows
+    blowups and near-anchor ghost valleys).  The n=1 case of
+    localize_batch.
+    Returns a LocationEstimate, or None when fewer than three usable rows
     remain or the linear system is rank-deficient (collinear usable
     anchors).
     """
     diffs = np.asarray(range_diffs, dtype=float)
     if diffs.shape[0] != len(anchors) - 1:
         raise ValueError("expected one range difference per non-reference anchor")
-    usable = np.flatnonzero(np.isfinite(diffs))
-    if usable.size < 2:
-        return None
-    pos = anchors.positions
-    sub = np.vstack([pos[0], pos[usable + 1]])
-    xy, cost = _srdls_batch(sub, diffs[usable][None, :])
+    xy, cost = _localize_diffs(anchors.positions, diffs[None, :])
     if not np.isfinite(xy[0, 0]):
         return None
     return LocationEstimate(x=float(xy[0, 0]), y=float(xy[0, 1]), residual=float(cost[0]))
@@ -297,25 +297,13 @@ class LocBFitReport:
 def localize_batch(anchors, pilots, sample_period):
     """Localize every pilot matrix in an (N, L, K) stack.
 
-    Points whose range-difference vector is fully observed go through one
-    vectorized solve; points with missing differences fall back to the
-    per-point path.
+    Returns estimates (N, 2) and residuals (N,), NaN rows where
+    localization fails.  Rows are independent: points that share a
+    pattern of missing range differences are solved together, and each
+    row equals its own srdls_localize call.
     """
     diffs = tdoa_range_differences(pilots, sample_period)
-    n = diffs.shape[0]
-    estimates = np.full((n, 2), np.nan)
-    residuals = np.full(n, np.nan)
-    complete = np.all(np.isfinite(diffs), axis=1)
-    if np.any(complete):
-        xy, cost = _srdls_batch(anchors.positions, diffs[complete])
-        estimates[complete] = xy
-        residuals[complete] = cost
-    for i in np.flatnonzero(~complete):
-        est = srdls_localize(anchors, diffs[i])
-        if est is not None:
-            estimates[i] = (est.x, est.y)
-            residuals[i] = est.residual
-    return estimates, residuals
+    return _localize_diffs(anchors.positions, diffs)
 
 
 def locb_fit(anchors, pilots, targets, sample_period, kernel, lam, center_targets=False):
@@ -326,13 +314,12 @@ def locb_fit(anchors, pilots, targets, sample_period, kernel, lam, center_target
     solver used by the feature-based estimator.
     """
     targets = np.asarray(targets, dtype=float)
-    estimates, residuals = localize_batch(anchors, pilots, sample_period)
-    report = LocBFitReport(estimates=estimates, residuals=residuals)
+    report = LocBFitReport(*localize_batch(anchors, pilots, sample_period))
     used = report.used
     if used.sum() < 2:
         raise ConfigurationError("too few localizable measurements to fit a map")
     fitted = fit(
-        estimates[used].T, targets[used], kernel, lam, center_targets=center_targets
+        report.estimates[used].T, targets[used], kernel, lam, center_targets=center_targets
     )
     return fitted, report
 

@@ -6,6 +6,7 @@ from locfree.completion import (
     IncompleteFeatureMatrix,
     build_recovery_context,
     gram_schmidt_basis,
+    rls_recover_queries,
     rls_recover_query,
     svp_complete,
     write_iteration_log,
@@ -268,6 +269,29 @@ def test_rls_underdetermined_flag():
     recovered = rls_recover_query(ctx, np.ones(6), observed)
     assert recovered.status == "underdetermined"
     assert recovered.reduced is not None
+
+
+def test_batched_recovery_matches_one_query_at_a_time():
+    """One solve per observation pattern gives each column the value of its
+    own 1-column recovery to 1e-12 relative, and a NaN column exactly where
+    nothing is observed; unobserved values are never read."""
+    rng = np.random.default_rng(18)
+    basis = np.linalg.qr(rng.normal(size=(10, 4)))[0]
+    ctx = build_recovery_context(basis, rng.normal(size=(4, 50)), mu=0.5)
+    patterns = rng.random((6, 10)) < 0.6
+    patterns[0] = False
+    patterns[1] = True
+    observed = patterns[rng.integers(0, 6, size=200)].T
+    values = np.where(observed, rng.normal(size=(10, 200)), np.nan)
+    reduced = rls_recover_queries(ctx, values, observed)
+    assert reduced.shape == (4, 200)
+    empty = ~observed.any(axis=0)
+    assert empty.any()
+    assert np.array_equal(np.isnan(reduced).any(axis=0), empty)
+    assert np.all(np.isnan(reduced[:, empty]))
+    for i in np.flatnonzero(~empty):
+        alone = rls_recover_query(ctx, values[:, i], observed[:, i]).reduced
+        assert np.allclose(reduced[:, i], alone, rtol=1e-12, atol=1e-12 * np.abs(alone).max())
 
 
 def test_rls_solution_zeroes_the_objective_gradient():

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from locfree import localization
 from locfree.errors import ConfigurationError
 from locfree.experiments import (
     LOCB_REFERENCE,
@@ -48,9 +49,20 @@ def test_default_gamma_sweep_starts_below_every_pair_power(indoor_grid):
     assert all(a < b for a, b in zip(sweep, sweep[1:]))
 
 
-def test_fig4_maps_preset_writes_artifacts(tmp_path):
+def test_fig4_maps_preset_writes_artifacts(tmp_path, monkeypatch):
+    """The locb map localizes the training pilots once, in its fit, and the
+    query grid once; locb_locations.csv reuses the fit's estimates."""
+    calls = []
+    original = localization.localize_batch
+
+    def counted(*args, **kwargs):
+        calls.append(args[1].shape[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(localization, "localize_batch", counted)
     out = tmp_path / "fig4"
     summary = run_preset("fig4-maps", str(out), seed=0)
+    assert calls == [300, 2375]
     for name in (
         "true_map.csv",
         "true_map.pgm",

@@ -248,11 +248,22 @@ def _reference_gauss_newton(x, a0, others, r, weights, center, tau, steps=12):
     return x, cost
 
 
+def _reference_per_row(x, a0, others, r, weights, center, tau, steps=12):
+    """The full-row reference applied to one row at a time."""
+    rows = [
+        _reference_gauss_newton(
+            x[i : i + 1], a0, others, r[i : i + 1], weights[i : i + 1], center, tau, steps
+        )
+        for i in range(x.shape[0])
+    ]
+    return np.concatenate([xy for xy, _ in rows]), np.concatenate([c for _, c in rows])
+
+
 @pytest.mark.parametrize("walls", [0, 5])
 def test_active_set_gauss_newton_matches_full_row_reference(walls, monkeypatch):
     """Multipath 200 MHz range differences: the SRD-LS estimates and costs
-    equal those of the full-row reference exactly, for a batch and for
-    one row on its own."""
+    of a batch equal those of the full-row reference applied to each row
+    on its own, exactly."""
     scn = preset("indoor-dense", bandwidth_hz=200e6, wall_count=walls)
     rng = np.random.default_rng(20 + walls)
     pts = sample_sensor_locations(scn, 300, rng)
@@ -262,20 +273,17 @@ def test_active_set_gauss_newton_matches_full_row_reference(walls, monkeypatch):
     diffs = diffs[np.all(np.isfinite(diffs), axis=1)]
     assert diffs.shape[0] >= 250
     pos = scn.tx_positions()
-    batches = (diffs, diffs[:1])
-    active_set = [localization._srdls_batch(pos, d) for d in batches]
-    monkeypatch.setattr(localization, "_batch_gauss_newton", _reference_gauss_newton)
-    reference = [localization._srdls_batch(pos, d) for d in batches]
-    for (xy, cost), (xy_ref, cost_ref) in zip(active_set, reference):
-        assert np.array_equal(xy, xy_ref)
-        assert np.array_equal(cost, cost_ref)
+    xy, cost = localization._srdls_batch(pos, diffs)
+    monkeypatch.setattr(localization, "_batch_gauss_newton", _reference_per_row)
+    xy_ref, cost_ref = localization._srdls_batch(pos, diffs)
+    assert np.array_equal(xy, xy_ref)
+    assert np.array_equal(cost, cost_ref)
 
 
 def test_active_set_gauss_newton_non_finite_rows_match_reference():
-    """Rows with NaN or infinite costs.  A retired row with a non-finite
-    cost blocks the early exit, so the finite rows keep descending exactly
-    as the full-row reference does (stopping them early moves their
-    estimates by about 1e-9 m)."""
+    """Rows with NaN or infinite costs descend exactly as the full-row
+    reference does on each row alone: a non-finite row neither stops nor
+    prolongs the descent of the finite ones."""
     pos = np.array([[5.0, 5.0], [55.0, 6.0], [54.0, 35.0], [6.0, 34.0], [30.0, 20.0]])
     rng = np.random.default_rng(2)
     truth = rng.uniform((2.0, 2.0), (58.0, 38.0), (4, 2))
@@ -289,7 +297,30 @@ def test_active_set_gauss_newton_non_finite_rows_match_reference():
         args = (pos[0], pos[1:], r, np.ones_like(r), center, tau)
         with np.errstate(invalid="ignore", over="ignore"):
             x, cost = localization._batch_gauss_newton(x0, *args)
-            x_ref, cost_ref = _reference_gauss_newton(x0, *args)
+            x_ref, cost_ref = _reference_per_row(x0, *args)
         assert np.isnan(cost[2]) and not np.isfinite(cost[3])
         assert np.array_equal(x, x_ref, equal_nan=True)
         assert np.array_equal(cost, cost_ref, equal_nan=True)
+
+
+@pytest.mark.parametrize("walls", [0, 5])
+def test_localize_batch_rows_equal_their_own_calls(walls):
+    """Every row of a batch equals srdls_localize on that row alone, on a
+    noisy 200 MHz grid sample in which some rows have one dead pilot, so
+    that several patterns of missing range differences share the batch."""
+    scn = preset("indoor-dense", bandwidth_hz=200e6, wall_count=walls)
+    grid = precompute_grid(scn)
+    rng = np.random.default_rng(40 + walls)
+    rows = rng.choice(grid.points.shape[0], size=150, replace=False)
+    pilots = grid.channels[rows] + pilot_noise(scn, grid.channels[rows].shape, rng)
+    for i, tx in enumerate(rng.integers(0, scn.n_transmitters, size=30)):
+        pilots[i, tx] = 0.0
+    anchors = AnchorSet.from_scenario(scn)
+    estimates, residuals = localize_batch(anchors, pilots, scn.sample_period)
+    diffs = tdoa_range_differences(pilots, scn.sample_period)
+    assert len(np.unique(np.isfinite(diffs), axis=0)) >= 4
+    for i in range(pilots.shape[0]):
+        est = srdls_localize(anchors, diffs[i])
+        alone = [np.nan] * 3 if est is None else [est.x, est.y, est.residual]
+        row = [estimates[i, 0], estimates[i, 1], residuals[i]]
+        assert np.array_equal(row, alone, equal_nan=True), i

@@ -1,5 +1,6 @@
-"""Smoke test of the benchmark: a quick run of two workloads completes and
-checks its outputs.  Wall time is not gated; it is too noisy on small hosts."""
+"""Smoke test of the benchmark: quick runs of three workloads, one of them
+traced, complete and check their outputs.  Wall time is not gated; it is
+too noisy on small hosts."""
 
 import importlib
 import importlib.util
@@ -13,12 +14,11 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("workload", ["walls200-locb", "indoor20-serve"])
-def test_quick_benchmark_run_is_correct(workload):
+def _quick_run(workload, trace):
     proc = subprocess.run(
         [
             sys.executable, "perfbench/run.py", "--workload", workload,
-            "--seed", "1", "--seconds", "1", "--quick", "--trace", "0",
+            "--seed", "1", "--seconds", "1", "--quick", "--trace", str(trace),
         ],
         cwd=ROOT,
         capture_output=True,
@@ -30,11 +30,25 @@ def test_quick_benchmark_run_is_correct(workload):
     assert result["correct"] is True
     assert result["failed"] == 0
     assert result["attempted"] > 0
+    return result
+
+
+@pytest.mark.parametrize("workload", ["walls200-locb", "indoor20-serve", "indoor20-missing"])
+def test_quick_benchmark_run_is_correct(workload):
+    _quick_run(workload, 0)
+
+
+def test_quick_traced_benchmark_run_is_correct():
+    """``--trace 1`` installs the wrappers around every layer function and
+    reports the per-layer metrics, here on the completion workload."""
+    metrics = _quick_run("indoor20-missing", 1)["metrics"]
+    assert metrics["completion.svp_calls"]["value"] > 0
+    assert "completion.rls_calls" in metrics and "localization.srdls_calls" in metrics
 
 
 def test_traced_layer_functions_exist():
     """``--trace 1`` wraps every function named in tracing.LAYER_FUNCTIONS
-    and fails on a missing one; the quick runs above use ``--trace 0``."""
+    and fails on a missing one; only one quick run above uses it."""
     spec = importlib.util.spec_from_file_location(
         "perfbench_tracing", ROOT / "perfbench" / "tracing.py"
     )
