@@ -24,7 +24,7 @@ from locfree.completion import (
 )
 from locfree.evaluation import mask_features, precompute_grid
 from locfree.features import feature_matrix_nosync
-from locfree.experiments import LOCF_TUNED
+from locfree.experiments import LOCF_TUNED, default_gamma_sweep
 from locfree.propagation import pilot_noise, sample_sensor_locations, simulate_points
 
 scenario = preset("indoor-fig4")
@@ -42,12 +42,10 @@ query = feature_matrix_nosync(grid.channels + pilot_noise(scenario, grid.channel
 sigma, lam = LOCF_TUNED[scenario.bandwidth_hz]
 kernel = GaussianKernel(sigma)
 rank = scenario.n_transmitters - 1
-pair_min = grid.pilot_powers.min(axis=1)
-sweep = [pair_min.min() - 5.0] + [float(np.quantile(pair_min, q)) for q in (0.25, 0.4, 0.55)]
 
 print("threshold sweep (training N=300, completion rank 4, mu=5.42):")
 print(f"{'gamma dBW':>10} {'missing/loc':>12} {'NMSE':>7}")
-for gamma in sweep:
+for gamma in default_gamma_sweep(grid):
     incomplete = mask_features(features, tables.pilot_powers, gamma)
     completed = svp_complete(
         incomplete, CompletionConfig(rank=rank, max_iters=2000, adaptive_step=False)

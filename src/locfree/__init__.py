@@ -30,7 +30,6 @@ from .features import (
     com_crosscorr,
     com_impulse,
     cross_correlate,
-    estimate_impulse_response,
     estimate_tdoa,
     estimate_toa,
     feature_vector_nosync,

@@ -34,6 +34,7 @@ from .scenario import (
     load_scenario,
     preset,
     save_scenario,
+    scenario_from_dict,
 )
 
 EXIT_OK = 0
@@ -66,8 +67,6 @@ def _scenario_from_config(doc):
         return preset(doc["preset"], **kwargs)
     if "path" in doc:
         return load_scenario(doc["path"])
-    from .scenario import scenario_from_dict
-
     return scenario_from_dict(doc)
 
 
@@ -123,9 +122,7 @@ def cmd_scenario(args):
     save_scenario(scn, os.path.join(out, f"{name}.json"))
     grid = precompute_grid(scn)
     io.write_truth_csv(grid, os.path.join(out, f"{name}_true_map.csv"))
-    io.write_pgm(
-        io.lattice_field(grid, grid.truth), os.path.join(out, f"{name}_true_map.pgm")
-    )
+    io.write_pgm(grid, grid.truth, os.path.join(out, f"{name}_true_map.pgm"))
     print(f"wrote {name}.json, {name}_true_map.csv, {name}_true_map.pgm in {out}")
     return EXIT_OK
 
@@ -184,10 +181,7 @@ def cmd_predict(args):
     out = args.out or "."
     os.makedirs(out, exist_ok=True)
     path = os.path.join(out, "predictions.csv")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("x,y,pred_dbw\n")
-        for (x, y), v in zip(pts, values):
-            fh.write(f"{float(x)!r},{float(y)!r},{io._fmt(v)}\n")
+    io.write_predictions_csv(pts, values, path)
     print(f"wrote {path}")
     return EXIT_OK
 
@@ -295,10 +289,7 @@ def main(argv=None):
     )
     try:
         return args.func(args)
-    except ConfigurationError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ValueError as exc:
+    except ValueError as exc:  # ConfigurationError is a ValueError
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (SolverError, np.linalg.LinAlgError) as exc:

@@ -18,7 +18,6 @@ observed entries at all the caller is told to fall back to the spatial
 average of the measured powers.
 """
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -168,15 +167,6 @@ def svp_complete(incomplete, config):
         iterations=iterations,
         converged=converged,
     )
-
-
-def write_iteration_log(result, path):
-    """Per-iteration observed-residual trace as ``iter,residual`` CSV."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iter", "residual"])
-        for i, res in enumerate(result.residuals, start=1):
-            writer.writerow([i, repr(float(res))])
 
 
 def gram_schmidt_basis(matrix, rank):

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import completion, features, kernels, localization, reduction
+from . import completion, features, io, kernels, localization, reduction
 from .errors import ConfigurationError, SolverError
 from .propagation import (
     evaluation_grid,
@@ -267,7 +267,7 @@ def _complete(config, world, train_f, run_idx):
                     "(final residual %.6g)", run_idx, completed.iterations,
                     completed.final_residual)
     if config.diagnostics_dir:
-        completion.write_iteration_log(
+        io.write_iteration_log(
             completed,
             os.path.join(
                 config.diagnostics_dir,

@@ -19,7 +19,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from . import features, io, localization
+from . import features, io
 from .errors import ConfigurationError
 from .evaluation import (
     ExperimentConfig,
@@ -29,6 +29,7 @@ from .evaluation import (
     precompute_grid,
     run_experiment,
 )
+from .propagation import pilot_noise
 from .scenario import preset as scenario_preset
 
 # Per-bandwidth kernel parameters (sigma in meters, lambda dimensionless).
@@ -111,18 +112,16 @@ def _render_single_fit(config, grid, out_dir, tag):
     """Fit once (run 0) and export the predicted map as CSV + PGM."""
     world, model, predictions = fit_and_predict(config, grid, 0)
     io.write_map_csv(grid, predictions, os.path.join(out_dir, f"{tag}_map.csv"))
-    io.write_pgm(
-        io.lattice_field(grid, predictions), os.path.join(out_dir, f"{tag}_map.pgm")
-    )
+    io.write_pgm(grid, predictions, os.path.join(out_dir, f"{tag}_map.pgm"))
     return world, model, nmse(grid.truth, predictions, grid.p_bar)
 
 
-def run_fig4_maps(out_dir, seed=0, jobs=1):
+def run_fig4_maps(out_dir, seed=0):
     """True map plus feature-based and location-based estimates, N=300."""
     scenario = scenario_preset("indoor-fig4", seed=seed)
     grid = precompute_grid(scenario)
     io.write_truth_csv(grid, os.path.join(out_dir, "true_map.csv"))
-    io.write_pgm(io.lattice_field(grid, grid.truth), os.path.join(out_dir, "true_map.pgm"))
+    io.write_pgm(grid, grid.truth, os.path.join(out_dir, "true_map.pgm"))
     summary = {"scenario": "indoor-fig4", "n_train": 300, "seed": seed}
     cfg_f = _locf_config(scenario, tuned=False, n_train=300, runs=1, seed=seed)
     _, _, nmse_f = _render_single_fit(cfg_f, grid, out_dir, "locf")
@@ -130,28 +129,23 @@ def run_fig4_maps(out_dir, seed=0, jobs=1):
     cfg_b = _locb_config(scenario, tuned=False, n_train=300, runs=1, seed=seed)
     world, model, nmse_b = _render_single_fit(cfg_b, grid, out_dir, "locb")
     summary["locb_nmse"] = nmse_b
-    localization.write_location_csv(
+    io.write_location_csv(
         os.path.join(out_dir, "locb_locations.csv"),
         world.train_points, model.located.estimates, model.located.residuals,
     )
     return summary
 
 
-def run_fig5_featuremaps(out_dir, seed=0, jobs=1):
+def run_fig5_featuremaps(out_dir, seed=0):
     """Maps of the M = L(L-1)/2 pairwise features over the whole region."""
     scenario = scenario_preset("indoor-fig4", seed=seed)
     grid = precompute_grid(scenario)
     rng = np.random.default_rng(seed)
-    from .propagation import pilot_noise
-
     pilots = grid.channels + pilot_noise(scenario, grid.channels.shape, rng)
     matrix = features.feature_matrix_nosync(pilots, scenario.sample_period)
     io.write_feature_csv(grid.points, matrix, os.path.join(out_dir, "features.csv"))
     for m in range(matrix.shape[0]):
-        io.write_pgm(
-            io.lattice_field(grid, matrix[m]),
-            os.path.join(out_dir, f"feature_{m + 1:02d}.pgm"),
-        )
+        io.write_pgm(grid, matrix[m], os.path.join(out_dir, f"feature_{m + 1:02d}.pgm"))
     return {
         "scenario": "indoor-fig4",
         "n_features": int(matrix.shape[0]),
@@ -159,9 +153,8 @@ def run_fig5_featuremaps(out_dir, seed=0, jobs=1):
     }
 
 
-def run_fig6_nmse_vs_n(out_dir, runs=None, seed=0, jobs=1):
+def run_fig6_nmse_vs_n(out_dir, runs, seed=0, jobs=1):
     """Feature-based vs location-based NMSE over the measurement count."""
-    runs = runs or DEFAULT_RUNS
     scenario = scenario_preset("indoor-fig4", seed=seed)
     entries = []
     for n in (100, 150, 200, 300):
@@ -170,9 +163,8 @@ def run_fig6_nmse_vs_n(out_dir, runs=None, seed=0, jobs=1):
     return _run_sweep(entries, out_dir, jobs)
 
 
-def run_fig7_nmse_vs_walls(out_dir, runs=None, seed=0, jobs=1):
+def run_fig7_nmse_vs_walls(out_dir, runs, seed=0, jobs=1):
     """NMSE as the wall count grows, at 200 MHz pilot bandwidth."""
-    runs = runs or DEFAULT_RUNS
     entries = []
     for walls in range(6):
         scenario = scenario_preset(
@@ -187,9 +179,8 @@ def run_fig7_nmse_vs_walls(out_dir, runs=None, seed=0, jobs=1):
     return _run_sweep(entries, out_dir, jobs)
 
 
-def run_fig8_nmse_vs_m(out_dir, runs=None, seed=0, jobs=1):
+def run_fig8_nmse_vs_m(out_dir, runs, seed=0, jobs=1):
     """NMSE over the number of raw features used (random subsets per run)."""
-    runs = runs or DEFAULT_RUNS
     scenario = scenario_preset("indoor-fig4", seed=seed)
     entries = []
     for n in (150, 300):
@@ -205,31 +196,16 @@ def run_fig8_nmse_vs_m(out_dir, runs=None, seed=0, jobs=1):
     return _run_sweep(entries, out_dir, jobs)
 
 
-def run_fig10_reduced(out_dir, runs=None, seed=0, jobs=1):
+def run_fig10_reduced(out_dir, runs, seed=0, jobs=1):
     """Full features vs rank-reduced features on the denser indoor scenario."""
-    runs = runs or DEFAULT_RUNS
     scenario = scenario_preset("indoor-dense", seed=seed)
-    sigma, lam = LOCF_TUNED[20e6]
-    entries = [
-        (
-            "locf_full",
-            _locf_config(scenario, n_train=300, runs=runs, seed=seed, sigma=sigma, lam=lam),
-        )
-    ]
+    common = dict(n_train=300, runs=runs, seed=seed)
+    entries = [("locf_full", _locf_config(scenario, **common))]
     for rank in (2, 3, 4):
         entries.append(
             (
                 f"locf_r{rank}",
-                ExperimentConfig(
-                    scenario=scenario,
-                    estimator="locf_reduced",
-                    n_train=300,
-                    runs=runs,
-                    seed=seed,
-                    sigma=sigma,
-                    lam=lam,
-                    rank=rank,
-                ),
+                _locf_config(scenario, estimator="locf_reduced", rank=rank, **common),
             )
         )
     return _run_sweep(entries, out_dir, jobs)
@@ -246,33 +222,28 @@ def default_gamma_sweep(grid, quantiles=(0.25, 0.4, 0.55)):
     return [lo] + [float(np.quantile(pair_min, q)) for q in quantiles]
 
 
-def run_fig11_missing(out_dir, runs=None, seed=0, jobs=1, gamma_sweep=None,
+def run_fig11_missing(out_dir, runs, seed=0, jobs=1, gamma_sweep=None,
                       diagnostics_dir=None):
     """Missing-feature handling: NMSE and miss counts over the threshold."""
-    runs = runs or DEFAULT_RUNS
     scenario = scenario_preset("indoor-fig4", seed=seed)
     grid = precompute_grid(scenario)
     if gamma_sweep is None:
         gamma_sweep = default_gamma_sweep(grid)
     grid_cache = {id(scenario): grid}
-    entries = [("locf_baseline", _locf_config(scenario, n_train=300, runs=runs, seed=seed))]
+    common = dict(n_train=300, runs=runs, seed=seed)
+    entries = [("locf_baseline", _locf_config(scenario, **common))]
     rank = scenario.n_transmitters - 1
     for idx, gamma in enumerate(gamma_sweep):
         entries.append(
             (
                 f"completion_g{idx}",
-                ExperimentConfig(
-                    scenario=scenario,
+                _locf_config(
+                    scenario,
                     estimator="locf_completion",
-                    n_train=300,
-                    runs=runs,
-                    seed=seed,
-                    sigma=LOCF_TUNED[20e6][0],
-                    lam=LOCF_TUNED[20e6][1],
                     rank=rank,
-                    mu=5.42,
                     gamma_dbw=gamma,
                     diagnostics_dir=diagnostics_dir,
+                    **common,
                 ),
             )
         )
@@ -304,12 +275,12 @@ def run_preset(name, out_dir, runs=None, seed=0, jobs=1, gamma_sweep=None,
         raise ConfigurationError(
             f"unknown experiment preset {name!r}; available: {', '.join(sorted(PRESETS))}"
         )
-    kwargs = dict(seed=seed, jobs=jobs)
+    kwargs = dict(seed=seed)
     if name in ("fig4-maps", "fig5-featuremaps"):
         if runs is not None:
             raise ConfigurationError(f"runs applies only to Monte Carlo presets, not {name}")
     else:
-        kwargs["runs"] = runs
+        kwargs.update(runs=runs or DEFAULT_RUNS, jobs=jobs)
     if name == "fig11-missing":
         kwargs["gamma_sweep"] = gamma_sweep
         kwargs["diagnostics_dir"] = out_dir if verbose else None

@@ -40,16 +40,6 @@ class CrossCorrelation:
     values: np.ndarray
 
 
-def estimate_impulse_response(pilot_row):
-    """Channel estimate from one pilot row.
-
-    For unit-sample pilots the received row already is the (noisy) impulse
-    response, so this is a pass-through; it exists as a seam where
-    matched-filter deconvolution could be substituted for other pilots.
-    """
-    return np.asarray(pilot_row)
-
-
 def estimate_toa(h, gamma, sample_period):
     """Thresholded time of arrival: T * first tap index with |h[k]| >= gamma.
 
@@ -129,9 +119,12 @@ def pair_indices(n_transmitters):
 
 
 def feature_vector_sync(pilot):
-    """Per-transmitter impulse-response CoM features (lag units), length L."""
-    pilot = np.asarray(pilot)
-    return np.array([com_impulse(estimate_impulse_response(row)) for row in pilot])
+    """Per-transmitter impulse-response CoM features (lag units), length L.
+
+    A unit-sample pilot row already is its transmitter's (noisy) impulse
+    response.
+    """
+    return np.array([com_impulse(row) for row in pilot])
 
 
 def feature_vector_nosync(pilot, sample_period):

@@ -5,18 +5,32 @@ lattice, rows from the top (max y) down, columns left to right.  Cells
 excluded from the admissible region (too close to a transmitter) are
 written as empty CSV fields and as black pixels in PGM images.
 
-Floats are written with ``repr`` so that reading a CSV back reproduces the
-values bit-exactly.
+Every CSV has a header row.  Floats are written with ``repr`` so that
+reading a CSV back reproduces the values bit-exactly, and non-finite
+values are written as empty fields.
 """
 
 import csv
 import json
+import math
 
 import numpy as np
 
 
 def _fmt(value):
-    return "" if not np.isfinite(value) else repr(float(value))
+    return "" if not math.isfinite(value) else repr(float(value))
+
+
+def _write_rows(path, header, rows, lineterminator="\r\n"):
+    """One CSV: the header, then rows whose str and int cells are written
+    as they are and whose other cells are floats written by ``_fmt``."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator=lineterminator)
+        writer.writerow(header)
+        writer.writerows(
+            [v if isinstance(v, (str, int, np.integer)) else _fmt(v) for v in row]
+            for row in rows
+        )
 
 
 def lattice_field(grid, values):
@@ -26,55 +40,66 @@ def lattice_field(grid, values):
     return field.reshape(grid.shape)
 
 
-def lattice_points(grid):
-    """All lattice cell centers in scan order, shape (ny*nx, 2)."""
+def _lattice_rows(grid, *values):
+    """x, y of every lattice cell center and one column per admissible-cell
+    value array, in scan order."""
     gx, gy = np.meshgrid(grid.xs, grid.ys)
-    return np.stack([gx.ravel(), gy.ravel()], axis=1)
+    fields = [lattice_field(grid, v).ravel() for v in values]
+    return np.column_stack([gx.ravel(), gy.ravel()] + fields)
 
 
 def write_truth_csv(grid, path):
     """Ground-truth map export: x,y,power_dbw in row-major scan order."""
-    field = lattice_field(grid, grid.truth).ravel()
-    points = lattice_points(grid)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "y", "power_dbw"])
-        for (x, y), value in zip(points, field):
-            writer.writerow([repr(float(x)), repr(float(y)), _fmt(value)])
+    _write_rows(path, ["x", "y", "power_dbw"], _lattice_rows(grid, grid.truth))
 
 
 def write_map_csv(grid, predictions, path):
     """Map comparison export: x,y,true_dbw,pred_dbw in scan order."""
-    truth = lattice_field(grid, grid.truth).ravel()
-    pred = lattice_field(grid, predictions).ravel()
-    points = lattice_points(grid)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "y", "true_dbw", "pred_dbw"])
-        for (x, y), t, p in zip(points, truth, pred):
-            writer.writerow([repr(float(x)), repr(float(y)), _fmt(t), _fmt(p)])
+    _write_rows(
+        path, ["x", "y", "true_dbw", "pred_dbw"],
+        _lattice_rows(grid, grid.truth, predictions),
+    )
 
 
 def write_feature_csv(points, feature_matrix, path):
     """Feature dump: x,y,f1,...,fM with missing entries as empty fields."""
     features = np.asarray(feature_matrix, dtype=float)
-    points = np.asarray(points, dtype=float)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "y"] + [f"f{m + 1}" for m in range(features.shape[0])])
-        for i, (x, y) in enumerate(points):
-            writer.writerow(
-                [repr(float(x)), repr(float(y))] + [_fmt(v) for v in features[:, i]]
-            )
+    _write_rows(
+        path, ["x", "y"] + [f"f{m + 1}" for m in range(features.shape[0])],
+        np.column_stack([points, features.T]),
+    )
 
 
-def write_pgm(field, path):
-    """8-bit grayscale PGM (binary P5), linear scaling between finite min/max.
+def write_location_csv(path, true_xy, estimates, residuals):
+    """Location-estimate dump: x_true,y_true,x_est,y_est,residual rows,
+    with empty estimate fields where localization failed."""
+    _write_rows(
+        path, ["x_true", "y_true", "x_est", "y_est", "residual"],
+        np.column_stack([true_xy, estimates, residuals]).astype(float),
+    )
 
-    NaN cells map to 0.  ``field`` is a 2-D array already in image scan
-    order (row 0 at the top).
+
+def write_iteration_log(result, path):
+    """Per-iteration observed-residual trace of an SVP completion as
+    ``iter,residual`` CSV."""
+    _write_rows(path, ["iter", "residual"], enumerate(result.residuals, start=1))
+
+
+def write_predictions_csv(points, values, path):
+    """Served predictions: x,y,pred_dbw, one ``\\n``-terminated line each."""
+    _write_rows(
+        path, ["x", "y", "pred_dbw"], np.column_stack([points, values]),
+        lineterminator="\n",
+    )
+
+
+def write_pgm(grid, values, path):
+    """Map image of admissible-cell values as 8-bit grayscale PGM (binary
+    P5) in scan order, linear scaling between finite min/max.
+
+    NaN cells and excluded lattice cells map to 0.
     """
-    field = np.asarray(field, dtype=float)
+    field = lattice_field(grid, values)
     finite = np.isfinite(field)
     lo = field[finite].min() if finite.any() else 0.0
     hi = field[finite].max() if finite.any() else 1.0
@@ -90,11 +115,7 @@ def write_pgm(field, path):
 
 def write_results_csv(rows, path):
     """Per-run results: estimator,N,run,nmse."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["estimator", "N", "run", "nmse"])
-        for estimator, n, run, value in rows:
-            writer.writerow([estimator, n, run, repr(float(value))])
+    _write_rows(path, ["estimator", "N", "run", "nmse"], rows)
 
 
 def write_summary_json(summary, path):

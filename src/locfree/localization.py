@@ -25,7 +25,6 @@ rows of a batch are independent: a point's estimate never depends on
 which other points share its batch.
 """
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -323,20 +322,3 @@ def locb_fit(anchors, pilots, targets, sample_period, kernel, lam, center_target
     )
     return fitted, report
 
-
-def write_location_csv(path, true_xy, estimates, residuals):
-    """Location-estimate dump: x_true,y_true,x_est,y_est,residual rows."""
-    true_xy = np.asarray(true_xy, dtype=float)
-    estimates = np.asarray(estimates, dtype=float)
-    residuals = np.asarray(residuals, dtype=float)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x_true", "y_true", "x_est", "y_est", "residual"])
-        for (xt, yt), (xe, ye), res in zip(true_xy, estimates, residuals):
-            row = [repr(float(xt)), repr(float(yt))]
-            row += (
-                ["", "", ""]
-                if not np.isfinite(xe)
-                else [repr(float(xe)), repr(float(ye)), repr(float(res))]
-            )
-            writer.writerow(row)

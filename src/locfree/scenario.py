@@ -62,10 +62,6 @@ class WallSegment:
     def p2(self):
         return (self.x2, self.y2)
 
-    @property
-    def length(self):
-        return math.hypot(self.x2 - self.x1, self.y2 - self.y1)
-
     def reflection_amplitude(self, cos_theta):
         """Amplitude reflection coefficient for |cos| of the incidence angle."""
         cos_theta = np.abs(np.asarray(cos_theta, dtype=float))
@@ -128,15 +124,11 @@ class Scenario:
         if self.noise_variance < 0:
             raise ConfigurationError("noise variance must be >= 0")
         for tx in self.transmitters:
-            if not self._inside(tx.x, tx.y):
+            if not self.contains((tx.x, tx.y))[0]:
                 raise ConfigurationError(f"transmitter ({tx.x}, {tx.y}) outside region")
         for w in self.walls:
-            if not (self._inside(w.x1, w.y1) and self._inside(w.x2, w.y2)):
+            if not np.all(self.contains([w.p1, w.p2])):
                 raise ConfigurationError("wall endpoints must lie inside the region")
-
-    def _inside(self, x, y):
-        x_min, y_min, x_max, y_max = self.region
-        return x_min <= x <= x_max and y_min <= y <= y_max
 
     @property
     def sample_period(self):
@@ -281,24 +273,20 @@ _BUILDING_X = (9.0, 51.0)  # outer planes 42 m apart
 _CANONICAL_WALL_X = (30.0, 19.5, 40.5, 9.0, 51.0)
 
 
-def canonical_walls(count=5, loss_db=6.0, max_reflection=0.7):
+def canonical_walls(count=5):
     """First ``count`` walls of the canonical 6-wall indoor layout.
 
     Walls 1..5 are vertical planes spanning the 27 m building depth; wall 6
-    is a horizontal divider splitting the structure in two.
+    is a horizontal divider splitting the structure in two.  Every wall has
+    the WallSegment default loss (6 dB) and reflection (0.7).
     """
     if not 0 <= count <= 6:
         raise ConfigurationError("canonical wall count must be in 0..6")
     y0, y1 = _BUILDING_Y
-    walls = [
-        WallSegment(x, y0, x, y1, loss_db=loss_db, max_reflection=max_reflection)
-        for x in _CANONICAL_WALL_X
-    ]
+    walls = [WallSegment(x, y0, x, y1) for x in _CANONICAL_WALL_X]
     x0, x1 = _BUILDING_X
     # Room divider at 19.75 m keeps every anchor off every wall plane.
-    walls.append(
-        WallSegment(x0, 19.75, x1, 19.75, loss_db=loss_db, max_reflection=max_reflection)
-    )
+    walls.append(WallSegment(x0, 19.75, x1, 19.75))
     return tuple(walls[:count])
 
 

@@ -9,9 +9,9 @@ from locfree.completion import (
     rls_recover_queries,
     rls_recover_query,
     svp_complete,
-    write_iteration_log,
 )
 from locfree.errors import ConfigurationError, SolverError
+from locfree.io import write_iteration_log
 from test_reduction import free_space_scenario, tdoa_matrix
 from locfree.propagation import sample_sensor_locations
 

@@ -101,7 +101,7 @@ def test_map_csv_and_pgm_round_trip(tmp_path, indoor_grid):
     from locfree.io import lattice_field
 
     pgm_path = tmp_path / "map.pgm"
-    write_pgm(lattice_field(indoor_grid, predictions), pgm_path)
+    write_pgm(indoor_grid, predictions, pgm_path)
     blob = pgm_path.read_bytes()
     header = f"P5\n{nx} {ny}\n255\n".encode()
     assert blob.startswith(header)

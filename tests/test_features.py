@@ -11,7 +11,6 @@ from locfree.features import (
     com_impulse,
     cross_correlate,
     default_toa_threshold,
-    estimate_impulse_response,
     estimate_tdoa,
     estimate_toa,
     feature_matrix_nosync,
@@ -25,19 +24,15 @@ from locfree.propagation import pilot_noise, simulate_points, synthesize_pilot_m
 from locfree.scenario import SPEED_OF_LIGHT
 
 
-def test_impulse_response_is_identity():
-    row = np.array([1.0, 0.5j, 0.0])
-    assert np.array_equal(estimate_impulse_response(row), row)
-    zero = np.zeros(4, dtype=complex)
-    assert np.array_equal(estimate_impulse_response(zero), zero)
-
-
-def test_impulse_response_of_noiseless_pilot_is_exact_channel(free_space):
+def test_sync_features_of_noiseless_pilot_use_exact_channel(free_space):
+    """A noiseless pilot row is its transmitter's discretized channel, and
+    the synchronized feature is the CoM of that channel."""
     from locfree.propagation import discretize_channel, trace_paths
 
     pilot = synthesize_pilot_matrix(free_space, (25.0, 3.0), np.random.default_rng(0))
     taps = discretize_channel(trace_paths(free_space, (0.0, 0.0), (25.0, 3.0)), free_space)
-    assert np.array_equal(estimate_impulse_response(pilot[0]), taps)
+    assert np.array_equal(pilot[0], taps)
+    assert feature_vector_sync(pilot).tolist() == [com_impulse(taps)]
 
 
 def test_toa_first_threshold_crossing():

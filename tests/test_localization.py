@@ -13,8 +13,8 @@ from locfree.localization import (
     localize_batch,
     srdls_localize,
     tdoa_feature_set,
-    write_location_csv,
 )
+from locfree.io import write_location_csv
 from locfree.propagation import pilot_noise, sample_sensor_locations, simulate_points, synthesize_pilot_matrix
 from locfree.scenario import SPEED_OF_LIGHT, preset
 
