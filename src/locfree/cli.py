@@ -187,6 +187,8 @@ def cmd_predict(args):
 
 
 def cmd_experiment(args):
+    if args.jobs is not None and args.jobs < 1:
+        raise ConfigurationError(f"--jobs must be at least 1, got {args.jobs}")
     gamma_sweep = None
     if args.gamma_sweep is not None:
         try:
@@ -209,7 +211,7 @@ def cmd_experiment(args):
         if args.runs is not None:
             config = replace(config, runs=args.runs)
         os.makedirs(out, exist_ok=True)
-        summary = experiments._run_sweep([(config.estimator, config)], out, args.jobs)
+        summary = experiments._run_sweep([(config.estimator, config)], out, args.jobs or 1)
         io.write_summary_json(summary, os.path.join(out, "summary.json"))
     else:
         raise ConfigurationError(
@@ -252,7 +254,6 @@ def _build_parser():
     common.add_argument("--config", help="JSON config path")
     common.add_argument("--out", help="output directory")
     common.add_argument("--seed", type=int, default=None, help="RNG seed override")
-    common.add_argument("--jobs", type=int, default=1, help="parallel workers")
     common.add_argument("--verbose", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -271,6 +272,7 @@ def _build_parser():
     p = sub.add_parser("experiment", parents=[common], help="run a named preset or config")
     p.add_argument("name", help="preset name or config path")
     p.add_argument("--runs", type=int, default=None, help="Monte Carlo run count")
+    p.add_argument("--jobs", type=int, default=None, help="parallel workers (Monte Carlo only)")
     p.add_argument("--gamma-sweep", default=None,
                    help="comma-separated sensitivity thresholds in dBW; use --gamma-sweep=-90,-80 for negative values")
     p.set_defaults(func=cmd_experiment)

@@ -263,13 +263,13 @@ PRESETS = {
 }
 
 
-def run_preset(name, out_dir, runs=None, seed=0, jobs=1, gamma_sweep=None,
+def run_preset(name, out_dir, runs=None, seed=0, jobs=None, gamma_sweep=None,
                verbose=False):
     """Run a named experiment preset and write its artifacts into out_dir.
 
     Only the missing-feature preset takes ``gamma_sweep``; with ``verbose``
     it also dumps per-run SVP iteration logs (iter,residual CSVs) into
-    out_dir.  The map presets fit once, so they take no ``runs``.
+    out_dir.  The map presets fit once, so they take no ``runs`` or ``jobs``.
     """
     if name not in PRESETS:
         raise ConfigurationError(
@@ -277,10 +277,11 @@ def run_preset(name, out_dir, runs=None, seed=0, jobs=1, gamma_sweep=None,
         )
     kwargs = dict(seed=seed)
     if name in ("fig4-maps", "fig5-featuremaps"):
-        if runs is not None:
-            raise ConfigurationError(f"runs applies only to Monte Carlo presets, not {name}")
+        for option, value in (("runs", runs), ("jobs", jobs)):
+            if value is not None:
+                raise ConfigurationError(f"{option} applies only to Monte Carlo presets, not {name}")
     else:
-        kwargs.update(runs=runs or DEFAULT_RUNS, jobs=jobs)
+        kwargs.update(runs=runs or DEFAULT_RUNS, jobs=jobs or 1)
     if name == "fig11-missing":
         kwargs["gamma_sweep"] = gamma_sweep
         kwargs["diagnostics_dir"] = out_dir if verbose else None

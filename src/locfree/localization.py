@@ -39,6 +39,8 @@ _REWEIGHT_ROUNDS = 3
 # Weight of the quadratic pull toward the anchor centroid (m^-2 scale);
 # irrelevant at in-region scales, decisive against asymptote ghosts.
 _CENTROID_PRIOR = 1e-4
+# Points per _srdls_batch block: bounds the memory of their stacked starts.
+_BLOCK_ROWS = 1200
 
 
 @dataclass(frozen=True)
@@ -82,34 +84,35 @@ def tdoa_feature_set(pilot, sample_period):
     return tdoa_range_differences(np.asarray(pilot)[None], sample_period)[0]
 
 
-def _batch_ranges(x, a0, others):
-    """Distances (n,) to the reference anchor and (n, P) to the others."""
-    d0 = np.maximum(np.linalg.norm(x - a0, axis=1), 1e-12)
-    dl = np.maximum(np.linalg.norm(x[:, None, :] - others[None], axis=2), 1e-12)
-    return d0, dl
+def _batch_residuals(x, y, a0, others, r):
+    """Residuals g (n, P) of P usable range differences at points (x, y), and
+    for their Jacobian the distances d0 (n,) to the reference anchor and dl
+    (n, P) to the others, and the offsets lx, ly (n, P) from the others."""
+    lx = x[:, None] - others[:, 0]
+    ly = y[:, None] - others[:, 1]
+    dl = np.maximum(np.sqrt(lx * lx + ly * ly), 1e-12)
+    ex, ey = x - a0[0], y - a0[1]
+    d0 = np.maximum(np.sqrt(ex * ex + ey * ey), 1e-12)
+    return (d0[:, None] - dl) - r, d0, dl, lx, ly
 
 
-def _batch_residuals(x, a0, others, r):
-    """Residuals g (n, P) of P usable range differences at stacked points x (n, 2)."""
-    d0, dl = _batch_ranges(x, a0, others)
-    return (d0[:, None] - dl) - r
+def _batch_cost(x, y, g, weights, center, tau):
+    cx, cy = x - center[0], y - center[1]
+    return np.sum(weights * g**2, axis=1) + tau * (cx * cx + cy * cy)
 
 
-def _batch_jacobian(x, a0, others):
-    """Jacobians (n, P, 2) of the residuals at stacked points x (n, 2)."""
-    d0, dl = _batch_ranges(x, a0, others)
-    return (x - a0)[:, None, :] / d0[:, None, None] - (
-        x[:, None, :] - others[None]
-    ) / dl[:, :, None]
+def _residual_weights(x, a0, others, r):
+    """Weights (n, P) from the residuals at points x (n, 2).  Scale-aware: eps
+    at the residual noise floor keeps rows within the floor equally weighted
+    (averaging preserved) while still suppressing multipath-biased outliers."""
+    g = _batch_residuals(x[:, 0], x[:, 1], a0, others, r)[0]
+    eps = np.maximum(np.median(g**2, axis=1), _REWEIGHT_EPS)
+    return 1.0 / (g**2 + eps[:, None])
 
 
-def _batch_cost(x, g, weights, center, tau):
-    return np.sum(weights * g**2, axis=1) + tau * np.sum((x - center) ** 2, axis=1)
-
-
-def _batch_gauss_newton(x, a0, others, r, weights, center, tau, steps=12):
+def _batch_gauss_newton(xy, a0, others, r, weights, center, tau, steps=12):
     """Damped Gauss-Newton descent of sum_l w_l g_l(x)^2 + tau ||x - c||^2,
-    vectorized over stacked points.
+    vectorized over stacked points xy (n, 2).
 
     The tiny quadratic prior toward the anchor centroid is negligible at
     in-region scales but removes the spurious minima the range-difference
@@ -120,57 +123,69 @@ def _batch_gauss_newton(x, a0, others, r, weights, center, tau, steps=12):
     descending, and a row retires as soon as its own cost decrease passes
     the convergence test or its line search rejects every trial (it keeps
     its x, a fixed point of the step).  So every row gets exactly what a
-    1-row call would give it.
+    1-row call would give it.  A row's accepted trial carries over: its
+    residuals and cost feed the convergence test, and its distances and
+    offsets the next Jacobian, without being computed again.
     """
-    x = np.array(x, dtype=float)
-    g = _batch_residuals(x, a0, others, r)
-    cost = _batch_cost(x, g, weights, center, tau)
-    # Rows still descending (indices into x) and their state; g is theirs.
-    active = np.arange(x.shape[0])
-    x_a, w_a, r_a, cost_a = x.copy(), weights, r, cost.copy()
+    x, y = np.array(xy[:, 0], dtype=float), np.array(xy[:, 1], dtype=float)
+    g, d0, dl, lx, ly = _batch_residuals(x, y, a0, others, r)
+    cost = _batch_cost(x, y, g, weights, center, tau)
+    out_x, out_y, out_cost = x.copy(), y.copy(), cost.copy()
+    # Rows still descending (indices into the outputs) and their state.
+    active, w, r_a = np.arange(x.size), weights, r
     for _ in range(steps):
-        jac = _batch_jacobian(x_a, a0, others)
-        jw = jac * w_a[:, :, None]
-        h11 = np.sum(jw[:, :, 0] * jac[:, :, 0], axis=1) + tau
-        h22 = np.sum(jw[:, :, 1] * jac[:, :, 1], axis=1) + tau
-        h12 = np.sum(jw[:, :, 0] * jac[:, :, 1], axis=1)
+        jx = ((x - a0[0]) / d0)[:, None] - lx / dl
+        jy = ((y - a0[1]) / d0)[:, None] - ly / dl
+        wx, wy = jx * w, jy * w
+        h11 = np.sum(wx * jx, axis=1) + tau
+        h22 = np.sum(wy * jy, axis=1) + tau
+        h12 = np.sum(wx * jy, axis=1)
         damp = 1e-12 * (h11 + h22)
         h11 = h11 + damp
         h22 = h22 + damp
-        b1 = -(np.sum(jw[:, :, 0] * g, axis=1) + tau * (x_a[:, 0] - center[0]))
-        b2 = -(np.sum(jw[:, :, 1] * g, axis=1) + tau * (x_a[:, 1] - center[1]))
+        b1 = -(np.sum(wx * g, axis=1) + tau * (x - center[0]))
+        b2 = -(np.sum(wy * g, axis=1) + tau * (y - center[1]))
         det = h11 * h22 - h12**2
         det = np.where(np.abs(det) > 1e-300, det, 1.0)
-        delta = np.stack([(h22 * b1 - h12 * b2) / det, (h11 * b2 - h12 * b1) / det], axis=1)
+        dx = (h22 * b1 - h12 * b2) / det
+        dy = (h11 * b2 - h12 * b1) / det
         # Backtracking line search over the pending rows (indices into the
-        # active set): halve the step until the cost does not increase.
+        # active set): halve the step until the cost does not increase.  The
+        # first trial covers every row, so its arrays become the new state;
+        # rows accepted at a later trial are written into them.
         pending = np.arange(active.size)
         scale = 1.0
-        for _ in range(12):
-            trial = x_a[pending] + scale * delta[pending]
-            g_t = _batch_residuals(trial, a0, others, r_a[pending])
-            cost_t = _batch_cost(trial, g_t, w_a[pending], center, tau)
-            improve = cost_t <= cost_a[pending]
-            x_a[pending[improve]] = trial[improve]
+        for trial_no in range(12):
+            tx = x[pending] + scale * dx[pending]
+            ty = y[pending] + scale * dy[pending]
+            g_t, *geo = _batch_residuals(tx, ty, a0, others, r_a[pending])
+            cost_t = _batch_cost(tx, ty, g_t, w[pending], center, tau)
+            improve = cost_t <= cost[pending]
+            trial = (tx, ty, cost_t, g_t, *geo)
+            if trial_no == 0:
+                new = trial
+            else:
+                for v, t in zip(new, trial):
+                    v[pending[improve]] = t[improve]
             pending = pending[~improve]
             if pending.size == 0:
                 break
             scale /= 2.0
-        g = _batch_residuals(x_a, a0, others, r_a)
-        new_cost = _batch_cost(x_a, g, w_a, center, tau)
-        done = cost_a - new_cost < 1e-14 * (1.0 + new_cost)
+        new_x, new_y, new_cost, g, d0, dl, lx, ly = new
+        new_x[pending], new_y[pending], new_cost[pending] = x[pending], y[pending], cost[pending]
+        done = cost - new_cost < 1e-14 * (1.0 + new_cost)
         done[pending] = True
-        new_cost[pending] = cost_a[pending]
-        cost_a = new_cost
-        x[active] = x_a
-        cost[active] = cost_a
+        x, y, cost = new_x, new_y, new_cost
+        retired = active[done]
+        out_x[retired], out_y[retired], out_cost[retired] = x[done], y[done], cost[done]
         keep = ~done
-        active, x_a, w_a, r_a, cost_a, g = (
-            v[keep] for v in (active, x_a, w_a, r_a, cost_a, g)
+        active, x, y, w, r_a, cost, g, d0, dl, lx, ly = (
+            v[keep] for v in (active, x, y, w, r_a, cost, g, d0, dl, lx, ly)
         )
         if active.size == 0:
             break
-    return x, cost
+    out_x[active], out_y[active], out_cost[active] = x, y, cost
+    return np.stack([out_x, out_y], axis=1), out_cost
 
 
 def _srdls_batch(pos, diffs):
@@ -180,10 +195,18 @@ def _srdls_batch(pos, diffs):
     diffs -- (n, L-1) range differences, all finite, L-1 >= 3.
     Returns estimates (n, 2) with NaN rows for rank-deficient systems, and
     the final data costs (n,).
+
+    The 2 + L starts (linear solve, anchor centroid, each anchor + 0.5) are
+    stacked as rows of one batch, one _batch_gauss_newton call per round, in
+    blocks of _BLOCK_ROWS points.  Per point the start of least cost wins,
+    the earliest on a tie; a NaN cost never wins.
     """
+    n = diffs.shape[0]
+    if n > _BLOCK_ROWS:
+        blocks = [_srdls_batch(pos, diffs[i : i + _BLOCK_ROWS]) for i in range(0, n, _BLOCK_ROWS)]
+        return tuple(np.concatenate(part) for part in zip(*blocks))
     a0 = pos[0]
     others = pos[1:]
-    n = diffs.shape[0]
     # Linear squared-range-difference init.
     a_cols = np.broadcast_to(2.0 * (others - a0), (n,) + others.shape)
     a = np.concatenate([a_cols, -2.0 * diffs[:, :, None]], axis=2)
@@ -199,34 +222,27 @@ def _srdls_batch(pos, diffs):
     centroid = pos.mean(axis=0)
     starts = [linear, np.broadcast_to(centroid, (n, 2))]
     starts += [np.broadcast_to(p + 0.5, (n, 2)) for p in pos]
+    x = np.concatenate(starts)
+    r = np.tile(diffs, (len(starts), 1))
     tau = _CENTROID_PRIOR
+    x, cost = _batch_gauss_newton(x, a0, others, r, np.ones_like(r), centroid, tau)
+    for _ in range(_REWEIGHT_ROUNDS - 1):
+        weights = _residual_weights(x, a0, others, r)
+        x, cost = _batch_gauss_newton(x, a0, others, r, weights, centroid, tau)
     best_x = np.full((n, 2), np.nan)
     best_cost = np.full(n, np.inf)
-    for start in starts:
-        x = np.array(start, dtype=float)
-        weights = np.ones_like(diffs)
-        cost = np.full(n, np.inf)
-        for _ in range(_REWEIGHT_ROUNDS):
-            x, cost = _batch_gauss_newton(x, a0, others, diffs, weights, centroid, tau)
-            g = _batch_residuals(x, a0, others, diffs)
-            # Scale-aware reweighting: eps at the residual noise floor keeps
-            # rows within the floor equally weighted (averaging preserved)
-            # while still suppressing multipath-biased outlier rows.
-            eps = np.maximum(np.median(g**2, axis=1), _REWEIGHT_EPS)
-            weights = 1.0 / (g**2 + eps[:, None])
-        better = cost < best_cost
-        best_x[better] = x[better]
-        best_cost[better] = cost[better]
+    for x_s, cost_s in zip(x.reshape(-1, n, 2), cost.reshape(-1, n)):
+        better = cost_s < best_cost
+        best_x[better] = x_s[better]
+        best_cost[better] = cost_s[better]
     # Prior-free polish: the prior has done its job (basin selection); a last
     # local descent without it removes its small bias, restoring exactness on
     # consistent inputs.
-    g = _batch_residuals(best_x, a0, others, diffs)
-    eps = np.maximum(np.median(g**2, axis=1), _REWEIGHT_EPS)
-    weights = 1.0 / (g**2 + eps[:, None])
+    weights = _residual_weights(best_x, a0, others, diffs)
     best_x, _ = _batch_gauss_newton(
         best_x, a0, others, diffs, weights, centroid, 0.0, steps=8
     )
-    g = _batch_residuals(best_x, a0, others, diffs)
+    g = _batch_residuals(best_x[:, 0], best_x[:, 1], a0, others, diffs)[0]
     data_cost = np.sum(weights * g**2, axis=1)
     best_x[~solvable] = np.nan
     data_cost[~solvable] = np.nan

@@ -79,6 +79,32 @@ def test_runs_rejected_for_map_presets(name, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("name", ["fig4-maps", "fig5-featuremaps"])
+def test_jobs_rejected_where_ignored(name, tmp_path, capsys):
+    """Only experiments take --jobs: the map presets exit 2 before creating
+    their output directory, and the other subcommands do not parse it."""
+    out = tmp_path / name
+    assert run_cli("experiment", name, "--jobs", "2", "--out", str(out)) == 2
+    assert "Monte Carlo" in capsys.readouterr().err
+    assert not out.exists()
+    cfg = _fit_config(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        run_cli("fit", "--config", str(cfg), "--jobs", "4", "--out", str(out))
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_rejected(jobs, tmp_path, capsys):
+    cfg = tmp_path / "exp.json"
+    cfg.write_text(json.dumps({"scenario": "freespace", "n_train": 30, "runs": 1}))
+    out = tmp_path / "out"
+    assert run_cli("experiment", str(cfg), "--jobs", jobs, "--out", str(out)) == 2
+    assert "--jobs must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_readme_command_lines_parse():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = readme.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]

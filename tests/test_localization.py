@@ -204,11 +204,15 @@ def _reference_residuals(x, a0, others, r):
     return g, jac
 
 
+def _reference_cost(x, g, weights, center, tau):
+    return np.sum(weights * g**2, axis=1) + tau * np.sum((x - center) ** 2, axis=1)
+
+
 def _reference_gauss_newton(x, a0, others, r, weights, center, tau, steps=12):
     """Full-row Gauss-Newton: every row takes part in every line-search
     trial and every step until the last row is done.  The oracle for the
     active-set solver, which must reproduce it bit for bit."""
-    cost_of = localization._batch_cost
+    cost_of = _reference_cost
     g, jac = _reference_residuals(x, a0, others, r)
     cost = cost_of(x, g, weights, center, tau)
     for _ in range(steps):
@@ -257,6 +261,124 @@ def _reference_per_row(x, a0, others, r, weights, center, tau, steps=12):
         for i in range(x.shape[0])
     ]
     return np.concatenate([xy for xy, _ in rows]), np.concatenate([c for _, c in rows])
+
+
+def _reference_srdls_batch(pos, diffs):
+    """SRD-LS with one Gauss-Newton batch per start, the starts taken in
+    turn, and residuals from np.linalg.norm over (x, y) pairs.  The oracle
+    for the stacked starts of _srdls_batch, which must reproduce it bit for
+    bit."""
+    a0, others = pos[0], pos[1:]
+    n = diffs.shape[0]
+    a_cols = np.broadcast_to(2.0 * (others - a0), (n,) + others.shape)
+    a = np.concatenate([a_cols, -2.0 * diffs[:, :, None]], axis=2)
+    b = (np.sum(others**2, axis=1) - np.sum(a0**2))[None, :] - diffs**2
+    s = np.linalg.svd(a, compute_uv=False)
+    solvable = s[:, -1] > 1e-9 * s[:, 0]
+    if not np.any(solvable):
+        return np.full((n, 2), np.nan), np.full(n, np.nan)
+    gram = np.einsum("npi,npj->nij", a, a)
+    gram[~solvable] = np.eye(3)
+    rhs = np.einsum("npi,np->ni", a, b)
+    linear = np.linalg.solve(gram, rhs[:, :, None])[:, :2, 0]
+    centroid = pos.mean(axis=0)
+    starts = [linear, np.broadcast_to(centroid, (n, 2))]
+    starts += [np.broadcast_to(p + 0.5, (n, 2)) for p in pos]
+    best_x = np.full((n, 2), np.nan)
+    best_cost = np.full(n, np.inf)
+
+    def reweight(x):
+        g, _ = _reference_residuals(x, a0, others, diffs)
+        eps = np.maximum(np.median(g**2, axis=1), localization._REWEIGHT_EPS)
+        return 1.0 / (g**2 + eps[:, None])
+
+    for start in starts:
+        x = np.array(start, dtype=float)
+        weights = np.ones_like(diffs)
+        for _ in range(localization._REWEIGHT_ROUNDS):
+            x, cost = localization._batch_gauss_newton(
+                x, a0, others, diffs, weights, centroid, localization._CENTROID_PRIOR
+            )
+            weights = reweight(x)
+        better = cost < best_cost
+        best_x[better] = x[better]
+        best_cost[better] = cost[better]
+    weights = reweight(best_x)
+    best_x, _ = localization._batch_gauss_newton(
+        best_x, a0, others, diffs, weights, centroid, 0.0, steps=8
+    )
+    g, _ = _reference_residuals(best_x, a0, others, diffs)
+    data_cost = np.sum(weights * g**2, axis=1)
+    best_x[~solvable] = np.nan
+    data_cost[~solvable] = np.nan
+    return best_x, data_cost
+
+
+@pytest.mark.parametrize(
+    "name, bandwidth, walls, dead",
+    [
+        ("indoor-dense", 200e6, 0, 120),
+        ("indoor-dense", 200e6, 5, 120),
+        ("indoor-fig4", 20e6, 5, 0),
+    ],
+)
+def test_stacked_starts_match_per_start_reference(name, bandwidth, walls, dead, monkeypatch):
+    """On a noisy grid, with `dead` rows given one dead pilot so that
+    several patterns share the batch, localize_batch equals the per-start
+    reference exactly: estimates and costs, NaN rows included."""
+    scn = preset(name, bandwidth_hz=bandwidth, wall_count=walls)
+    grid = precompute_grid(scn)
+    rng = np.random.default_rng(60 + walls)
+    pilots = grid.channels + pilot_noise(scn, grid.channels.shape, rng)
+    rows = rng.choice(pilots.shape[0], size=dead, replace=False)
+    pilots[rows, rng.integers(0, scn.n_transmitters, size=dead)] = 0.0
+    anchors = AnchorSet.from_scenario(scn)
+    if dead:
+        diffs = tdoa_range_differences(pilots, scn.sample_period)
+        assert len(np.unique(np.isfinite(diffs), axis=0)) >= 4
+    xy, cost = localize_batch(anchors, pilots, scn.sample_period)
+    monkeypatch.setattr(localization, "_srdls_batch", _reference_srdls_batch)
+    xy_ref, cost_ref = localize_batch(anchors, pilots, scn.sample_period)
+    assert np.array_equal(xy, xy_ref, equal_nan=True)
+    assert np.array_equal(cost, cost_ref, equal_nan=True)
+
+
+def test_earliest_start_wins_a_tie_and_nan_never_wins(monkeypatch):
+    """With a Gauss-Newton stand-in that leaves every start where it is, at
+    cost NaN for the first start (the linear solve) and 1 for all others,
+    every point ends at the second start, the anchor centroid: the earliest
+    of the starts of least cost."""
+    pos = np.array([[5.0, 5.0], [55.0, 6.0], [54.0, 35.0], [6.0, 34.0], [30.0, 20.0]])
+    truth = np.random.default_rng(3).uniform((2.0, 2.0), (58.0, 38.0), (4, 2))
+    d = np.linalg.norm(truth[:, None, :] - pos[None], axis=2)
+    diffs = d[:, :1] - d[:, 1:]
+    n = diffs.shape[0]
+
+    def stand_in(x, a0, others, r, weights, center, tau, steps=12):
+        cost = np.ones(x.shape[0])
+        cost[:n] = np.nan  # the starts are stacked start by start
+        return x.copy(), cost
+
+    monkeypatch.setattr(localization, "_batch_gauss_newton", stand_in)
+    xy, _ = localization._srdls_batch(pos, diffs)
+    assert np.array_equal(xy, np.broadcast_to(pos.mean(axis=0), (n, 2)))
+
+
+def test_srdls_blocks_do_not_change_estimates(monkeypatch):
+    """7 points in blocks of 3 (two full blocks and a remainder) give what
+    the default blocking gives, bit for bit."""
+    scn = preset("indoor-dense", bandwidth_hz=200e6, wall_count=5)
+    rng = np.random.default_rng(9)
+    tables = simulate_points(scn, sample_sensor_locations(scn, 7, rng))
+    pilots = tables.channels + pilot_noise(scn, tables.channels.shape, rng)
+    diffs = tdoa_range_differences(pilots, scn.sample_period)
+    assert np.all(np.isfinite(diffs))
+    pos = scn.tx_positions()
+    xy, cost = localization._srdls_batch(pos, diffs)
+    monkeypatch.setattr(localization, "_BLOCK_ROWS", 3)
+    xy_blocked, cost_blocked = localization._srdls_batch(pos, diffs)
+    assert np.array_equal(xy, xy_blocked)
+    assert np.array_equal(cost, cost_blocked)
 
 
 @pytest.mark.parametrize("walls", [0, 5])
