@@ -6,10 +6,12 @@ matrices::
 
     X_{t+1} = P_r( X_t - step * P_Omega(X_t - Phi) )
 
-where P_Omega zeroes unobserved entries and P_r truncates to the r largest
-singular values.  An orthonormal basis for the completed column space is
-then extracted by Gram-Schmidt, and the reduced training features are the
-coordinates in that basis.
+where P_Omega zeroes unobserved entries and P_r is the orthogonal
+projection onto the span of the top r eigenvectors of the smaller Gram
+matrix (X X^T, or X^T X when X is tall): the rank-r truncation of the SVD,
+without computing an SVD.  An orthonormal basis for the completed column
+space is then extracted by Gram-Schmidt, and the reduced training features
+are the coordinates in that basis.
 
 Query-side: a query vector with observed subset Omega' is lifted to its
 reduced coordinates by regularized least squares against the sample
@@ -88,23 +90,35 @@ class CompletionConfig:
 
 @dataclass(frozen=True)
 class CompletionResult:
-    """Final iterate plus the observed-residual trace."""
+    """Final iterate plus the observed residual of every iteration.
+
+    residuals -- (iterations,) float64 array: ||P_Omega(X_t - Phi)||_F
+                 relative to ||P_Omega(Phi)||_F after each projection
+    """
 
     matrix: np.ndarray
-    residuals: tuple
+    residuals: np.ndarray
     iterations: int
     converged: bool
 
     @property
     def final_residual(self):
-        return self.residuals[-1] if self.residuals else 0.0
+        return float(self.residuals[-1]) if self.residuals.size else 0.0
 
 
 def _rank_truncate(matrix, rank):
-    u, s, vt = np.linalg.svd(matrix, full_matrices=False)
-    s = s[:rank]
-    assert np.count_nonzero(s) <= rank
-    return (u[:, :rank] * s) @ vt[:rank]
+    """Projection of ``matrix`` onto its top-``rank`` singular subspace,
+    through the eigenvectors of the smaller Gram matrix.
+
+    Squaring the singular values limits the accuracy: the projection
+    matches the truncated SVD to about eps * s_1^2 / (s_r^2 - s_{r+1}^2)
+    relative, so it needs s_r^2 - s_{r+1}^2 >> eps * s_1^2.
+    """
+    if matrix.shape[0] <= matrix.shape[1]:
+        u = np.linalg.eigh(matrix @ matrix.T)[1][:, -rank:]
+        return u @ (u.T @ matrix)
+    v = np.linalg.eigh(matrix.T @ matrix)[1][:, -rank:]
+    return (matrix @ v) @ v.T
 
 
 def svp_complete(incomplete, config):
@@ -125,6 +139,9 @@ def svp_complete(incomplete, config):
     base = config.step
     step = base
     x = np.zeros((m, n))
+    # The masked residual of each iterate is both its observed residual and
+    # the next gradient.
+    gradient = np.where(mask, x - target, 0.0)
     prev_x = None
     prev_grad = None
     residuals = []
@@ -133,7 +150,6 @@ def svp_complete(incomplete, config):
     converged = False
     iterations = 0
     for iterations in range(1, config.max_iters + 1):
-        gradient = np.where(mask, x - target, 0.0)
         if config.adaptive_step and prev_grad is not None:
             dx = x - prev_x
             dg = gradient - prev_grad
@@ -142,7 +158,8 @@ def svp_complete(incomplete, config):
             step = min(max(step, 0.5 * base), 1e4 * base)
         prev_x, prev_grad = x, gradient
         x = _rank_truncate(x - step * gradient, config.rank)
-        res = np.linalg.norm(np.where(mask, x - target, 0.0)) / scale
+        gradient = np.where(mask, x - target, 0.0)
+        res = np.linalg.norm(gradient) / scale
         residuals.append(res)
         if res > prev:
             grow_streak += 1
@@ -163,7 +180,7 @@ def svp_complete(incomplete, config):
         prev = res
     return CompletionResult(
         matrix=x,
-        residuals=tuple(residuals),
+        residuals=np.array(residuals, dtype=float),
         iterations=iterations,
         converged=converged,
     )

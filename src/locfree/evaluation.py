@@ -257,7 +257,9 @@ def _complete(config, world, train_f, run_idx):
     incomplete = mask_features(train_f, world.train_powers, config.gamma_dbw)
     # Noisy structured masks: run the plain monotone iteration to its noise
     # floor rather than the accelerated steps (which can park in a worse
-    # basin on approximately-low-rank data).
+    # basin on approximately-low-rank data).  The 2,000-iteration cap is part
+    # of criterion 8's printed NMSE values, and noisy runs reach it: the
+    # converged=False warning below is expected there.
     completed = completion.svp_complete(
         incomplete,
         completion.CompletionConfig(rank=rank, max_iters=2000, adaptive_step=False),

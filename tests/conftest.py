@@ -81,3 +81,19 @@ def scalar_range_differences(pilots, sample_period):
             for p in pilots
         ]
     )
+
+
+def sample_identifiable_mask(rng, shape, frac, min_per_col):
+    """The first uniform mask ``rng.random(shape) < frac`` that leaves every
+    column at least ``min_per_col`` observed rows.
+
+    Candidates are drawn in blocks of 1,024 from ``rng``, which reads the
+    same stream as one ``rng.random(shape)`` call per candidate, so the mask
+    equals the one a single-draw rejection loop accepts.  The generator is
+    left at the end of the block, past where that loop would stop.
+    """
+    while True:
+        masks = rng.random((1024, *shape)) < frac
+        accepted = np.flatnonzero(masks.sum(axis=1).min(axis=1) >= min_per_col)
+        if accepted.size:
+            return masks[accepted[0]]

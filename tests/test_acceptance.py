@@ -15,6 +15,7 @@ import warnings
 import numpy as np
 import pytest
 
+from conftest import sample_identifiable_mask
 from locfree import experiments
 from locfree.completion import (
     CompletionConfig,
@@ -160,10 +161,7 @@ def test_criterion_3_svp_recovery():
         # uniform 60% mask conditioned on recoverability (>= rank+1 observed
         # entries per column; a column with fewer admits a family of
         # completions no solver can resolve)
-        while True:
-            mask = rng.random(truth.shape) < 0.6
-            if mask.sum(axis=0).min() >= 4:
-                break
+        mask = sample_identifiable_mask(rng, truth.shape, 0.6, 4)
         inc = IncompleteFeatureMatrix(np.where(mask, truth, 0.0), mask)
         result = svp_complete(inc, CompletionConfig(rank=3, max_iters=500))
         rel = np.linalg.norm(result.matrix - truth) / np.linalg.norm(truth)

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
+from conftest import sample_identifiable_mask
+from locfree import completion
 from locfree.completion import (
     CompletionConfig,
     IncompleteFeatureMatrix,
+    _rank_truncate,
     build_recovery_context,
     gram_schmidt_basis,
     rls_recover_queries,
@@ -18,16 +21,6 @@ from locfree.propagation import sample_sensor_locations
 
 def low_rank(rng, m, n, rank):
     return rng.normal(size=(m, rank)) @ rng.normal(size=(rank, n))
-
-
-def identifiable_mask(rng, shape, frac, min_per_col):
-    """Uniform mask conditioned on recoverability: a column with fewer than
-    rank observed entries admits infinitely many completions, so uniqueness
-    requires at least rank (here rank+1) samples per column."""
-    while True:
-        mask = rng.random(shape) < frac
-        if mask.sum(axis=0).min() >= min_per_col:
-            return mask
 
 
 def test_incomplete_matrix_zeroes_unobserved():
@@ -63,7 +56,9 @@ def test_fully_observed_rank_one_recovered_immediately():
 def test_random_rank3_recovery_from_60_percent():
     rng = np.random.default_rng(1)
     truth = low_rank(rng, 10, 200, 3)
-    mask = identifiable_mask(rng, truth.shape, 0.6, 4)
+    # a column with fewer than rank observed entries admits infinitely many
+    # completions, so every column keeps at least rank + 1
+    mask = sample_identifiable_mask(rng, truth.shape, 0.6, 4)
     inc = IncompleteFeatureMatrix(np.where(mask, truth, 0.0), mask)
     result = svp_complete(inc, CompletionConfig(rank=3, max_iters=500))
     rel = np.linalg.norm(result.matrix - truth) / np.linalg.norm(truth)
@@ -138,6 +133,169 @@ def test_observed_residual_monotone_with_unit_step():
     )
     res = np.array(result.residuals)
     assert np.all(np.diff(res) <= 1e-12)
+
+
+def _svd_rank_truncate(matrix, rank):
+    """The truncated SVD, which the Gram projection replaces: the oracle."""
+    u, s, vt = np.linalg.svd(matrix, full_matrices=False)
+    return (u[:, :rank] * s[:rank]) @ vt[:rank]
+
+
+def _spectrum_matrix(rng, shape, singular_values, noise):
+    """Random singular vectors with the given singular values, plus
+    Gaussian noise of standard deviation ``noise``."""
+    k = len(singular_values)
+    u = np.linalg.qr(rng.normal(size=(shape[0], k)))[0]
+    v = np.linalg.qr(rng.normal(size=(shape[1], k)))[0]
+    return (u * singular_values) @ v.T + noise * rng.normal(size=shape)
+
+
+@pytest.mark.parametrize("shape", [(10, 300), (300, 10)], ids=["wide", "tall"])
+@pytest.mark.parametrize(
+    "singular_values, tol",
+    [((10.0, 5.0, 3.0, 1e-3), 1e-13), ((10.0, 5.0, 1.0, 0.99), 1e-10)],
+    ids=["wide_gap", "narrow_gap"],
+)
+def test_gram_projection_matches_truncated_svd(shape, singular_values, tol):
+    """The rank-3 Gram projection of a low-rank-plus-noise matrix equals its
+    truncated SVD to about eps * s_1^2 / (s_3^2 - s_4^2) relative, so it
+    needs s_3^2 - s_4^2 >> eps * s_1^2.  Tolerances: 1e-13 for the wide gap
+    (bound 2.5e-15) and 1e-10 for the narrow gap s_3 / s_4 = 1.01 (bound
+    1.1e-12).  A tall matrix goes through X^T X."""
+    rng = np.random.default_rng(23)
+    for _ in range(10):
+        matrix = _spectrum_matrix(rng, shape, np.array(singular_values), 1e-7)
+        oracle = _svd_rank_truncate(matrix, 3)
+        gram = _rank_truncate(matrix, 3)
+        assert np.linalg.matrix_rank(gram) == 3
+        assert np.linalg.norm(gram - oracle) <= tol * np.linalg.norm(oracle)
+
+
+@pytest.mark.parametrize("shape", [(10, 300), (300, 10)], ids=["wide", "tall"])
+def test_gram_projection_keeps_matrices_within_the_rank(shape):
+    """A rank-2 matrix truncated to rank 3 or to full rank comes back to
+    1e-14 relative, and the zero matrix comes back exactly."""
+    rng = np.random.default_rng(24)
+    matrix = rng.normal(size=(shape[0], 2)) @ rng.normal(size=(2, shape[1]))
+    for rank in (3, min(shape)):
+        out = _rank_truncate(matrix, rank)
+        assert np.linalg.norm(out - matrix) <= 1e-14 * np.linalg.norm(matrix)
+        assert np.array_equal(_rank_truncate(np.zeros(shape), rank), np.zeros(shape))
+
+
+def _reference_svp_complete(incomplete, config):
+    """The SVP loop that computes the masked residual of each iterate twice,
+    once as its residual and once as the next gradient, with the SVD
+    projection.  Returns (matrix, residuals, iterations, converged,
+    step halvings)."""
+    m, n = incomplete.shape
+    mask = incomplete.observed
+    target = incomplete.values
+    norm_obs = np.linalg.norm(target)
+    scale = norm_obs if norm_obs > 0 else 1.0
+    base = config.step
+    step = base
+    x = np.zeros((m, n))
+    prev_x = None
+    prev_grad = None
+    residuals = []
+    prev = np.inf
+    grow_streak = 0
+    converged = False
+    iterations = 0
+    halvings = 0
+    for iterations in range(1, config.max_iters + 1):
+        gradient = np.where(mask, x - target, 0.0)
+        if config.adaptive_step and prev_grad is not None:
+            dx = x - prev_x
+            dg = gradient - prev_grad
+            dot = np.sum(dx * dg)
+            step = np.sum(dx * dx) / dot if dot > 1e-300 else base
+            step = min(max(step, 0.5 * base), 1e4 * base)
+        prev_x, prev_grad = x, gradient
+        x = _svd_rank_truncate(x - step * gradient, config.rank)
+        res = np.linalg.norm(np.where(mask, x - target, 0.0)) / scale
+        residuals.append(res)
+        if res > prev:
+            grow_streak += 1
+            if grow_streak >= 10:
+                base /= 2.0
+                step = base
+                prev_x = prev_grad = None
+                grow_streak = 0
+                halvings += 1
+                if base < 1e-6 * config.step:
+                    raise SolverError("SVP diverges even after step halving")
+        else:
+            grow_streak = 0
+        if abs(prev - res) < config.tol:
+            converged = True
+            break
+        prev = res
+    return x, tuple(residuals), iterations, converged, halvings
+
+
+@pytest.mark.parametrize(
+    "step, adaptive, max_iters, halves",
+    [(1.0, True, 500, False), (1.0, False, 400, False), (4.0, False, 60, True),
+     (50.0, True, 80, True)],
+)
+def test_svp_loop_matches_reference_under_svd_projection(
+    monkeypatch, step, adaptive, max_iters, halves
+):
+    """With the SVD projection patched in, svp_complete gives the reference
+    loop's matrix and residuals bit for bit, converged or not and through
+    step halving: sharing the masked residual changes no digit, so only the
+    Gram projection does."""
+    monkeypatch.setattr(completion, "_rank_truncate", _svd_rank_truncate)
+    rng = np.random.default_rng(5)
+    truth = low_rank(rng, 8, 40, 3) + 0.01 * rng.normal(size=(8, 40))
+    mask = rng.random(truth.shape) < 0.7
+    inc = IncompleteFeatureMatrix(np.where(mask, truth, 0.0), mask)
+    config = CompletionConfig(rank=3, step=step, max_iters=max_iters, adaptive_step=adaptive)
+    result = svp_complete(inc, config)
+    matrix, residuals, iterations, converged, halvings = _reference_svp_complete(inc, config)
+    assert (halvings > 0) == halves
+    assert np.array_equal(result.matrix, matrix)
+    assert np.array_equal(result.residuals, residuals)
+    assert (result.iterations, result.converged) == (iterations, converged)
+
+
+@pytest.mark.parametrize("max_iters", [0, 1, 2000])
+def test_residual_trace_is_a_float_array(max_iters):
+    """One float64 residual per iteration, and final_residual the last one
+    as a Python float (0.0 when no iteration ran).  A small constant step
+    keeps the 2,000-iteration run from converging."""
+    rng = np.random.default_rng(22)
+    truth = low_rank(rng, 6, 30, 2) + 0.05 * rng.normal(size=(6, 30))
+    mask = rng.random(truth.shape) < 0.7
+    inc = IncompleteFeatureMatrix(np.where(mask, truth, 0.0), mask)
+    result = svp_complete(
+        inc, CompletionConfig(rank=2, step=0.05, max_iters=max_iters, adaptive_step=False)
+    )
+    assert result.iterations == max_iters and not result.converged
+    assert result.residuals.dtype == np.float64 and result.residuals.shape == (max_iters,)
+    assert type(result.final_residual) is float
+    expected = result.residuals[-1] if max_iters else 0.0
+    assert result.final_residual == expected
+
+
+def test_identifiable_mask_sampler_matches_single_draw_loop():
+    """The batched sampler accepts the mask a loop of single rng.random
+    draws accepts, also when that is past the first block of 1,024."""
+    past_first_block = 0
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        draws = 0
+        while True:
+            draws += 1
+            mask = rng.random((10, 120)) < 0.6
+            if mask.sum(axis=0).min() >= 4:
+                break
+        past_first_block += draws > 1024
+        sampled = sample_identifiable_mask(np.random.default_rng(seed), (10, 120), 0.6, 4)
+        assert np.array_equal(sampled, mask)
+    assert past_first_block
 
 
 def test_rank_exceeding_dimensions_rejected():

@@ -43,7 +43,12 @@ def _locations(path):
 
 
 def _iteration_log(path):
-    io.write_iteration_log(SimpleNamespace(residuals=(SUM, NAN)), path)
+    """From a float64 trace, as svp_complete returns it; a tuple of the
+    same floats writes the same bytes."""
+    io.write_iteration_log(SimpleNamespace(residuals=np.array([SUM, NAN])), path)
+    from_tuple = path.with_name("from_tuple.csv")
+    io.write_iteration_log(SimpleNamespace(residuals=(SUM, NAN)), from_tuple)
+    assert from_tuple.read_bytes() == path.read_bytes()
 
 
 def _predictions(path):
