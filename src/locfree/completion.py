@@ -127,7 +127,8 @@ def svp_complete(incomplete, config):
     Minimizes ||P_Omega(X - Phi)||_F^2 over rank-<=r matrices.  Stops when
     the relative change of the observed residual drops below ``tol`` or
     after ``max_iters``.  A residual that keeps growing triggers step
-    halving; if halving bottoms out a SolverError suggests a smaller step.
+    halving; if halving bottoms out, or the iterate overflows before it
+    can act, a SolverError suggests a smaller step.
     """
     m, n = incomplete.shape
     if config.rank > min(m, n):
@@ -157,7 +158,12 @@ def svp_complete(incomplete, config):
             step = np.sum(dx * dx) / dot if dot > 1e-300 else base
             step = min(max(step, 0.5 * base), 1e4 * base)
         prev_x, prev_grad = x, gradient
-        x = _rank_truncate(x - step * gradient, config.rank)
+        try:
+            x = _rank_truncate(x - step * gradient, config.rank)
+        except np.linalg.LinAlgError as exc:  # the iterate overflowed
+            raise SolverError(
+                f"SVP iterate overflowed at iteration {iterations}; retry with a smaller step"
+            ) from exc
         gradient = np.where(mask, x - target, 0.0)
         res = np.linalg.norm(gradient) / scale
         residuals.append(res)

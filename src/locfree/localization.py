@@ -22,9 +22,12 @@ exactly what the map learner then has to cope with.
 
 Batches are solved per pattern of usable range differences, and the
 rows of a batch are independent: a point's estimate never depends on
-which other points share its batch.
+which other points share its batch.  Range differences are integer lags
+times c T, so rows repeat; equal rows (NaN pattern included) are solved
+once and share their answer, which row independence makes exact.
 """
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +35,8 @@ import numpy as np
 from .errors import ConfigurationError
 from .features import tdoa_range_differences
 from .kernels import fit
+
+log = logging.getLogger(__name__)
 
 _REWEIGHT_EPS = 1e-6
 # Residual-reweighted Gauss-Newton rounds per start.
@@ -253,17 +258,27 @@ def _localize_diffs(pos, diffs):
     """Estimates (n, 2) and data costs (n,) from (n, L-1) range differences,
     with one _srdls_batch call per pattern of finite differences, on that
     pattern's anchors.  NaN rows where localization fails, among them rows
-    with fewer usable differences than the 3 unknowns (x, y, d_0)."""
-    estimates = np.full((diffs.shape[0], 2), np.nan)
-    residuals = np.full(diffs.shape[0], np.nan)
-    patterns, inverse = np.unique(np.isfinite(diffs), axis=0, return_inverse=True)
+    with fewer usable differences than the 3 unknowns (x, y, d_0).
+
+    Each distinct row is solved once and its answer scattered back.
+    Unusable entries are keyed as inf, so equal values in different
+    patterns stay distinct.
+    """
+    keys = np.where(np.isfinite(diffs), diffs, np.inf)
+    distinct, inverse = np.unique(keys, axis=0, return_inverse=True)
+    estimates = np.full((distinct.shape[0], 2), np.nan)
+    residuals = np.full(distinct.shape[0], np.nan)
+    patterns, pattern_of = np.unique(np.isfinite(distinct), axis=0, return_inverse=True)
     for k, usable in enumerate(patterns):
         if usable.sum() < 3:
             continue
-        rows = inverse.reshape(-1) == k
+        rows = pattern_of.reshape(-1) == k
         sub = np.vstack([pos[0], pos[1:][usable]])
-        estimates[rows], residuals[rows] = _srdls_batch(sub, diffs[rows][:, usable])
-    return estimates, residuals
+        estimates[rows], residuals[rows] = _srdls_batch(sub, distinct[rows][:, usable])
+    solved = np.count_nonzero(patterns.sum(axis=1) >= 3)
+    log.debug("%d distinct of %d rows, %d patterns solved", len(distinct), len(diffs), solved)
+    inverse = inverse.reshape(-1)
+    return estimates[inverse], residuals[inverse]
 
 
 def srdls_localize(anchors, range_diffs):
@@ -315,7 +330,8 @@ def localize_batch(anchors, pilots, sample_period):
     Returns estimates (N, 2) and residuals (N,), NaN rows where
     localization fails.  Rows are independent: points that share a
     pattern of missing range differences are solved together, and each
-    row equals its own srdls_localize call.
+    row equals its own srdls_localize call.  So equal rows of range
+    differences are solved once and share their answer.
     """
     diffs = tdoa_range_differences(pilots, sample_period)
     return _localize_diffs(anchors.positions, diffs)

@@ -261,6 +261,21 @@ def test_svp_loop_matches_reference_under_svd_projection(
     assert (result.iterations, result.converged) == (iterations, converged)
 
 
+def test_overflowing_iterate_raises_solver_error():
+    """A constant step far too large overflows the iterate before step
+    halving can act.  The projection's LinAlgError surfaces as the
+    SolverError that advises a smaller step."""
+    rng = np.random.default_rng(5)
+    truth = low_rank(rng, 8, 40, 3) + 0.01 * rng.normal(size=(8, 40))
+    mask = rng.random(truth.shape) < 0.7
+    inc = IncompleteFeatureMatrix(np.where(mask, truth, 0.0), mask)
+    config = CompletionConfig(rank=3, step=1e6, adaptive_step=False)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(SolverError, match="smaller step") as caught:
+            svp_complete(inc, config)
+    assert isinstance(caught.value.__cause__, np.linalg.LinAlgError)
+
+
 @pytest.mark.parametrize("max_iters", [0, 1, 2000])
 def test_residual_trace_is_a_float_array(max_iters):
     """One float64 residual per iteration, and final_residual the last one

@@ -446,3 +446,132 @@ def test_localize_batch_rows_equal_their_own_calls(walls):
         alone = [np.nan] * 3 if est is None else [est.x, est.y, est.residual]
         row = [estimates[i, 0], estimates[i, 1], residuals[i]]
         assert np.array_equal(row, alone, equal_nan=True), i
+
+
+def _reference_localize_diffs(pos, diffs):
+    """One _srdls_batch call per pattern of finite differences over every
+    row, copies included.  The oracle for the distinct-row path of
+    _localize_diffs, which must reproduce it bit for bit."""
+    estimates = np.full((diffs.shape[0], 2), np.nan)
+    residuals = np.full(diffs.shape[0], np.nan)
+    patterns, inverse = np.unique(np.isfinite(diffs), axis=0, return_inverse=True)
+    for k, usable in enumerate(patterns):
+        if usable.sum() < 3:
+            continue
+        rows = inverse.reshape(-1) == k
+        sub = np.vstack([pos[0], pos[1:][usable]])
+        estimates[rows], residuals[rows] = localization._srdls_batch(sub, diffs[rows][:, usable])
+    return estimates, residuals
+
+
+def _count_srdls_rows(monkeypatch):
+    """Route _srdls_batch through a wrapper that keeps the diffs of every
+    outer call (not the block calls it makes of itself past _BLOCK_ROWS);
+    returns the list of them."""
+    received, depth = [], []
+    solve = localization._srdls_batch
+
+    def counting(pos, diffs):
+        if not depth:
+            received.append(diffs.copy())
+        depth.append(None)
+        try:
+            return solve(pos, diffs)
+        finally:
+            depth.pop()
+
+    monkeypatch.setattr(localization, "_srdls_batch", counting)
+    return received
+
+
+def _assert_matches_reference(pos, diffs, monkeypatch):
+    """_localize_diffs equals the per-pattern reference, and _srdls_batch
+    receives each distinct row with at least 3 usable differences exactly
+    once.  Returns the estimates and residuals."""
+    xy_ref, cost_ref = _reference_localize_diffs(pos, diffs)
+    received = _count_srdls_rows(monkeypatch)
+    xy, cost = localization._localize_diffs(pos, diffs)
+    assert xy.shape == (diffs.shape[0], 2) and cost.shape == (diffs.shape[0],)
+    assert np.array_equal(xy, xy_ref, equal_nan=True)
+    assert np.array_equal(cost, cost_ref, equal_nan=True)
+    keys = np.where(np.isfinite(diffs), diffs, np.inf)
+    solvable = np.isfinite(diffs).sum(axis=1) >= 3
+    expected = len(np.unique(keys[solvable], axis=0)) if solvable.any() else 0
+    assert sum(block.shape[0] for block in received) == expected
+    for block in received:
+        assert len(np.unique(block, axis=0)) == block.shape[0]
+    return xy, cost
+
+
+@pytest.mark.parametrize(
+    "name, bandwidth, walls",
+    [
+        ("indoor-fig4", 20e6, 0),
+        ("indoor-fig4", 20e6, 5),
+        ("indoor-dense", 200e6, 0),
+        ("indoor-dense", 200e6, 5),
+    ],
+)
+def test_distinct_rows_match_per_pattern_reference(name, bandwidth, walls, monkeypatch):
+    """On a noisy grid with 150 dead pilots, localizing each distinct row
+    once gives every row exactly what the per-pattern reference gives it,
+    NaN rows included, and _srdls_batch sees only the distinct rows."""
+    scn = preset(name, bandwidth_hz=bandwidth, wall_count=walls)
+    grid = precompute_grid(scn)
+    rng = np.random.default_rng(80 + walls)
+    pilots = grid.channels + pilot_noise(scn, grid.channels.shape, rng)
+    rows = rng.choice(pilots.shape[0], size=150, replace=False)
+    pilots[rows, rng.integers(0, scn.n_transmitters, size=150)] = 0.0
+    diffs = tdoa_range_differences(pilots, scn.sample_period)
+    keys = np.where(np.isfinite(diffs), diffs, np.inf)
+    assert len(np.unique(keys, axis=0)) < diffs.shape[0]
+    assert len(np.unique(np.isfinite(diffs), axis=0)) >= 4
+    # Lag 0 gives +0.0, never -0.0, so merging the two signs of zero (as
+    # np.unique does) never meets a -0.0 from the feature kernel.
+    assert np.any(diffs == 0.0) and not np.any(np.signbit(diffs[diffs == 0.0]))
+    _assert_matches_reference(scn.tx_positions(), diffs, monkeypatch)
+
+
+def test_equal_values_in_different_patterns_stay_distinct(monkeypatch, caplog):
+    """Rows whose finite values agree but whose dead pilots differ are
+    different problems: each is solved on its own pattern's anchors."""
+    pos = np.array([[5.0, 5.0], [55.0, 6.0], [54.0, 35.0], [6.0, 34.0], [30.0, 20.0]])
+    full = range_diffs_for(AnchorSet(pos), (21.0, 13.0)) + np.array([0.4, -0.3, 0.2, 0.1])
+    a, b = full.copy(), np.empty(4)
+    a[3] = np.nan
+    b[0], b[1:] = np.nan, full[:3]
+    diffs = np.stack([full, a, b, a, full, b])
+    with caplog.at_level("DEBUG", logger="locfree.localization"):
+        xy, cost = _assert_matches_reference(pos, diffs, monkeypatch)
+    assert [r.getMessage() for r in caplog.records] == [
+        "3 distinct of 6 rows, 3 patterns solved"
+    ]
+    assert not np.array_equal(xy[1], xy[2]) and np.all(np.isfinite(xy))
+
+
+def test_all_identical_rows_are_solved_once(monkeypatch):
+    pos = np.array([[5.0, 5.0], [55.0, 6.0], [54.0, 35.0], [6.0, 34.0], [30.0, 20.0]])
+    row = range_diffs_for(AnchorSet(pos), (40.0, 12.0)) + np.array([0.5, 0.0, -0.5, 1.0])
+    xy, cost = _assert_matches_reference(pos, np.tile(row, (9, 1)), monkeypatch)
+    assert np.all(xy == xy[0]) and np.all(cost == cost[0])
+
+
+def test_empty_batch_localizes_to_empty_arrays(monkeypatch):
+    pos = np.array([[5.0, 5.0], [55.0, 6.0], [54.0, 35.0], [6.0, 34.0], [30.0, 20.0]])
+    _assert_matches_reference(pos, np.empty((0, 4)), monkeypatch)
+
+
+def test_signed_zeros_give_identical_answers():
+    """np.unique merges 0.0 and -0.0; that is exact because the reference
+    gives a row with -0.0 the same bits as the row with 0.0."""
+    pos = np.array([[5.0, 5.0], [55.0, 6.0], [54.0, 35.0], [6.0, 34.0], [30.0, 20.0]])
+    row = range_diffs_for(AnchorSet(pos), (30.0, 8.0)) + np.array([0.5, 0.0, -0.5, 1.0])
+    row[[0, 2]] = 0.0
+    signed = row.copy()
+    signed[[0, 2]] = -0.0
+    diffs = np.stack([row, signed])
+    xy_ref, cost_ref = _reference_localize_diffs(pos, diffs)
+    assert xy_ref[0].tobytes() == xy_ref[1].tobytes()
+    assert cost_ref[0].tobytes() == cost_ref[1].tobytes()
+    xy, cost = localization._localize_diffs(pos, diffs)
+    assert xy.tobytes() == xy_ref.tobytes() and cost.tobytes() == cost_ref.tobytes()
