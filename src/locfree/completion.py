@@ -127,8 +127,9 @@ def svp_complete(incomplete, config):
     Minimizes ||P_Omega(X - Phi)||_F^2 over rank-<=r matrices.  Stops when
     the relative change of the observed residual drops below ``tol`` or
     after ``max_iters``.  A residual that keeps growing triggers step
-    halving; if halving bottoms out, or the iterate overflows before it
-    can act, a SolverError suggests a smaller step.
+    halving, and the descent restarts from the iterate of least residual
+    (the zero start included); if halving bottoms out, or the iterate
+    overflows before it can act, a SolverError suggests a smaller step.
     """
     m, n = incomplete.shape
     if config.rank > min(m, n):
@@ -143,6 +144,7 @@ def svp_complete(incomplete, config):
     # The masked residual of each iterate is both its observed residual and
     # the next gradient.
     gradient = np.where(mask, x - target, 0.0)
+    best_res, best_x, best_grad = np.linalg.norm(gradient) / scale, x, gradient
     prev_x = None
     prev_grad = None
     residuals = []
@@ -167,11 +169,15 @@ def svp_complete(incomplete, config):
         gradient = np.where(mask, x - target, 0.0)
         res = np.linalg.norm(gradient) / scale
         residuals.append(res)
+        if res < best_res:
+            best_res, best_x, best_grad = res, x, gradient
         if res > prev:
             grow_streak += 1
             if grow_streak >= _DIVERGENCE_PATIENCE:
                 base /= 2.0
                 step = base
+                # Restart from the best iterate, not from the blown-up one.
+                x, gradient, res = best_x, best_grad, best_res
                 prev_x = prev_grad = None
                 grow_streak = 0
                 if base < _MIN_STEP_FRACTION * config.step:

@@ -184,7 +184,8 @@ def _draw_world(config, grid, run_idx):
     )
     query_pilots = grid.channels
     if config.noisy_query:
-        query_pilots = query_pilots + pilot_noise(scenario, grid.channels.shape, rng)
+        query_pilots = pilot_noise(scenario, grid.channels.shape, rng)
+        query_pilots += grid.channels
     return RunWorld(
         train_points=pts,
         train_pilots=train_pilots,

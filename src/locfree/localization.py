@@ -46,6 +46,10 @@ _REWEIGHT_ROUNDS = 3
 _CENTROID_PRIOR = 1e-4
 # Points per _srdls_batch block: bounds the memory of their stacked starts.
 _BLOCK_ROWS = 1200
+# Rows a line-search trial of _batch_gauss_newton evaluates at least, when
+# enough step halvings remain: below a few hundred rows a trial costs
+# numpy's per-call overhead, not arithmetic.
+_TRIAL_ROWS = 512
 
 
 @dataclass(frozen=True)
@@ -89,21 +93,54 @@ def tdoa_feature_set(pilot, sample_period):
     return tdoa_range_differences(np.asarray(pilot)[None], sample_period)[0]
 
 
+def _row_sum(v):
+    """Row sums of v (n, P), bit for bit those of np.sum(v, axis=1).
+
+    Below 8 terms numpy's pairwise summation adds a row left to right,
+    starting from 0.0, so adding whole columns in that order gives its
+    bits, signed zeros and NaNs included; from 8 terms on it blocks the
+    row, and np.sum does the work.  On short rows numpy's per-row
+    reduction costs about 7x the column adds.  The guard tests in
+    tests/test_localization.py check the order on the installed numpy.
+    """
+    if v.shape[1] >= 8:
+        return np.sum(v, axis=1)
+    total = 0.0 + v[:, 0]
+    for j in range(1, v.shape[1]):
+        total += v[:, j]
+    return total
+
+
+def _row_median(v):
+    """np.median(v, axis=1) for non-negative v (n, P), from the sorted
+    columns: the middle one, or the mean of the middle two.  A row holding
+    a NaN (sorted last) gets NaN, as np.median gives it."""
+    s = np.sort(v, axis=1)
+    half = s.shape[1] // 2
+    median = s[:, half] if s.shape[1] % 2 else (s[:, half - 1] + s[:, half]) / 2.0
+    median[np.isnan(s[:, -1])] = np.nan
+    return median
+
+
 def _batch_residuals(x, y, a0, others, r):
     """Residuals g (n, P) of P usable range differences at points (x, y), and
     for their Jacobian the distances d0 (n,) to the reference anchor and dl
     (n, P) to the others, and the offsets lx, ly (n, P) from the others."""
     lx = x[:, None] - others[:, 0]
     ly = y[:, None] - others[:, 1]
-    dl = np.maximum(np.sqrt(lx * lx + ly * ly), 1e-12)
+    dl = lx * lx
+    dl += ly * ly
+    np.maximum(np.sqrt(dl, out=dl), 1e-12, out=dl)
     ex, ey = x - a0[0], y - a0[1]
     d0 = np.maximum(np.sqrt(ex * ex + ey * ey), 1e-12)
-    return (d0[:, None] - dl) - r, d0, dl, lx, ly
+    g = d0[:, None] - dl
+    g -= r
+    return g, d0, dl, lx, ly
 
 
 def _batch_cost(x, y, g, weights, center, tau):
     cx, cy = x - center[0], y - center[1]
-    return np.sum(weights * g**2, axis=1) + tau * (cx * cx + cy * cy)
+    return _row_sum(weights * (g * g)) + tau * (cx * cx + cy * cy)
 
 
 def _residual_weights(x, a0, others, r):
@@ -111,8 +148,10 @@ def _residual_weights(x, a0, others, r):
     at the residual noise floor keeps rows within the floor equally weighted
     (averaging preserved) while still suppressing multipath-biased outliers."""
     g = _batch_residuals(x[:, 0], x[:, 1], a0, others, r)[0]
-    eps = np.maximum(np.median(g**2, axis=1), _REWEIGHT_EPS)
-    return 1.0 / (g**2 + eps[:, None])
+    g *= g
+    eps = np.maximum(_row_median(g), _REWEIGHT_EPS)
+    g += eps[:, None]
+    return np.divide(1.0, g, out=g)
 
 
 def _batch_gauss_newton(xy, a0, others, r, weights, center, tau, steps=12):
@@ -131,6 +170,16 @@ def _batch_gauss_newton(xy, a0, others, r, weights, center, tau, steps=12):
     1-row call would give it.  A row's accepted trial carries over: its
     residuals and cost feed the convergence test, and its distances and
     offsets the next Jacobian, without being computed again.
+
+    The arrays are (n, P), P usable range differences (3 to 6 in the
+    presets).  On so short a last axis numpy's per-row reductions and
+    boolean-mask indexing are slow paths: the sums go through _row_sum,
+    and the active set and each trial's pending rows are gathered with
+    take on index arrays.  When few rows pend, numpy's per-call overhead
+    dominates, so a trial evaluates several halvings of each row at once.
+    None of this changes a bit: _row_sum adds in np.sum's order, every row
+    sees the same operations, and a row keeps its first accepted halving,
+    as trying them one at a time would.
     """
     x, y = np.array(xy[:, 0], dtype=float), np.array(xy[:, 1], dtype=float)
     g, d0, dl, lx, ly = _batch_residuals(x, y, a0, others, r)
@@ -139,53 +188,63 @@ def _batch_gauss_newton(xy, a0, others, r, weights, center, tau, steps=12):
     # Rows still descending (indices into the outputs) and their state.
     active, w, r_a = np.arange(x.size), weights, r
     for _ in range(steps):
-        jx = ((x - a0[0]) / d0)[:, None] - lx / dl
-        jy = ((y - a0[1]) / d0)[:, None] - ly / dl
+        jx = lx / dl
+        np.subtract(((x - a0[0]) / d0)[:, None], jx, out=jx)
+        jy = ly / dl
+        np.subtract(((y - a0[1]) / d0)[:, None], jy, out=jy)
         wx, wy = jx * w, jy * w
-        h11 = np.sum(wx * jx, axis=1) + tau
-        h22 = np.sum(wy * jy, axis=1) + tau
-        h12 = np.sum(wx * jy, axis=1)
+        h11 = _row_sum(wx * jx) + tau
+        h22 = _row_sum(wy * jy) + tau
+        h12 = _row_sum(wx * jy)
         damp = 1e-12 * (h11 + h22)
-        h11 = h11 + damp
-        h22 = h22 + damp
-        b1 = -(np.sum(wx * g, axis=1) + tau * (x - center[0]))
-        b2 = -(np.sum(wy * g, axis=1) + tau * (y - center[1]))
+        h11 += damp
+        h22 += damp
+        b1 = -(_row_sum(wx * g) + tau * (x - center[0]))
+        b2 = -(_row_sum(wy * g) + tau * (y - center[1]))
         det = h11 * h22 - h12**2
         det = np.where(np.abs(det) > 1e-300, det, 1.0)
         dx = (h22 * b1 - h12 * b2) / det
         dy = (h11 * b2 - h12 * b1) / det
-        # Backtracking line search over the pending rows (indices into the
-        # active set): halve the step until the cost does not increase.  The
-        # first trial covers every row, so its arrays become the new state;
-        # rows accepted at a later trial are written into them.
-        pending = np.arange(active.size)
-        scale = 1.0
-        for trial_no in range(12):
-            tx = x[pending] + scale * dx[pending]
-            ty = y[pending] + scale * dy[pending]
-            g_t, *geo = _batch_residuals(tx, ty, a0, others, r_a[pending])
-            cost_t = _batch_cost(tx, ty, g_t, w[pending], center, tau)
-            improve = cost_t <= cost[pending]
-            trial = (tx, ty, cost_t, g_t, *geo)
-            if trial_no == 0:
-                new = trial
-            else:
-                for v, t in zip(new, trial):
-                    v[pending[improve]] = t[improve]
-            pending = pending[~improve]
-            if pending.size == 0:
-                break
-            scale /= 2.0
-        new_x, new_y, new_cost, g, d0, dl, lx, ly = new
-        new_x[pending], new_y[pending], new_cost[pending] = x[pending], y[pending], cost[pending]
+        # Backtracking line search: halve the step, up to 11 times, until
+        # the cost does not increase.  The first, full step covers every
+        # row, so its arrays become the new state.  The rows still pending
+        # (indices into the active set) are gathered and tried at the next
+        # k halvings at once, k = 1 while _TRIAL_ROWS or more rows pend;
+        # each row takes its first accepted trial into the new state.
+        new_x, new_y = x + dx, y + dy
+        g, d0, dl, lx, ly = _batch_residuals(new_x, new_y, a0, others, r_a)
+        new_cost = _batch_cost(new_x, new_y, g, w, center, tau)
+        pending = (~(new_cost <= cost)).nonzero()[0]
+        new = (new_x, new_y, new_cost, g, d0, dl, lx, ly)
+        halvings = 0
+        while pending.size and halvings < 11:
+            k = min(11 - halvings, max(1, _TRIAL_ROWS // pending.size))
+            exponents = np.arange(halvings + 1, halvings + k + 1)
+            scale = np.repeat(np.ldexp(1.0, -exponents), pending.size)
+            rows = np.tile(pending, k)
+            halvings += k
+            tx = x.take(rows) + scale * dx.take(rows)
+            ty = y.take(rows) + scale * dy.take(rows)
+            g_t, *geo = _batch_residuals(tx, ty, a0, others, r_a.take(rows, axis=0))
+            cost_t = _batch_cost(tx, ty, g_t, w.take(rows, axis=0), center, tau)
+            improve = (cost_t <= cost.take(rows)).reshape(k, pending.size)
+            hit = improve.any(axis=0)
+            accepted = hit.nonzero()[0]
+            first = improve.argmax(axis=0).take(accepted) * pending.size + accepted
+            for v, t in zip(new, (tx, ty, cost_t, g_t, *geo)):
+                v[pending.take(accepted)] = t.take(first, axis=0)
+            pending = pending.take((~hit).nonzero()[0])
+        new_x[pending], new_y[pending] = x.take(pending), y.take(pending)
+        new_cost[pending] = cost.take(pending)
         done = cost - new_cost < 1e-14 * (1.0 + new_cost)
         done[pending] = True
         x, y, cost = new_x, new_y, new_cost
-        retired = active[done]
-        out_x[retired], out_y[retired], out_cost[retired] = x[done], y[done], cost[done]
-        keep = ~done
+        retired = done.nonzero()[0]
+        ids = active.take(retired)
+        out_x[ids], out_y[ids], out_cost[ids] = x.take(retired), y.take(retired), cost.take(retired)
+        keep = (~done).nonzero()[0]
         active, x, y, w, r_a, cost, g, d0, dl, lx, ly = (
-            v[keep] for v in (active, x, y, w, r_a, cost, g, d0, dl, lx, ly)
+            v.take(keep, axis=0) for v in (active, x, y, w, r_a, cost, g, d0, dl, lx, ly)
         )
         if active.size == 0:
             break
@@ -248,7 +307,7 @@ def _srdls_batch(pos, diffs):
         best_x, a0, others, diffs, weights, centroid, 0.0, steps=8
     )
     g = _batch_residuals(best_x[:, 0], best_x[:, 1], a0, others, diffs)[0]
-    data_cost = np.sum(weights * g**2, axis=1)
+    data_cost = _row_sum(weights * (g * g))
     best_x[~solvable] = np.nan
     data_cost[~solvable] = np.nan
     return best_x, data_cost

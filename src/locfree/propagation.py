@@ -358,8 +358,14 @@ def pilot_noise(scenario, shape, rng):
     """Circular complex Gaussian pilot noise, variance sigma_w^2 per sample."""
     if scenario.noise_variance == 0.0:
         return np.zeros(shape, dtype=complex)
-    scale = np.sqrt(scenario.noise_variance / 2.0)
-    return rng.normal(0.0, scale, shape) + 1j * rng.normal(0.0, scale, shape)
+    # One draw for both parts, real then imaginary, written straight into
+    # one complex array: the stream and values of normal(0, scale, shape)
+    # for each part, without complex temporaries.
+    parts = rng.standard_normal((2,) + tuple(shape))
+    parts *= np.sqrt(scenario.noise_variance / 2.0)
+    noise = np.empty(shape, dtype=complex)
+    noise.real, noise.imag = parts
+    return noise
 
 
 def sample_sensor_locations(scenario, count, rng):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -186,8 +188,9 @@ def test_gram_projection_keeps_matrices_within_the_rank(shape):
 def _reference_svp_complete(incomplete, config):
     """The SVP loop that computes the masked residual of each iterate twice,
     once as its residual and once as the next gradient, with the SVD
-    projection.  Returns (matrix, residuals, iterations, converged,
-    step halvings)."""
+    projection; on step halving it restarts from the iterate of least
+    residual.  Returns (matrix, residuals, iterations, converged, step
+    halvings)."""
     m, n = incomplete.shape
     mask = incomplete.observed
     target = incomplete.values
@@ -204,6 +207,7 @@ def _reference_svp_complete(incomplete, config):
     converged = False
     iterations = 0
     halvings = 0
+    best_res, best_x = np.linalg.norm(np.where(mask, x - target, 0.0)) / scale, x
     for iterations in range(1, config.max_iters + 1):
         gradient = np.where(mask, x - target, 0.0)
         if config.adaptive_step and prev_grad is not None:
@@ -216,11 +220,14 @@ def _reference_svp_complete(incomplete, config):
         x = _svd_rank_truncate(x - step * gradient, config.rank)
         res = np.linalg.norm(np.where(mask, x - target, 0.0)) / scale
         residuals.append(res)
+        if res < best_res:
+            best_res, best_x = res, x
         if res > prev:
             grow_streak += 1
             if grow_streak >= 10:
                 base /= 2.0
                 step = base
+                x, res = best_x, best_res
                 prev_x = prev_grad = None
                 grow_streak = 0
                 halvings += 1
@@ -261,15 +268,35 @@ def test_svp_loop_matches_reference_under_svd_projection(
     assert (result.iterations, result.converged) == (iterations, converged)
 
 
-def test_overflowing_iterate_raises_solver_error():
-    """A constant step far too large overflows the iterate before step
-    halving can act.  The projection's LinAlgError surfaces as the
-    SolverError that advises a smaller step."""
+def test_step_halving_restarts_from_the_best_iterate():
+    """A constant step of 4 blows the observed residual up to 1.5e5 by
+    iteration 11, where the step halves to 2.  The descent restarts from
+    the iterate of least residual, here the zero start, so from then on it
+    is exactly a fresh run at step 2 and ends below where it began.  A
+    step of 1e6 halves its way to convergence instead of overflowing."""
     rng = np.random.default_rng(5)
     truth = low_rank(rng, 8, 40, 3) + 0.01 * rng.normal(size=(8, 40))
     mask = rng.random(truth.shape) < 0.7
     inc = IncompleteFeatureMatrix(np.where(mask, truth, 0.0), mask)
-    config = CompletionConfig(rank=3, step=1e6, adaptive_step=False)
+    config = CompletionConfig(rank=3, step=4.0, max_iters=3000, adaptive_step=False)
+    result = svp_complete(inc, config)
+    fresh = svp_complete(inc, replace(config, step=2.0, max_iters=2989))
+    assert result.residuals[10] > 1e5
+    assert np.array_equal(result.residuals[11:], fresh.residuals)
+    assert np.array_equal(result.matrix, fresh.matrix)
+    assert result.final_residual < 1.0
+    assert svp_complete(inc, replace(config, step=1e6)).converged
+
+
+def test_overflowing_iterate_raises_solver_error():
+    """A constant step far too large overflows the iterate before step
+    halving can act (at iteration 4 here).  The projection's LinAlgError
+    surfaces as the SolverError that advises a smaller step."""
+    rng = np.random.default_rng(5)
+    truth = low_rank(rng, 8, 40, 3) + 0.01 * rng.normal(size=(8, 40))
+    mask = rng.random(truth.shape) < 0.7
+    inc = IncompleteFeatureMatrix(np.where(mask, truth, 0.0), mask)
+    config = CompletionConfig(rank=3, step=1e40, adaptive_step=False)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(SolverError, match="smaller step") as caught:
             svp_complete(inc, config)

@@ -381,6 +381,26 @@ def test_srdls_blocks_do_not_change_estimates(monkeypatch):
     assert np.array_equal(cost, cost_blocked)
 
 
+@pytest.mark.parametrize("trial_rows", [1, 10**6])
+def test_line_search_batching_does_not_change_estimates(trial_rows, monkeypatch):
+    """Trying one halving at a time (trial_rows 1) or all remaining
+    halvings of every pending row at once (10**6) gives what the default
+    batching gives, bit for bit, on 5-wall multipath range differences
+    whose rows accept at many different halvings."""
+    scn = preset("indoor-dense", bandwidth_hz=200e6, wall_count=5)
+    rng = np.random.default_rng(31)
+    tables = simulate_points(scn, sample_sensor_locations(scn, 200, rng))
+    pilots = tables.channels + pilot_noise(scn, tables.channels.shape, rng)
+    diffs = tdoa_range_differences(pilots, scn.sample_period)
+    diffs = diffs[np.all(np.isfinite(diffs), axis=1)]
+    pos = scn.tx_positions()
+    xy, cost = localization._srdls_batch(pos, diffs)
+    monkeypatch.setattr(localization, "_TRIAL_ROWS", trial_rows)
+    xy_other, cost_other = localization._srdls_batch(pos, diffs)
+    assert np.array_equal(xy, xy_other, equal_nan=True)
+    assert np.array_equal(cost, cost_other, equal_nan=True)
+
+
 @pytest.mark.parametrize("walls", [0, 5])
 def test_active_set_gauss_newton_matches_full_row_reference(walls, monkeypatch):
     """Multipath 200 MHz range differences: the SRD-LS estimates and costs
@@ -575,3 +595,43 @@ def test_signed_zeros_give_identical_answers():
     assert cost_ref[0].tobytes() == cost_ref[1].tobytes()
     xy, cost = localization._localize_diffs(pos, diffs)
     assert xy.tobytes() == xy_ref.tobytes() and cost.tobytes() == cost_ref.tobytes()
+
+
+def _awkward_rows(rng, n, p):
+    """Rows of mixed magnitudes and signs, with signed zeros, +-inf and NaN."""
+    v = rng.standard_normal((n, p)) * 10.0 ** rng.integers(-30, 30, (n, p))
+    v[rng.random((n, p)) < 0.1] = -0.0
+    v[rng.random((n, p)) < 0.1] = 0.0
+    v[rng.random((n, p)) < 0.05] = np.inf
+    v[rng.random((n, p)) < 0.05] = -np.inf
+    v[rng.random((n, p)) < 0.05] = np.nan
+    v[: n // 10] = -0.0
+    return v
+
+
+@pytest.mark.parametrize("p", range(3, 10))
+@pytest.mark.parametrize("n", [1, 7, 8400])
+def test_row_sum_is_numpy_sum_bit_for_bit(p, n):
+    """_row_sum adds the columns left to right from 0.0 because numpy sums
+    a short row in that order.  If a numpy release changes the order, this
+    fails, not the localizer's bit-identity with its reference."""
+    v = _awkward_rows(np.random.default_rng(p * n), n, p)
+    with np.errstate(invalid="ignore"):
+        total, expected = localization._row_sum(v), np.sum(v, axis=1)
+    assert total.tobytes() == expected.tobytes()
+    # Finite rows of falling magnitudes round differently in any other order.
+    v = np.random.default_rng(p).standard_normal((n, p)) * 10.0 ** np.arange(p)[::-1]
+    assert localization._row_sum(v).tobytes() == np.sum(v, axis=1).tobytes()
+
+
+@pytest.mark.parametrize("p", [3, 4, 5, 6])
+def test_row_median_is_numpy_median(p):
+    """The median of the sorted columns of squared residuals equals
+    np.median's, and a row that holds a NaN gets NaN."""
+    rng = np.random.default_rng(p)
+    v = np.abs(_awkward_rows(rng, 2000, p))
+    v[:50] = np.round(v[:50])  # ties
+    assert np.isnan(v).any(axis=1).sum() > 100
+    median = localization._row_median(v)
+    assert np.array_equal(median, np.median(v, axis=1), equal_nan=True)
+    assert np.array_equal(np.isnan(median), np.isnan(v).any(axis=1))

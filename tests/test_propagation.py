@@ -12,6 +12,7 @@ from locfree.propagation import (
     evaluation_grid,
     measure_power,
     measurement_noise_std,
+    pilot_noise,
     sample_sensor_locations,
     simulate_points,
     synthesize_pilot_matrix,
@@ -477,6 +478,24 @@ def test_pilot_noise_power_calibration(free_space):
     n = samples.size
     std_err = sigma2 / math.sqrt(n)  # var(|w|^2) = sigma^4 for circular Gaussian
     assert abs(mean_power - sigma2) < 3 * std_err
+
+
+@pytest.mark.parametrize(
+    "name, bandwidth, walls", [("indoor-fig4", 20e6, None), ("indoor-dense", 200e6, 5)]
+)
+def test_pilot_noise_matches_two_normal_draws(name, bandwidth, walls):
+    """One standard-normal draw for both parts gives the bytes (signs
+    included) of normal(0, s) for the real part plus 1j * normal(0, s) for
+    the imaginary part, and leaves the generator where those draws did."""
+    scn = preset(name, bandwidth_hz=bandwidth, wall_count=walls)
+    shape = (300, scn.n_transmitters, scn.num_samples)
+    rng, ref_rng = np.random.default_rng(17), np.random.default_rng(17)
+    noise = pilot_noise(scn, shape, rng)
+    scale = np.sqrt(scn.noise_variance / 2.0)
+    ref = ref_rng.normal(0.0, scale, shape) + 1j * ref_rng.normal(0.0, scale, shape)
+    assert noise.dtype == ref.dtype and noise.shape == ref.shape
+    assert noise.view(float).tobytes() == ref.view(float).tobytes()
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def test_pilot_matrix_deterministic(indoor):
