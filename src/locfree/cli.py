@@ -22,13 +22,20 @@ from .errors import ConfigurationError, SolverError
 from .evaluation import (
     ExperimentConfig,
     Model,
-    _draw_world,
+    _draw_training,
+    _grid_points,
     fit_estimator,
+    grid_mean_power,
     mask_features,
     precompute_grid,
     predict_estimator,
 )
-from .propagation import pilot_noise, sample_sensor_locations, simulate_points
+from .propagation import (
+    measurement_noise_std,
+    pilot_noise,
+    sample_sensor_locations,
+    simulate_points,
+)
 from .scenario import (
     SCENARIO_PRESETS,
     load_scenario,
@@ -148,9 +155,15 @@ def cmd_fit(args):
     config = _serving_config(args, "fit")
     out = args.out or "."
     os.makedirs(out, exist_ok=True)
-    grid = precompute_grid(config.scenario, config.grid_step)
-    # The fit never reads query pilots, so it draws no noise for them.
-    world = _draw_world(replace(config, noisy_query=False), grid, 0)
+    # The fit reads no grid channels and no query pilots, so it draws no
+    # query noise.  The grid only sets the measurement noise, from its mean
+    # power, and is not traced when there is none.
+    if config.measurement_noise:
+        noise_std = measurement_noise_std(grid_mean_power(config.scenario, config.grid_step))
+    else:
+        _grid_points(config.scenario, config.grid_step)  # an empty grid still exits 2
+        noise_std = 0.0
+    world = _draw_training(config, noise_std, 0)
     model, columns = fit_estimator(config, world)
     model_path = os.path.join(out, "model.json")
     kernels.save_model(model.fitted, model_path)

@@ -31,6 +31,7 @@ from .propagation import (
     pilot_noise,
     sample_sensor_locations,
     simulate_points,
+    simulate_powers,
 )
 
 log = logging.getLogger(__name__)
@@ -140,10 +141,16 @@ class PrecomputedGrid:
     ys: np.ndarray
 
 
-def precompute_grid(scenario, step=1.0):
-    points, shape, flat_index, xs, ys = evaluation_grid(scenario, step)
-    if points.shape[0] == 0:
+def _grid_points(scenario, step):
+    """evaluation_grid(scenario, step); an empty grid is a ConfigurationError."""
+    grid = evaluation_grid(scenario, step)
+    if grid[0].shape[0] == 0:
         raise ConfigurationError("evaluation grid is empty")
+    return grid
+
+
+def precompute_grid(scenario, step=1.0):
+    points, shape, flat_index, xs, ys = _grid_points(scenario, step)
     tables = simulate_points(scenario, points, check_domain=False)
     p_bar = float(np.mean(tables.true_power))
     return PrecomputedGrid(
@@ -160,6 +167,13 @@ def precompute_grid(scenario, step=1.0):
     )
 
 
+def grid_mean_power(scenario, step=1.0):
+    """precompute_grid(scenario, step).p_bar bit for bit, from a power-only
+    trace of the grid: no channel is synthesized."""
+    points = _grid_points(scenario, step)[0]
+    return float(np.mean(simulate_powers(scenario, points, check_domain=False).true_power))
+
+
 @dataclass
 class RunWorld:
     """Everything a single run draws before estimator-specific work."""
@@ -172,28 +186,34 @@ class RunWorld:
     rng: np.random.Generator
 
 
-def _draw_world(config, grid, run_idx):
+def _draw_training(config, noise_std, run_idx):
+    """The training half of run ``run_idx``'s world, with targets of
+    measurement noise ``noise_std`` dB; ``query_pilots`` is None."""
     scenario = config.scenario
     rng = np.random.default_rng(config.seed + run_idx)
     pts = sample_sensor_locations(scenario, config.n_train, rng)
     tables = simulate_points(scenario, pts, check_domain=False)
     train_pilots = tables.channels + pilot_noise(scenario, tables.channels.shape, rng)
-    noise_std = grid.noise_std if config.measurement_noise else 0.0
     targets = tables.true_power + (
         rng.normal(0.0, noise_std, config.n_train) if noise_std > 0 else 0.0
     )
-    query_pilots = grid.channels
-    if config.noisy_query:
-        query_pilots = pilot_noise(scenario, grid.channels.shape, rng)
-        query_pilots += grid.channels
     return RunWorld(
         train_points=pts,
         train_pilots=train_pilots,
         train_powers=tables.pilot_powers,
         targets=targets,
-        query_pilots=query_pilots,
+        query_pilots=None,
         rng=rng,
     )
+
+
+def _draw_world(config, grid, run_idx):
+    world = _draw_training(config, grid.noise_std if config.measurement_noise else 0.0, run_idx)
+    world.query_pilots = grid.channels
+    if config.noisy_query:
+        world.query_pilots = pilot_noise(config.scenario, grid.channels.shape, world.rng)
+        world.query_pilots += grid.channels
+    return world
 
 
 @dataclass(frozen=True)

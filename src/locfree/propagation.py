@@ -13,11 +13,16 @@ mirrored through each wall of the sequence in turn, and the ray is unfolded
 back from the receiver through those images to find the bounce points.  A
 sequence has no ray when the transmitter or an image lies on the plane of
 the next wall.  One pass traces every sequence of a bounce order at once,
-on a (sequence, receiver row) layout: the unfold, the bounce-point hit
-tests, the path lengths and the reflection coefficients run over the whole
-block, and the wall-crossing factors only over the entries whose bounce
-points all hit their walls.  Rows are taken in blocks of at most
+on (sequence, receiver row) entries.  The first unfold, from the receiver
+back to the last image, runs over every entry and gives each its path
+length and delay.  After each bounce-point hit test only the entries that
+still hit go on: to the next unfold, to their reflection coefficients and
+at the end to their wall-crossing factors, where each leg is tested
+against all walls at once.  Rows are taken in blocks of at most
 ``_BLOCK_ENTRIES`` entries, so memory does not grow with the sequence count.
+All of it is elementwise arithmetic, with no matrix product, so the rays
+of a receiver are the same bits whichever rows are traced with it, for any
+wall geometry.
 
 Path amplitude combines the free-space magnitude law
 ``alpha = c / (4 pi f_c d)`` over the unfolded path length d, an
@@ -31,6 +36,9 @@ complex taps::
     h[k] = sum_p alpha_p * exp(-j 2 pi f_c t_p) * sinc(k - t_p / T)
 
 which is also the noiseless received pilot row for unit-sample pilots.
+simulate_points returns taps, pilot powers and map values; simulate_powers
+returns the same powers from the same trace without synthesizing taps, for
+callers that read only powers.
 """
 
 import itertools
@@ -67,7 +75,8 @@ class PathComponent:
 class PointTables:
     """Batched per-point synthesis products for one scenario.
 
-    channels     -- (n, L, K) complex noiseless channel taps
+    channels     -- (n, L, K) complex noiseless channel taps (None from
+                    simulate_powers)
     pilot_powers -- (n, L) received pilot power in dBW (noiseless)
     true_power   -- (n,) aggregate received power map value in dBW
     """
@@ -92,38 +101,48 @@ def _wall_geometry(scenario):
     return p1, p2, normals, cross_factor
 
 
-def _wall_hit(starts, ends, a, b):
-    """Where segments starts->ends cross the walls (a, b).
+def _wall_hit(starts, legs, a, b):
+    """Where the legs starts -> starts + legs cross the walls (a, b).
 
-    All four broadcast against each other, with x, y on the last axis.
-    Returns (t, hit): ``t`` along start->end, and ``hit`` True where the
-    crossing lies strictly inside the segment and on the wall (parallel
-    segments never hit).
+    All four broadcast against each other, with x, y on the first axis.
+    Returns (t, hit): ``t`` along the leg, and ``hit`` True where the
+    crossing lies strictly inside the leg and on the wall (parallel legs
+    never hit).  Elementwise, so no entry's bits depend on its neighbours.
     """
-    r = ends - starts
     s = b - a
-    denom = r[..., 0] * s[..., 1] - r[..., 1] * s[..., 0]
-    ok = np.abs(denom) > 1e-15
-    safe = np.where(ok, denom, 1.0)
+    denom = legs[0] * s[1]
+    denom -= legs[1] * s[0]
+    hit = np.abs(denom) > 1e-15
+    denom[~hit] = 1.0  # parallel: any finite t, the leg misses anyway
     qp = a - starts
-    t = (qp[..., 0] * s[..., 1] - qp[..., 1] * s[..., 0]) / safe
-    u = (qp[..., 0] * r[..., 1] - qp[..., 1] * r[..., 0]) / safe
-    return t, ok & (t > _EPS_T) & (t < 1.0 - _EPS_T) & (u >= 0.0) & (u <= 1.0)
+    t = qp[0] * s[1] - qp[1] * s[0]
+    t = t / denom  # not in place: t may broadcast smaller than denom
+    u = qp[0] * legs[1]
+    u -= qp[1] * legs[0]
+    u /= denom
+    hit &= t > _EPS_T
+    hit &= t < 1.0 - _EPS_T
+    hit &= u >= 0.0
+    hit &= u <= 1.0
+    return t, hit
 
 
 def _crossing_factors(starts, ends, geom, exclude=()):
     """Amplitude factor from wall crossings along each leg (strict interior).
 
-    ``exclude`` holds wall indices, scalars or integer arrays broadcast
-    against the legs, whose crossings a leg does not count.
+    ``starts`` and ``ends`` are (2, m) x, y rows, m = 1 broadcasting.  Each
+    leg is tested against all walls at once, and the factors of the walls
+    it crosses multiply in wall order.  ``exclude`` holds (m,) wall indices
+    whose crossings a leg does not count.
     """
     p1, p2, _, factors = geom
-    out = np.ones(np.broadcast_shapes(np.shape(starts), np.shape(ends))[:-1])
+    legs = ends - starts
+    _, crossed = _wall_hit(starts[:, None], legs[:, None], p1.T[..., None], p2.T[..., None])
+    for walls in exclude:
+        crossed &= walls != np.arange(p1.shape[0])[:, None]
+    out = np.ones(crossed.shape[1])
     for w in range(p1.shape[0]):
-        _, crossed = _wall_hit(starts, ends, p1[w], p2[w])
-        for walls in exclude:
-            crossed &= walls != w
-        out = np.where(crossed, out * factors[w], out)
+        np.multiply(out, factors[w], out=out, where=crossed[w])
     return out
 
 
@@ -165,56 +184,83 @@ def _wall_sequences(tx, geom, order):
     return seqs, np.array(images).reshape(-1, order + 1, 2)
 
 
-def _reflections(scenario, tx, rx, geom, order):
-    """Image-method rays tx -> ``order`` walls -> each rx row, every sequence.
+def _length(legs):
+    """Euclidean length over the first axis: the bits of np.linalg.norm."""
+    return np.sqrt(legs[0] * legs[0] + legs[1] * legs[1])
 
-    Returns (amps, delays) of shape (n, S) over the S sequences of
-    _wall_sequences, with zero amplitude where a bounce point misses its
-    wall.
+
+def _reflections(scenario, tx, rx, geom, order):
+    """Image-method rays tx -> ``order`` walls -> each receiver, every sequence.
+
+    ``tx`` is (2, 1) and ``rx`` (2, n), x and y as rows.  Returns (amps,
+    delays) of shape (n, S) over the S sequences of _wall_sequences, with
+    zero amplitude where a bounce point misses its wall.  Every entry keeps
+    its delay, hit or not.
     """
     p1, p2, normals, _ = geom
-    seqs, images = _wall_sequences(tx, geom, order)
-    n_seq, n = seqs.shape[0], rx.shape[0]
+    seqs, images = _wall_sequences(tx[:, 0], geom, order)
+    n_seq, n = seqs.shape[0], rx.shape[1]
     amps = np.zeros((n, n_seq))
     delays = np.zeros((n, n_seq))
     if n_seq == 0:
         return amps, delays
-    # Per bounce position: each wall with the sequences that bounce off it.
-    groups = [[(w, seqs[:, j] == w) for w in np.unique(seqs[:, j])] for j in range(order)]
+    images = images.transpose(1, 2, 0).copy()  # (order + 1, 2, S)
+    walls_at = seqs.T.copy()  # (order, S): the wall of each bounce
+    used = [np.unique(w) for w in walls_at]  # the walls at each bounce
+    p1, p2, normals = p1.T, p2.T, normals.T
+    last = walls_at[-1, :, None]
     block = max(1, _BLOCK_ENTRIES // n_seq)
     for start in range(0, n, block):
-        rows = slice(start, start + block)
-        # Unfold from the receiver back through each image to the bounce points.
-        points = [rx[rows]]
-        valid = np.ones((n_seq, points[0].shape[0]), dtype=bool)
-        refl = np.ones(valid.shape)
+        rx_block = rx[:, start:start + block]
+        n_rows = rx_block.shape[1]
+        # Every (sequence, receiver) entry, from the receiver back to the
+        # last image: the unfolded path and the delay.
+        image = images[order, :, :, None]
+        leg = rx_block[:, None, :] - image
+        path = _length(leg)
+        delays[start:start + n_rows] = (path / SPEED_OF_LIGHT).T
+        t, hit = _wall_hit(image, leg, p1[:, last], p2[:, last])
+        # From here on only the live entries, flat: every bounce point so
+        # far hits its wall.
+        live = np.flatnonzero(hit)
+        seq, row = np.divmod(live, n_rows)
+        leg = leg.reshape(2, -1).take(live, axis=1)
+        path, t = path.take(live), t.take(live)
+        length = path
+        points = [rx_block.take(row, axis=1)]
+        refl = np.ones(live.size)
         for j in range(order - 1, -1, -1):
-            walls = seqs[:, j]
-            image = images[:, j + 1, None]
-            leg = points[0] - image
-            t, hit = _wall_hit(image, points[0], p1[walls, None], p2[walls, None])
-            valid &= hit
-            points.insert(0, image + t[..., None] * leg)
-            length = np.linalg.norm(leg, axis=-1)
-            if j == order - 1:
-                path = length  # receiver to the last image: the unfolded path
-            # A matmul per sequence, as for one sequence: x*nx + y*ny rounds differently.
-            cos = np.abs(leg @ normals[walls, :, None])[..., 0] / np.maximum(length, 1e-12)
-            for w, cols in groups[j]:
-                refl[cols] = scenario.walls[w].reflection_amplitude(cos[cols]) * refl[cols]
-        # Crossing factors only where every bounce point hits its wall.
-        hit_seq, hit_row = np.nonzero(valid)
-        amp = _friis_amplitude(np.maximum(path[hit_seq, hit_row], 1e-12), scenario.carrier_hz)
-        amp = amp * refl[hit_seq, hit_row]
-        ray = [tx] + [q[hit_seq, hit_row] for q in points[:-1]] + [points[-1][hit_row]]
+            points.insert(0, images[j + 1].take(seq, axis=1) + t * leg)
+            walls = walls_at[j].take(seq)
+            normal = normals.take(walls, axis=1)
+            # x*nx + y*ny elementwise: a matmul fuses multiply-adds for
+            # some row counts and not others.
+            cos = np.abs(leg[0] * normal[0] + leg[1] * normal[1])
+            cos /= np.maximum(length, 1e-12)
+            for w in used[j]:  # each wall's own reflection law
+                on = walls == w
+                refl[on] = scenario.walls[w].reflection_amplitude(cos[on]) * refl[on]
+            if j:  # through the previous image back to the previous bounce point
+                image = images[j].take(seq, axis=1)
+                leg = points[0] - image
+                length = _length(leg)
+                prev = walls_at[j - 1].take(seq)
+                t, hit = _wall_hit(image, leg, p1.take(prev, axis=1), p2.take(prev, axis=1))
+                live = np.flatnonzero(hit)
+                seq, row, length, t, path, refl = (
+                    a.take(live) for a in (seq, row, length, t, path, refl)
+                )
+                leg = leg.take(live, axis=1)
+                points = [q.take(live, axis=1) for q in points]
+        amp = _friis_amplitude(np.maximum(path, 1e-12), scenario.carrier_hz) * refl
+        ray = [tx] + points
         # Each leg crosses walls freely except the ones it starts or ends on.
         for j in range(order + 1):
             amp = amp * _crossing_factors(
                 ray[j], ray[j + 1], geom,
-                exclude=[seqs[hit_seq, i] for i in (j - 1, j) if 0 <= i < order],
+                exclude=[walls_at[i].take(seq) for i in (j - 1, j) if 0 <= i < order],
             )
-        amps[start + hit_row, hit_seq] = amp
-        delays[rows] = (path / SPEED_OF_LIGHT).T
+        amps[start + row, seq] = amp
     return amps, delays
 
 
@@ -228,6 +274,8 @@ def _trace_tx(scenario, tx, rx, geom):
     d = np.linalg.norm(rx - tx, axis=1)
     if np.any(d <= 0.0):
         raise DomainError("receiver coincides with a transmitter (near-field singularity)")
+    # x and y as rows from here on: contiguous components for the wall tests.
+    tx, rx = np.asarray(tx, dtype=float)[:, None], np.ascontiguousarray(rx.T)
     amp_direct = _friis_amplitude(d, scenario.carrier_hz) * _crossing_factors(tx, rx, geom)
     amps = [amp_direct[:, None]]
     delays = [(d / SPEED_OF_LIGHT)[:, None]]
@@ -305,6 +353,21 @@ def simulate_points(scenario, points, check_domain=True):
 
         p(x) = 10 log10( sum_l sigma_a_l^2 sum_p alpha_{l,p}(x)^2 )  [dBW]
     """
+    return _simulate(scenario, points, check_domain, with_channels=True)
+
+
+def simulate_powers(scenario, points, check_domain=True):
+    """Pilot powers and the true power map at given points, without channels.
+
+    The ``pilot_powers`` and ``true_power`` of simulate_points bit for bit,
+    from the same traced ray amplitudes; ``channels`` is None.  No tap is
+    synthesized, so no delay is checked against the tap window.
+    """
+    return _simulate(scenario, points, check_domain, with_channels=False)
+
+
+def _simulate(scenario, points, check_domain, with_channels):
+    """The per-transmitter trace loop of simulate_points and simulate_powers."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if check_domain:
         if not np.all(scenario.contains(pts)):
@@ -318,21 +381,23 @@ def simulate_points(scenario, points, check_domain=True):
     txs = scenario.tx_positions()
     powers = scenario.pilot_powers()
     n, n_tx = pts.shape[0], txs.shape[0]
-    channels = np.zeros((n, n_tx, scenario.num_samples), dtype=complex)
+    channels = None
+    if with_channels:
+        channels = np.zeros((n, n_tx, scenario.num_samples), dtype=complex)
     rx_power = np.zeros((n, n_tx))
     overflow_limit = (scenario.num_samples - 1) * scenario.sample_period
     overflow = False
     for l in range(n_tx):
         amps, delays, _ = _trace_tx(scenario, txs[l], pts, geom)
-        channels[:, l, :] = _batch_channels(scenario, amps, delays)
         rx_power[:, l] = powers[l] * np.sum(amps**2, axis=1)
-        if np.any((amps != 0.0) & (delays > overflow_limit)):
-            overflow = True
+        if with_channels:
+            channels[:, l, :] = _batch_channels(scenario, amps, delays)
+            overflow |= bool(np.any((amps != 0.0) & (delays > overflow_limit)))
     if overflow:
         warnings.warn(
             "some path delays exceed the tap window (t/T > K-1); "
             "consider increasing num_samples",
-            stacklevel=2,
+            stacklevel=3,
         )
     with np.errstate(divide="ignore"):
         pilot_powers = 10.0 * np.log10(rx_power)
@@ -342,7 +407,7 @@ def simulate_points(scenario, points, check_domain=True):
 
 def true_power(scenario, point):
     """Aggregate noiseless received power at one point, in dBW."""
-    tables = simulate_points(scenario, np.asarray(point, dtype=float)[None, :])
+    tables = simulate_powers(scenario, np.asarray(point, dtype=float)[None, :])
     return float(tables.true_power[0])
 
 

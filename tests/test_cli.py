@@ -421,3 +421,65 @@ def test_predict_on_grid_matches_points_run_on_grid_points(tmp_path):
         outputs.append((pred_out / "predictions.csv").read_bytes())
     assert outputs[0].count(b"\n") == grid_points.shape[0] + 1
     assert outputs[0] == outputs[1]
+
+
+def _fit_by_precomputed_grid(doc, out):
+    """``locfree fit`` as it ran on a full precompute_grid: the grid's
+    channels traced, its noise_std read, and the world drawn as a run draws
+    it without query noise."""
+    from dataclasses import replace
+
+    from locfree import io
+    from locfree.cli import _experiment_config
+    from locfree.evaluation import _draw_world, fit_estimator, precompute_grid
+    from locfree.kernels import save_model
+
+    config = _experiment_config(doc)
+    grid = precompute_grid(config.scenario, config.grid_step)
+    world = _draw_world(replace(config, noisy_query=False), grid, 0)
+    model, columns = fit_estimator(config, world)
+    out.mkdir()
+    save_model(model.fitted, out / "model.json")
+    io.write_feature_csv(world.train_points, columns, out / "training_features.csv")
+
+
+@pytest.mark.parametrize("estimator", ["locf", "locb"])
+def test_fit_writes_the_precomputed_grid_files(estimator, tmp_path):
+    """The power-only grid trace changes no byte of what fit writes."""
+    doc = {"scenario": {"preset": "indoor-fig4"}, "estimator": estimator, "n_train": 120,
+           "seed": 11, "grid_step": 2.0}
+    cfg = tmp_path / "fit.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert run_cli("fit", "--config", str(cfg), "--out", str(out)) == 0
+    _fit_by_precomputed_grid(doc, tmp_path / "reference")
+    for name in ("model.json", "training_features.csv"):
+        assert (out / name).read_bytes() == (tmp_path / "reference" / name).read_bytes()
+
+
+@pytest.mark.parametrize("noise", [True, False])
+def test_fit_traces_grid_powers_only_for_measurement_noise(noise, tmp_path, monkeypatch):
+    """fit traces channels only at the training points; the grid gets a
+    power-only trace when measurement noise needs its mean, else none."""
+    from locfree import evaluation
+
+    traced = []
+    for name in ("simulate_points", "simulate_powers"):
+        original = getattr(evaluation, name)
+
+        def spy(scenario, points, *args, _name=name, _original=original, **kwargs):
+            traced.append((_name, len(points)))
+            return _original(scenario, points, *args, **kwargs)
+
+        monkeypatch.setattr(evaluation, name, spy)
+    cfg = _fit_config(tmp_path, **{"lambda": 1e-4, "grid_step": 5.0, "measurement_noise": noise})
+    assert run_cli("fit", "--config", str(cfg), "--out", str(tmp_path / "out")) == 0
+    grid = [("simulate_powers", 96)] if noise else []
+    assert traced == grid + [("simulate_points", 25)]
+
+
+@pytest.mark.parametrize("noise", [True, False])
+def test_fit_on_an_empty_grid_exits_2(noise, tmp_path, capsys):
+    cfg = _fit_config(tmp_path, grid_step=1000.0, measurement_noise=noise)
+    assert run_cli("fit", "--config", str(cfg), "--out", str(tmp_path / "out")) == 2
+    assert "evaluation grid is empty" in capsys.readouterr().err

@@ -12,6 +12,7 @@ from locfree.evaluation import (
     NmseResult,
     _draw_world,
     fit_estimator,
+    grid_mean_power,
     mask_features,
     nmse,
     pooled_std,
@@ -20,6 +21,7 @@ from locfree.evaluation import (
     run_experiment,
     run_once,
 )
+from locfree.propagation import measurement_noise_std
 from locfree.scenario import Scenario, Transmitter, preset
 
 
@@ -265,3 +267,16 @@ def test_unconverged_completion_is_logged_once_per_run(fig4_coarse, caplog):
     assert len(records) == 1
     assert "after 2000 iterations" in records[0].getMessage()
     assert "final residual" in records[0].getMessage()
+
+
+@pytest.mark.parametrize(
+    "name, bandwidth, walls", [("indoor-fig4", 20e6, None), ("indoor-dense", 200e6, 5)]
+)
+def test_power_only_grid_mean_is_precomputed_p_bar(name, bandwidth, walls):
+    """The grid mean from a power-only trace is precompute_grid's p_bar bit
+    for bit, and so is the measurement noise derived from it."""
+    scn = preset(name, bandwidth_hz=bandwidth, wall_count=walls)
+    grid = precompute_grid(scn)
+    p_bar = grid_mean_power(scn)
+    assert p_bar.hex() == grid.p_bar.hex()
+    assert measurement_noise_std(p_bar) == grid.noise_std

@@ -155,6 +155,12 @@ def _oracle_mirror(point, p1, normal):
     return point - 2.0 * np.dot(point - p1, normal) * normal
 
 
+def _dot(legs, normal):
+    """x*nx + y*ny per row, rounded the same for any row count (a matmul
+    fuses a multiply-add for many rows but not for one)."""
+    return legs[:, 0] * normal[0] + legs[:, 1] * normal[1]
+
+
 def _two_block_trace_tx(scenario, tx, rx, geom):
     """The tracer with single and double bounces written out as two blocks."""
     friis = propagation._friis_amplitude
@@ -188,7 +194,7 @@ def _two_block_trace_tx(scenario, tx, rx, geom):
             q = image + t[:, None] * (rx - image)
             length = np.linalg.norm(rx - image, axis=1)
             with np.errstate(invalid="ignore", divide="ignore"):
-                cos_inc = np.abs((rx - image) @ normals[w]) / length
+                cos_inc = np.abs(_dot(rx - image, normals[w])) / length
             refl = walls[w].reflection_amplitude(cos_inc)
             amp = (
                 friis(np.maximum(length, 1e-12), fc)
@@ -230,8 +236,8 @@ def _two_block_trace_tx(scenario, tx, rx, geom):
                 length = np.linalg.norm(rx - image2, axis=1)
                 leg2 = np.linalg.norm(q2 - image1, axis=1)
                 with np.errstate(invalid="ignore", divide="ignore"):
-                    cos2 = np.abs((rx - image2) @ normals[w2]) / length
-                    cos1 = np.abs((q2 - image1) @ normals[w1]) / np.maximum(leg2, 1e-12)
+                    cos2 = np.abs(_dot(rx - image2, normals[w2])) / length
+                    cos1 = np.abs(_dot(q2 - image1, normals[w1])) / np.maximum(leg2, 1e-12)
                 refl = walls[w1].reflection_amplitude(cos1) * walls[w2].reflection_amplitude(cos2)
                 amp = (
                     friis(np.maximum(length, 1e-12), fc)
@@ -279,6 +285,17 @@ def _custom_reflection_walls():
     return replace(preset("indoor-dense", bandwidth_hz=200e6), walls=walls)
 
 
+def _slanted_walls():
+    """Three walls at odd angles: normals with two nonzero components, so
+    the incidence cosine rounds like a general dot product."""
+    walls = (
+        WallSegment(8.0, 5.0, 22.0, 34.0),
+        WallSegment(30.0, 36.0, 52.0, 24.0),
+        WallSegment(35.0, 4.0, 55.0, 15.0),
+    )
+    return replace(preset("indoor-fig4"), walls=walls)
+
+
 _ORACLE_SCENARIOS = {
     "fig4-20MHz": lambda: preset("indoor-fig4"),
     "fig4-200MHz": lambda: preset("indoor-fig4", bandwidth_hz=200e6),
@@ -293,6 +310,7 @@ _ORACLE_SCENARIOS = {
     "dense-7tx": lambda: preset("indoor-dense", n_transmitters=7),
     "tx-on-wall-plane": _tx_on_wall_plane,
     "custom-reflection": _custom_reflection_walls,
+    "slanted": _slanted_walls,
 }
 
 
@@ -318,24 +336,53 @@ def test_wall_sequence_tracer_matches_two_block_oracle(name, monkeypatch):
 
 
 def test_traced_rows_do_not_depend_on_their_batch(monkeypatch):
-    """A row's rays equal its 1-row call, and the row blocking changes nothing."""
-    scn = preset("indoor-fig4")
-    grid = evaluation_grid(scn)[0]
-    rng = np.random.default_rng(29)
-    pts = grid[rng.choice(grid.shape[0], 2000, replace=False)]
-    pts = pts + rng.uniform(-0.5, 0.5, pts.shape)
-    geom = propagation._wall_geometry(scn)
-    txs = scn.tx_positions()
-    batch = [propagation._trace_tx(scn, tx, pts, geom) for tx in txs]
-    for i, p in enumerate(pts):  # one transmitter per row, in turn
-        k = i % len(txs)
-        got = propagation._trace_tx(scn, txs[k], p[None, :], geom)
-        for g, w in zip(got[:2], batch[k][:2]):
-            assert np.array_equal(g[0], w[i])
-    monkeypatch.setattr(propagation, "_BLOCK_ENTRIES", 997)  # several blocks plus a remainder
-    for tx, want in zip(txs, batch):
-        for g, w in zip(propagation._trace_tx(scn, tx, pts, geom), want):
-            assert np.array_equal(g, w)
+    """A row's rays equal its 1-row call, and the row blocking changes
+    nothing, for axis-aligned and for slanted walls."""
+    for name in ("fig4-20MHz", "slanted"):
+        scn = _ORACLE_SCENARIOS[name]()
+        grid = evaluation_grid(scn)[0]
+        rng = np.random.default_rng(29)
+        pts = grid[rng.choice(grid.shape[0], 2000, replace=False)]
+        pts = pts + rng.uniform(-0.5, 0.5, pts.shape)
+        geom = propagation._wall_geometry(scn)
+        txs = scn.tx_positions()
+        batch = [propagation._trace_tx(scn, tx, pts, geom) for tx in txs]
+        for i, p in enumerate(pts):  # one transmitter per row, in turn
+            k = i % len(txs)
+            got = propagation._trace_tx(scn, txs[k], p[None, :], geom)
+            for g, w in zip(got[:2], batch[k][:2]):
+                assert np.array_equal(g[0], w[i]), (name, i)
+        with monkeypatch.context() as patch:
+            patch.setattr(propagation, "_BLOCK_ENTRIES", 997)  # several blocks plus a remainder
+            for tx, want in zip(txs, batch):
+                for g, w in zip(propagation._trace_tx(scn, tx, pts, geom), want):
+                    assert np.array_equal(g, w), name
+
+
+@pytest.mark.parametrize("name", ["fig4-20MHz", "dense-200MHz-w5", "custom-reflection", "slanted"])
+def test_power_only_trace_matches_simulate_points(name, monkeypatch):
+    """simulate_powers gives simulate_points' pilot powers and map values bit
+    for bit without synthesizing a channel; true_power is its 1-row case."""
+    scn = _ORACLE_SCENARIOS[name]()
+    pts = sample_sensor_locations(scn, 500, np.random.default_rng(31))
+    full = simulate_points(scn, pts)
+
+    def no_taps(*args):
+        raise AssertionError("a power-only trace synthesized channel taps")
+
+    monkeypatch.setattr(propagation, "_batch_channels", no_taps)
+    powers = propagation.simulate_powers(scn, pts)
+    assert powers.channels is None
+    assert np.array_equal(powers.pilot_powers, full.pilot_powers)
+    assert np.array_equal(powers.true_power, full.true_power)
+    assert [true_power(scn, p) for p in pts[:20]] == full.true_power[:20].tolist()
+    rng = np.random.default_rng(0)
+    assert measure_power(scn, pts[0], rng, 0.0) == full.true_power[0]
+    for check in (true_power, lambda s, x: measure_power(s, x, rng, 1.0)):
+        with pytest.raises(DomainError):
+            check(scn, (1e3, 1e3))
+        with pytest.raises(DomainError):
+            check(scn, scn.tx_positions()[0])
 
 
 # ---------------------------------------------------------------------------
