@@ -25,13 +25,12 @@ from .evaluation import (
     _draw_training,
     _grid_points,
     fit_estimator,
-    grid_mean_power,
     mask_features,
+    power_grid,
     precompute_grid,
     predict_estimator,
 )
 from .propagation import (
-    measurement_noise_std,
     pilot_noise,
     sample_sensor_locations,
     simulate_points,
@@ -127,7 +126,7 @@ def cmd_scenario(args):
     out = args.out or "."
     os.makedirs(out, exist_ok=True)
     save_scenario(scn, os.path.join(out, f"{name}.json"))
-    grid = precompute_grid(scn)
+    grid = power_grid(scn)  # the writers read no channel
     io.write_truth_csv(grid, os.path.join(out, f"{name}_true_map.csv"))
     io.write_pgm(grid, grid.truth, os.path.join(out, f"{name}_true_map.pgm"))
     print(f"wrote {name}.json, {name}_true_map.csv, {name}_true_map.pgm in {out}")
@@ -159,7 +158,7 @@ def cmd_fit(args):
     # query noise.  The grid only sets the measurement noise, from its mean
     # power, and is not traced when there is none.
     if config.measurement_noise:
-        noise_std = measurement_noise_std(grid_mean_power(config.scenario, config.grid_step))
+        noise_std = power_grid(config.scenario, config.grid_step).noise_std
     else:
         _grid_points(config.scenario, config.grid_step)  # an empty grid still exits 2
         noise_std = 0.0

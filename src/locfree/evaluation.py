@@ -139,6 +139,9 @@ class PrecomputedGrid:
     noise_std: float          # power-measurement noise sigma_eps (dB)
     xs: np.ndarray
     ys: np.ndarray
+    # LocationTable of the scenario's anchors: every locb fit and predict
+    # on this grid localizes through it.
+    locations: localization.LocationTable
 
 
 def _grid_points(scenario, step):
@@ -149,9 +152,11 @@ def _grid_points(scenario, step):
     return grid
 
 
-def precompute_grid(scenario, step=1.0):
+def _grid(scenario, step, simulate):
+    """The PrecomputedGrid of ``simulate`` (simulate_points or
+    simulate_powers) over the grid, with an empty location table."""
     points, shape, flat_index, xs, ys = _grid_points(scenario, step)
-    tables = simulate_points(scenario, points, check_domain=False)
+    tables = simulate(scenario, points, check_domain=False)
     p_bar = float(np.mean(tables.true_power))
     return PrecomputedGrid(
         points=points,
@@ -164,14 +169,18 @@ def precompute_grid(scenario, step=1.0):
         noise_std=measurement_noise_std(p_bar),
         xs=xs,
         ys=ys,
+        locations=localization.LocationTable(scenario.tx_positions()),
     )
 
 
-def grid_mean_power(scenario, step=1.0):
-    """precompute_grid(scenario, step).p_bar bit for bit, from a power-only
-    trace of the grid: no channel is synthesized."""
-    points = _grid_points(scenario, step)[0]
-    return float(np.mean(simulate_powers(scenario, points, check_domain=False).true_power))
+def precompute_grid(scenario, step=1.0):
+    return _grid(scenario, step, simulate_points)
+
+
+def power_grid(scenario, step=1.0):
+    """precompute_grid(scenario, step) bit for bit, but from a power-only
+    trace of the grid: no channel is synthesized, and ``channels`` is None."""
+    return _grid(scenario, step, simulate_powers)
 
 
 @dataclass
@@ -234,8 +243,9 @@ class Model:
     located: localization.LocBFitReport = None
 
 
-def fit_estimator(config, world, run_idx=0):
-    """Fit ``config.estimator`` on a run's training draw.
+def fit_estimator(config, world, run_idx=0, *, table=None):
+    """Fit ``config.estimator`` on a run's training draw; a locb fit
+    localizes through the LocationTable ``table`` if given.
 
     Returns (Model, columns): the (M, N) training features, or for locb the
     (2, N) location estimates, NaN where a point failed to localize.
@@ -245,7 +255,7 @@ def fit_estimator(config, world, run_idx=0):
         fitted, report = localization.locb_fit(
             localization.AnchorSet.from_scenario(config.scenario), world.train_pilots,
             world.targets, t_samp, kernels.GaussianKernel(config.sigma_loc),
-            config.lam_loc, center_targets=config.center_targets,
+            config.lam_loc, center_targets=config.center_targets, table=table,
         )
         if report.n_dropped:
             log.warning("dropped %d unlocalizable measurements", report.n_dropped)
@@ -305,15 +315,17 @@ def _complete(config, world, train_f, run_idx):
     }
 
 
-def predict_estimator(config, model, query_pilots, query_powers):
+def predict_estimator(config, model, query_pilots, query_powers, *, table=None):
     """Map values at (n, L, K) query pilots, whose (n, L) pilot powers in
     dBW mask the completion features.  Returns (n,) values, NaN where no
     input column can be formed: an unlocalized locb query, or a completion
-    query with nothing observed (a NaN column predicts NaN)."""
+    query with nothing observed (a NaN column predicts NaN).  A locb
+    predict localizes through the LocationTable ``table`` if given."""
     t_samp = config.scenario.sample_period
     if config.estimator == "locb":
         columns = localization.localize_batch(
-            localization.AnchorSet.from_scenario(config.scenario), query_pilots, t_samp
+            localization.AnchorSet.from_scenario(config.scenario), query_pilots, t_samp,
+            table=table,
         )[0].T
     else:
         columns = features.feature_matrix_nosync(query_pilots, t_samp)
@@ -327,11 +339,14 @@ def predict_estimator(config, model, query_pilots, query_powers):
 
 def fit_and_predict(config, grid, run_idx):
     """Draw run ``run_idx``, fit, and predict the grid map; query points
-    without a prediction get the training average.  Returns (world, model,
+    without a prediction get the training average.  A locb fit and predict
+    localize through the grid's location table.  Returns (world, model,
     predictions)."""
     world = _draw_world(config, grid, run_idx)
-    model, _ = fit_estimator(config, world, run_idx)
-    predictions = predict_estimator(config, model, world.query_pilots, grid.pilot_powers)
+    model, _ = fit_estimator(config, world, run_idx, table=grid.locations)
+    predictions = predict_estimator(
+        config, model, world.query_pilots, grid.pilot_powers, table=grid.locations
+    )
     fallback = np.isnan(predictions)
     if np.any(fallback):
         log.warning("run %d: substituted the training average at %d query points "
@@ -346,12 +361,26 @@ def run_once(config, grid, run_idx):
     return nmse(grid.truth, predictions, grid.p_bar), model.missing
 
 
-def _run_safely(args):
-    config, grid, run_idx = args
+def _run_safely(config, grid, run_idx):
     try:
         return run_idx, run_once(config, grid, run_idx), None
     except (SolverError, np.linalg.LinAlgError) as exc:
         return run_idx, None, f"{type(exc).__name__}: {exc}"
+
+
+# The grid of a run_experiment pool's worker process, shipped once by the
+# pool initializer; the worker's runs fill its location table.
+_worker_grid = None
+
+
+def _set_worker_grid(grid):
+    global _worker_grid
+    _worker_grid = grid
+
+
+def _run_in_worker(task):
+    config, run_idx = task
+    return _run_safely(config, _worker_grid, run_idx)
 
 
 def run_experiment(config, grid=None, jobs=1):
@@ -359,16 +388,19 @@ def run_experiment(config, grid=None, jobs=1):
 
     Runs are seeded ``config.seed + run_index`` and are order-insensitive;
     failed runs are excluded and counted.  ``grid`` may carry a shared
-    PrecomputedGrid to amortize the scenario tables across experiments.
+    PrecomputedGrid to amortize the scenario tables, and its location
+    table, across experiments.  With ``jobs`` > 1 each worker gets the grid
+    once and a task carries only (config, run index).
     """
     if grid is None:
         grid = precompute_grid(config.scenario, config.grid_step)
-    tasks = [(config, grid, i) for i in range(config.runs)]
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(_run_safely, tasks))
+        with ProcessPoolExecutor(
+            max_workers=jobs, initializer=_set_worker_grid, initargs=(grid,)
+        ) as pool:
+            outcomes = list(pool.map(_run_in_worker, [(config, i) for i in range(config.runs)]))
     else:
-        outcomes = [_run_safely(t) for t in tasks]
+        outcomes = [_run_safely(config, grid, i) for i in range(config.runs)]
     outcomes.sort(key=lambda item: item[0])
     values, missing, failed = [], [], 0
     for run_idx, result, error in outcomes:

@@ -163,7 +163,10 @@ def _reduce_pair_correlations(pilots, pairs, reduce):
     out = np.empty((n, len(pairs)))
     for start in range(0, n, block):
         spectra = np.fft.fft(pilots[start:start + block], size, axis=2)
-        corr = np.fft.ifft(spectra[:, first] * spectra[:, second].conj(), axis=2)
+        # np.multiply, not `*`: past 256 KiB numpy may reuse the conj
+        # temporary as the output and multiply in the other order, which
+        # rounds differently, so the bits would depend on the block size.
+        corr = np.fft.ifft(np.multiply(spectra[:, first], spectra[:, second].conj()), axis=2)
         out[start:start + block] = reduce(corr[:, :, lags % size], lags)
     return out
 

@@ -23,8 +23,13 @@ exactly what the map learner then has to cope with.
 Batches are solved per pattern of usable range differences, and the
 rows of a batch are independent: a point's estimate never depends on
 which other points share its batch.  Range differences are integer lags
-times c T, so rows repeat; equal rows (NaN pattern included) are solved
-once and share their answer, which row independence makes exact.
+times c T, so rows repeat, within a batch and even more across the runs
+of a sweep.  A LocationTable keeps the distinct rows (NaN pattern
+included) it has solved for one anchor set with their answers; each call
+solves only the rows the table has not seen, which row independence
+makes exact.  Without a table a call uses a fresh one, so its equal rows
+are still solved once.  The evaluation grid owns the table of its
+scenario, so every locb fit and predict on that grid shares it.
 """
 
 import logging
@@ -313,31 +318,77 @@ def _srdls_batch(pos, diffs):
     return best_x, data_cost
 
 
-def _localize_diffs(pos, diffs):
-    """Estimates (n, 2) and data costs (n,) from (n, L-1) range differences,
-    with one _srdls_batch call per pattern of finite differences, on that
-    pattern's anchors.  NaN rows where localization fails, among them rows
-    with fewer usable differences than the 3 unknowns (x, y, d_0).
+def _records(rows):
+    """(m,) structured view of (m, P) float rows, one field per column: numpy
+    sorts and searches it lexicographically, in np.unique's row order."""
+    rows = np.ascontiguousarray(rows)
+    fields = [(f"f{i}", rows.dtype) for i in range(rows.shape[1])]
+    return rows.view(fields).reshape(-1)
 
-    Each distinct row is solved once and its answer scattered back.
-    Unusable entries are keyed as inf, so equal values in different
-    patterns stay distinct.
+
+class LocationTable:
+    """Every distinct range-difference row solved so far for one set of
+    anchor positions (index 0 the reference), with its answer.
+
+    keys      -- (m, L-1) distinct rows, sorted as np.unique sorts them;
+                 unusable (non-finite) entries are keyed as inf, so equal
+                 values in different patterns stay distinct
+    estimates -- (m, 2) estimates and residuals (m,) data costs, NaN where
+                 localization fails
+
+    Rows are independent, so a row found in the table gets the bits a
+    fresh solve would give it.  The table only grows; its owner (the
+    evaluation grid) bounds its life.
     """
-    keys = np.where(np.isfinite(diffs), diffs, np.inf)
-    distinct, inverse = np.unique(keys, axis=0, return_inverse=True)
-    estimates = np.full((distinct.shape[0], 2), np.nan)
-    residuals = np.full(distinct.shape[0], np.nan)
-    patterns, pattern_of = np.unique(np.isfinite(distinct), axis=0, return_inverse=True)
-    for k, usable in enumerate(patterns):
-        if usable.sum() < 3:
-            continue
-        rows = pattern_of.reshape(-1) == k
-        sub = np.vstack([pos[0], pos[1:][usable]])
-        estimates[rows], residuals[rows] = _srdls_batch(sub, distinct[rows][:, usable])
-    solved = np.count_nonzero(patterns.sum(axis=1) >= 3)
-    log.debug("%d distinct of %d rows, %d patterns solved", len(distinct), len(diffs), solved)
-    inverse = inverse.reshape(-1)
-    return estimates[inverse], residuals[inverse]
+
+    def __init__(self, positions):
+        self.positions = np.array(positions, dtype=float)
+        self.keys = np.empty((0, self.positions.shape[0] - 1))
+        self.estimates = np.empty((0, 2))
+        self.residuals = np.empty(0)
+
+    def __len__(self):
+        return self.keys.shape[0]
+
+    @property
+    def nbytes(self):
+        return self.keys.nbytes + self.estimates.nbytes + self.residuals.nbytes
+
+    def localize(self, diffs):
+        """Estimates (n, 2) and data costs (n,) from (n, L-1) range
+        differences.  NaN rows where localization fails, among them rows
+        with fewer usable differences than the 3 unknowns (x, y, d_0).
+
+        Rows in the table are looked up.  The distinct rows it lacks are
+        solved with one _srdls_batch call per pattern of finite
+        differences, on that pattern's anchors, and merged into it.
+        """
+        keys = np.where(np.isfinite(diffs), diffs, np.inf)
+        distinct, inverse = np.unique(keys, axis=0, return_inverse=True)
+        table, rows = _records(self.keys), _records(distinct)
+        at = np.searchsorted(table, rows)
+        known = at < len(table)
+        known[known] = table[at[known]] == rows[known]
+        estimates = np.full((distinct.shape[0], 2), np.nan)
+        residuals = np.full(distinct.shape[0], np.nan)
+        estimates[known], residuals[known] = self.estimates[at[known]], self.residuals[at[known]]
+        new = (~known).nonzero()[0]
+        patterns, pattern_of = np.unique(np.isfinite(distinct[new]), axis=0, return_inverse=True)
+        for k, usable in enumerate(patterns):
+            if usable.sum() < 3:
+                continue
+            solve = new[pattern_of.reshape(-1) == k]
+            sub = np.vstack([self.positions[0], self.positions[1:][usable]])
+            estimates[solve], residuals[solve] = _srdls_batch(sub, distinct[solve][:, usable])
+        # The new rows are sorted, and each sorts just before the table row
+        # at its searchsorted place: inserted there, the keys stay sorted.
+        self.keys = np.insert(self.keys, at[new], distinct[new], axis=0)
+        self.estimates = np.insert(self.estimates, at[new], estimates[new], axis=0)
+        self.residuals = np.insert(self.residuals, at[new], residuals[new])
+        solved = np.count_nonzero(patterns.sum(axis=1) >= 3)
+        log.debug("%d distinct of %d rows, %d patterns solved", len(distinct), len(diffs), solved)
+        inverse = inverse.reshape(-1)
+        return estimates[inverse], residuals[inverse]
 
 
 def srdls_localize(anchors, range_diffs):
@@ -356,7 +407,7 @@ def srdls_localize(anchors, range_diffs):
     diffs = np.asarray(range_diffs, dtype=float)
     if diffs.shape[0] != len(anchors) - 1:
         raise ValueError("expected one range difference per non-reference anchor")
-    xy, cost = _localize_diffs(anchors.positions, diffs[None, :])
+    xy, cost = LocationTable(anchors.positions).localize(diffs[None, :])
     if not np.isfinite(xy[0, 0]):
         return None
     return LocationEstimate(x=float(xy[0, 0]), y=float(xy[0, 1]), residual=float(cost[0]))
@@ -383,28 +434,35 @@ class LocBFitReport:
         return int(np.sum(~self.used))
 
 
-def localize_batch(anchors, pilots, sample_period):
+def localize_batch(anchors, pilots, sample_period, *, table=None):
     """Localize every pilot matrix in an (N, L, K) stack.
 
     Returns estimates (N, 2) and residuals (N,), NaN rows where
     localization fails.  Rows are independent: points that share a
     pattern of missing range differences are solved together, and each
     row equals its own srdls_localize call.  So equal rows of range
-    differences are solved once and share their answer.
+    differences are solved once and share their answer, and ``table``, a
+    LocationTable of these anchors, answers the rows it has seen before
+    and keeps the new ones; without it a fresh table is used.
     """
-    diffs = tdoa_range_differences(pilots, sample_period)
-    return _localize_diffs(anchors.positions, diffs)
+    if table is None:
+        table = LocationTable(anchors.positions)
+    elif not np.array_equal(table.positions, anchors.positions):
+        raise ConfigurationError("a location table serves only the anchors it was made for")
+    return table.localize(tdoa_range_differences(pilots, sample_period))
 
 
-def locb_fit(anchors, pilots, targets, sample_period, kernel, lam, center_targets=False):
+def locb_fit(anchors, pilots, targets, sample_period, kernel, lam, center_targets=False, *,
+             table=None):
     """Localization-based map fit: estimate coordinates, then ridge-regress.
 
     Measurements whose localization fails are dropped (reported in the
     LocBFitReport).  The regression is the same closed-form kernel ridge
-    solver used by the feature-based estimator.
+    solver used by the feature-based estimator.  ``table`` is passed to
+    localize_batch.
     """
     targets = np.asarray(targets, dtype=float)
-    report = LocBFitReport(*localize_batch(anchors, pilots, sample_period))
+    report = LocBFitReport(*localize_batch(anchors, pilots, sample_period, table=table))
     used = report.used
     if used.sum() < 2:
         raise ConfigurationError("too few localizable measurements to fit a map")

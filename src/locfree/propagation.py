@@ -423,13 +423,16 @@ def pilot_noise(scenario, shape, rng):
     """Circular complex Gaussian pilot noise, variance sigma_w^2 per sample."""
     if scenario.noise_variance == 0.0:
         return np.zeros(shape, dtype=complex)
-    # One draw for both parts, real then imaginary, written straight into
-    # one complex array: the stream and values of normal(0, scale, shape)
-    # for each part, without complex temporaries.
-    parts = rng.standard_normal((2,) + tuple(shape))
-    parts *= np.sqrt(scenario.noise_variance / 2.0)
+    # The real part, then the imaginary part, drawn through one reused
+    # buffer: the stream and values of normal(0, scale, shape) for each
+    # part, without complex temporaries.
+    scale = np.sqrt(scenario.noise_variance / 2.0)
     noise = np.empty(shape, dtype=complex)
-    noise.real, noise.imag = parts
+    part = np.empty(shape)
+    for view in (noise.real, noise.imag):
+        rng.standard_normal(out=part)
+        part *= scale
+        view[...] = part
     return noise
 
 

@@ -23,6 +23,28 @@ def test_scenario_preset_writes_artifacts(tmp_path):
     assert header == "x,y,power_dbw"
 
 
+def test_scenario_writes_the_precomputed_grid_files(tmp_path, monkeypatch):
+    """scenario traces the grid's powers only, and writes the true-map files
+    that the grid of precompute_grid gives, byte for byte."""
+    from locfree import io, propagation
+    from locfree.evaluation import precompute_grid
+    from locfree.scenario import preset
+
+    grid = precompute_grid(preset("indoor-fig4"))
+    io.write_truth_csv(grid, tmp_path / "true_map.csv")
+    io.write_pgm(grid, grid.truth, tmp_path / "true_map.pgm")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("scenario synthesized grid channels")
+
+    monkeypatch.setattr(propagation, "_batch_channels", refuse)
+    out = tmp_path / "scn"
+    assert run_cli("scenario", "--preset", "indoor-fig4", "--out", str(out)) == 0
+    for suffix in ("csv", "pgm"):
+        written = (out / f"indoor-fig4_true_map.{suffix}").read_bytes()
+        assert written == (tmp_path / f"true_map.{suffix}").read_bytes()
+
+
 def test_scenario_requires_preset_or_config(capsys):
     assert run_cli("scenario") == 2
     assert "configuration error" in capsys.readouterr().err

@@ -12,7 +12,7 @@ from locfree.evaluation import (
     NmseResult,
     _draw_world,
     fit_estimator,
-    grid_mean_power,
+    power_grid,
     mask_features,
     nmse,
     pooled_std,
@@ -273,10 +273,34 @@ def test_unconverged_completion_is_logged_once_per_run(fig4_coarse, caplog):
     "name, bandwidth, walls", [("indoor-fig4", 20e6, None), ("indoor-dense", 200e6, 5)]
 )
 def test_power_only_grid_mean_is_precomputed_p_bar(name, bandwidth, walls):
-    """The grid mean from a power-only trace is precompute_grid's p_bar bit
-    for bit, and so is the measurement noise derived from it."""
+    """The grid of a power-only trace is precompute_grid's without channels:
+    its mean power is p_bar bit for bit, and so is the measurement noise
+    derived from it and every other field."""
     scn = preset(name, bandwidth_hz=bandwidth, wall_count=walls)
-    grid = precompute_grid(scn)
-    p_bar = grid_mean_power(scn)
-    assert p_bar.hex() == grid.p_bar.hex()
-    assert measurement_noise_std(p_bar) == grid.noise_std
+    grid, powers = precompute_grid(scn), power_grid(scn)
+    assert powers.p_bar.hex() == grid.p_bar.hex()
+    assert powers.noise_std == grid.noise_std == measurement_noise_std(grid.p_bar)
+    assert powers.channels is None and powers.shape == grid.shape
+    for field in ("points", "flat_index", "truth", "pilot_powers", "xs", "ys"):
+        assert getattr(powers, field).tobytes() == getattr(grid, field).tobytes(), field
+
+
+def test_locb_parallel_matches_serial_with_filled_and_fresh_tables():
+    """A locb entry gives the same NmseResult at jobs 1 and 2, whether its
+    grid's location table starts empty or filled by other runs.  Workers
+    fill their own copies of the table, not the caller's."""
+    scn = preset("indoor-fig4")
+    grid = precompute_grid(scn, 3.0)
+    cfg = experiments._locb_config(scn, runs=3, seed=4)
+    fresh_parallel = run_experiment(cfg, grid=grid, jobs=2)
+    assert len(grid.locations) == 0
+    # Seeds 5 and 6: cfg's runs 1 and 2 are in the table, run 0 is not.
+    run_experiment(experiments._locb_config(scn, runs=2, seed=5), grid=grid)
+    filled = len(grid.locations)
+    assert filled > 0
+    filled_parallel = run_experiment(cfg, grid=grid, jobs=2)
+    assert len(grid.locations) == filled
+    filled_serial = run_experiment(cfg, grid=grid, jobs=1)
+    assert len(grid.locations) > filled
+    fresh_serial = run_experiment(cfg, grid=precompute_grid(scn, 3.0), jobs=1)
+    assert fresh_parallel == filled_parallel == filled_serial == fresh_serial

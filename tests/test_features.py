@@ -393,3 +393,24 @@ def test_dead_pilot_row_gives_nan_in_both_outputs():
     assert np.array_equal(np.isnan(diffs), [[False] * 3, [False, True, False], [True] * 3])
     assert np.allclose(matrix, scalar_com_columns(pilots, period), rtol=0, atol=1e-9, equal_nan=True)
     assert np.array_equal(diffs, scalar_range_differences(pilots, period), equal_nan=True)
+
+
+def test_feature_bits_do_not_depend_on_the_block_size(monkeypatch):
+    """Both readers of the pair kernel give the same bits at any block size.
+    Past 256 KiB numpy's temporary elision would reuse the conj spectrum as
+    the output of `a * b.conj()` and multiply in the other order; larger
+    blocks than the default reach that size on a noisy 200 MHz grid."""
+    from locfree.evaluation import precompute_grid
+    from locfree.scenario import preset
+
+    scn = preset("indoor-dense", bandwidth_hz=200e6, wall_count=5)
+    grid = precompute_grid(scn)
+    pilots = grid.channels + pilot_noise(scn, grid.channels.shape, np.random.default_rng(15))
+    com = feature_matrix_nosync(pilots, scn.sample_period)
+    tdoa = tdoa_range_differences(pilots, scn.sample_period)
+    for block_entries in (1 << 15, 1 << 16, 1 << 18):
+        monkeypatch.setattr(features, "_BLOCK_ENTRIES", block_entries)
+        assert np.array_equal(feature_matrix_nosync(pilots, scn.sample_period), com, equal_nan=True)
+        assert np.array_equal(
+            tdoa_range_differences(pilots, scn.sample_period), tdoa, equal_nan=True
+        )

@@ -2,13 +2,21 @@ import numpy as np
 import pytest
 
 from conftest import grid_aligned_free_space, scalar_range_differences
-from locfree import localization
+from locfree import experiments, localization
 from locfree.errors import ConfigurationError
-from locfree.evaluation import ExperimentConfig, Model, precompute_grid, predict_estimator
+from locfree.evaluation import (
+    ExperimentConfig,
+    Model,
+    _draw_world,
+    fit_and_predict,
+    precompute_grid,
+    predict_estimator,
+)
 from locfree.features import tdoa_range_differences
 from locfree.kernels import GaussianKernel, fit, predict
 from locfree.localization import (
     AnchorSet,
+    LocationTable,
     locb_fit,
     localize_batch,
     srdls_localize,
@@ -471,7 +479,7 @@ def test_localize_batch_rows_equal_their_own_calls(walls):
 def _reference_localize_diffs(pos, diffs):
     """One _srdls_batch call per pattern of finite differences over every
     row, copies included.  The oracle for the distinct-row path of
-    _localize_diffs, which must reproduce it bit for bit."""
+    LocationTable.localize, which must reproduce it bit for bit."""
     estimates = np.full((diffs.shape[0], 2), np.nan)
     residuals = np.full(diffs.shape[0], np.nan)
     patterns, inverse = np.unique(np.isfinite(diffs), axis=0, return_inverse=True)
@@ -505,12 +513,12 @@ def _count_srdls_rows(monkeypatch):
 
 
 def _assert_matches_reference(pos, diffs, monkeypatch):
-    """_localize_diffs equals the per-pattern reference, and _srdls_batch
+    """A fresh table's localize equals the per-pattern reference, and _srdls_batch
     receives each distinct row with at least 3 usable differences exactly
     once.  Returns the estimates and residuals."""
     xy_ref, cost_ref = _reference_localize_diffs(pos, diffs)
     received = _count_srdls_rows(monkeypatch)
-    xy, cost = localization._localize_diffs(pos, diffs)
+    xy, cost = LocationTable(pos).localize(diffs)
     assert xy.shape == (diffs.shape[0], 2) and cost.shape == (diffs.shape[0],)
     assert np.array_equal(xy, xy_ref, equal_nan=True)
     assert np.array_equal(cost, cost_ref, equal_nan=True)
@@ -593,8 +601,82 @@ def test_signed_zeros_give_identical_answers():
     xy_ref, cost_ref = _reference_localize_diffs(pos, diffs)
     assert xy_ref[0].tobytes() == xy_ref[1].tobytes()
     assert cost_ref[0].tobytes() == cost_ref[1].tobytes()
-    xy, cost = localization._localize_diffs(pos, diffs)
+    xy, cost = LocationTable(pos).localize(diffs)
     assert xy.tobytes() == xy_ref.tobytes() and cost.tobytes() == cost_ref.tobytes()
+
+
+@pytest.mark.parametrize(
+    "name, bandwidth, walls", [("indoor-fig4", 20e6, None), ("indoor-dense", 200e6, 5)]
+)
+def test_filled_table_answers_with_the_bytes_of_a_fresh_call(name, bandwidth, walls):
+    """Runs 0-4 localize their training and query pilots, with dead pilots,
+    through the grid's table, which earlier runs and the run's fit filled:
+    every estimate and residual is byte-equal to a fresh localize_batch."""
+    scn = preset(name, bandwidth_hz=bandwidth, wall_count=walls)
+    grid = precompute_grid(scn)
+    config = experiments._locb_config(scn)
+    anchors = AnchorSet.from_scenario(scn)
+    seen = 0
+    for run_idx in range(5):
+        world = _draw_world(config, grid, run_idx)
+        rng = np.random.default_rng(90 + run_idx)
+        for pilots in (world.train_pilots, world.query_pilots):
+            dead = rng.choice(pilots.shape[0], size=pilots.shape[0] // 10, replace=False)
+            pilots[dead, rng.integers(0, scn.n_transmitters, size=dead.size)] = 0.0
+            filled = localize_batch(anchors, pilots, scn.sample_period, table=grid.locations)
+            fresh = localize_batch(anchors, pilots, scn.sample_period)
+            assert filled[0].tobytes() == fresh[0].tobytes()
+            assert filled[1].tobytes() == fresh[1].tobytes()
+            diffs = tdoa_range_differences(pilots, scn.sample_period)
+            seen += len(np.unique(np.where(np.isfinite(diffs), diffs, np.inf), axis=0))
+    # The table answered rows that earlier calls had solved.
+    assert len(grid.locations) < seen
+
+
+def test_each_distinct_row_is_solved_once_per_grid(monkeypatch):
+    """Across three runs, and across each run's fit and predict,
+    _srdls_batch receives each distinct solvable row exactly once, and the
+    grid's table holds every distinct row, sorted as np.unique sorts."""
+    scn = preset("indoor-fig4")
+    grid = precompute_grid(scn)
+    config = experiments._locb_config(scn)
+    received = _count_srdls_rows(monkeypatch)
+    keys, calls = [], 0
+    for run_idx in range(3):
+        fit_and_predict(config, grid, run_idx)
+        world = _draw_world(config, grid, run_idx)
+        for pilots in (world.train_pilots, world.query_pilots):
+            diffs = tdoa_range_differences(pilots, scn.sample_period)
+            keys.append(np.where(np.isfinite(diffs), diffs, np.inf))
+            calls += len(np.unique(keys[-1], axis=0))
+    keys = np.concatenate(keys)
+    distinct = np.unique(keys, axis=0)
+    solvable = np.isfinite(distinct).sum(axis=1) >= 3
+    assert sum(block.shape[0] for block in received) == np.count_nonzero(solvable)
+    for block in received:
+        assert len(np.unique(block, axis=0)) == block.shape[0]
+    assert np.array_equal(grid.locations.keys, distinct)
+    assert np.isnan(grid.locations.residuals[~solvable]).all()
+    assert len(distinct) < calls
+
+
+def test_a_table_refuses_other_anchors():
+    scn = preset("indoor-fig4")
+    grid = precompute_grid(scn, 3.0)
+    pilots = grid.channels[:20]
+    moved = AnchorSet(scn.tx_positions() + np.array([0.0, 1e-9]))
+    fewer = AnchorSet(scn.tx_positions()[:4])
+    for anchors in (moved, fewer):
+        with pytest.raises(ConfigurationError, match="location table"):
+            localize_batch(anchors, pilots, scn.sample_period, table=grid.locations)
+        with pytest.raises(ConfigurationError, match="location table"):
+            locb_fit(anchors, pilots, grid.truth[:20], scn.sample_period, GaussianKernel(1.0),
+                     1e-3, table=grid.locations)
+    assert len(grid.locations) == 0
+    own = AnchorSet.from_scenario(scn)
+    localize_batch(own, pilots, scn.sample_period, table=grid.locations)
+    assert len(grid.locations) > 0
+    assert grid.locations.nbytes == len(grid.locations) * 8 * (scn.n_transmitters - 1 + 3)
 
 
 def _awkward_rows(rng, n, p):
