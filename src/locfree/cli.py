@@ -32,7 +32,6 @@ from .evaluation import (
 )
 from .propagation import (
     pilot_noise,
-    sample_sensor_locations,
     simulate_points,
 )
 from .scenario import (
@@ -240,19 +239,15 @@ def cmd_features(args):
         raise ConfigurationError("features needs --config PATH")
     doc = _load_json(args.config)
     config = _experiment_config(doc, seed_override=args.seed)
-    scenario = config.scenario
-    rng = np.random.default_rng(config.seed)
-    pts = sample_sensor_locations(scenario, config.n_train, rng)
-    tables = simulate_points(scenario, pts, check_domain=False)
-    pilots = tables.channels + pilot_noise(scenario, tables.channels.shape, rng)
-    matrix = features.feature_matrix_nosync(pilots, scenario.sample_period)
+    world = _draw_training(config, 0.0, 0)
+    matrix = features.feature_matrix_nosync(world.train_pilots, config.scenario.sample_period)
     if np.isfinite(config.gamma_dbw):
-        incomplete = mask_features(matrix, tables.pilot_powers, config.gamma_dbw)
+        incomplete = mask_features(matrix, world.train_powers, config.gamma_dbw)
         matrix = np.where(incomplete.observed, incomplete.values, np.nan)
     out = args.out or "."
     os.makedirs(out, exist_ok=True)
     path = os.path.join(out, "features.csv")
-    io.write_feature_csv(pts, matrix, path)
+    io.write_feature_csv(world.train_points, matrix, path)
     print(f"wrote {path}")
     return EXIT_OK
 

@@ -26,10 +26,12 @@ import numpy as np
 
 from .errors import ConfigurationError, SolverError
 
-# Consecutive residual increases tolerated before the step is halved, and
-# the smallest step, relative to the configured one, before giving up.
+# Consecutive residual increases tolerated before the step is halved, the
+# smallest step, relative to the configured one, before giving up, and the
+# change of the observed residual below which SVP has converged.
 _DIVERGENCE_PATIENCE = 10
 _MIN_STEP_FRACTION = 1e-6
+_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -64,7 +66,7 @@ class IncompleteFeatureMatrix:
 
 @dataclass(frozen=True)
 class CompletionConfig:
-    """SVP controls: target rank, step policy, iteration and tolerance limits.
+    """SVP controls: target rank, step policy and iteration limit.
 
     With ``adaptive_step`` (default) the step follows the Barzilai-Borwein
     rule <dx,dx>/<dx,dg>, seeded and clamped relative to ``step``; plain
@@ -76,7 +78,6 @@ class CompletionConfig:
     rank: int
     step: float = 1.0
     max_iters: int = 500
-    tol: float = 1e-12
     adaptive_step: bool = True
 
     def __post_init__(self):
@@ -84,8 +85,6 @@ class CompletionConfig:
             raise ConfigurationError("target rank must be >= 1")
         if self.step <= 0:
             raise ConfigurationError("step size must be > 0")
-        if self.tol <= 0:
-            raise ConfigurationError("tol must be > 0")
 
 
 @dataclass(frozen=True)
@@ -125,7 +124,7 @@ def svp_complete(incomplete, config):
     """Rank-constrained completion of an incomplete feature matrix by SVP.
 
     Minimizes ||P_Omega(X - Phi)||_F^2 over rank-<=r matrices.  Stops when
-    the relative change of the observed residual drops below ``tol`` or
+    the relative change of the observed residual drops below ``_TOL`` or
     after ``max_iters``.  A residual that keeps growing triggers step
     halving, and the descent restarts from the iterate of least residual
     (the zero start included); if halving bottoms out, or the iterate
@@ -186,7 +185,7 @@ def svp_complete(incomplete, config):
                     )
         else:
             grow_streak = 0
-        if abs(prev - res) < config.tol:
+        if abs(prev - res) < _TOL:
             converged = True
             break
         prev = res

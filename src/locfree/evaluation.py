@@ -383,17 +383,15 @@ def _run_in_worker(task):
     return _run_safely(config, _worker_grid, run_idx)
 
 
-def run_experiment(config, grid=None, jobs=1):
+def run_experiment(config, grid, jobs=1):
     """Monte Carlo NMSE of one estimator configuration.
 
     Runs are seeded ``config.seed + run_index`` and are order-insensitive;
-    failed runs are excluded and counted.  ``grid`` may carry a shared
-    PrecomputedGrid to amortize the scenario tables, and its location
-    table, across experiments.  With ``jobs`` > 1 each worker gets the grid
-    once and a task carries only (config, run index).
+    failed runs are excluded and counted.  ``grid`` is the config's
+    PrecomputedGrid; sharing it amortizes the scenario tables, and its
+    location table, across experiments.  With ``jobs`` > 1 each worker gets
+    the grid once and a task carries only (config, run index).
     """
-    if grid is None:
-        grid = precompute_grid(config.scenario, config.grid_step)
     if jobs > 1:
         with ProcessPoolExecutor(
             max_workers=jobs, initializer=_set_worker_grid, initargs=(grid,)

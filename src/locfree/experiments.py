@@ -67,6 +67,7 @@ LOCB_TUNED = {
 }
 
 DEFAULT_RUNS = 20
+_GAMMA_QUANTILES = (0.25, 0.4, 0.55)
 
 
 def _locf_config(scenario, tuned=True, **overrides):
@@ -211,15 +212,15 @@ def run_fig10_reduced(out_dir, runs, seed=0, jobs=1):
     return _run_sweep(entries, out_dir, jobs)
 
 
-def default_gamma_sweep(grid, quantiles=(0.25, 0.4, 0.55)):
+def default_gamma_sweep(grid):
     """Sensitivity thresholds spanning "nothing missing" to "many missing".
 
     The first point sits below the weakest pair power on the evaluation
-    grid; the rest are quantiles of the per-pair minimum pilot power.
+    grid; the rest are _GAMMA_QUANTILES of the per-pair minimum pilot power.
     """
     pair_min = pair_min_power(grid.pilot_powers)
     lo = float(pair_min.min()) - 5.0
-    return [lo] + [float(np.quantile(pair_min, q)) for q in quantiles]
+    return [lo] + [float(np.quantile(pair_min, q)) for q in _GAMMA_QUANTILES]
 
 
 def run_fig11_missing(out_dir, runs, seed=0, jobs=1, gamma_sweep=None,

@@ -61,6 +61,9 @@ _EPS_T = 1e-9
 # pass works on at a time.
 _BLOCK_ENTRIES = 1 << 13
 
+# p_bar^2 / sigma_eps^2 of the power measurements, in dB.
+_MEASUREMENT_SNR_DB = 40.0
+
 
 @dataclass(frozen=True)
 class PathComponent:
@@ -87,18 +90,19 @@ class PointTables:
 
 
 def _wall_geometry(scenario):
-    """Stacked wall arrays: endpoints, unit normals, crossing amplitude factors."""
+    """Stacked wall arrays: endpoints, normals, crossing factors, max_reflection."""
     walls = scenario.walls
     if not walls:
         zeros = np.zeros((0, 2))
-        return zeros, zeros, zeros, np.zeros(0)
+        return zeros, zeros, zeros, np.zeros(0), np.zeros(0)
     p1 = np.array([w.p1 for w in walls], dtype=float)
     p2 = np.array([w.p2 for w in walls], dtype=float)
     d = p2 - p1
     normals = np.stack([-d[:, 1], d[:, 0]], axis=1)
     normals /= np.linalg.norm(normals, axis=1, keepdims=True)
     cross_factor = 10.0 ** (-np.array([w.loss_db for w in walls]) / 20.0)
-    return p1, p2, normals, cross_factor
+    reflect = np.array([w.max_reflection for w in walls], dtype=float)
+    return p1, p2, normals, cross_factor, reflect
 
 
 def _wall_hit(starts, legs, a, b):
@@ -135,7 +139,7 @@ def _crossing_factors(starts, ends, geom, exclude=()):
     it crosses multiply in wall order.  ``exclude`` holds (m,) wall indices
     whose crossings a leg does not count.
     """
-    p1, p2, _, factors = geom
+    p1, p2, _, factors, _ = geom
     legs = ends - starts
     _, crossed = _wall_hit(starts[:, None], legs[:, None], p1.T[..., None], p2.T[..., None])
     for walls in exclude:
@@ -168,7 +172,7 @@ def _wall_sequences(tx, geom, order):
     wall of the sequence in turn.  A sequence is left out when the source
     or an image lies on the plane of the next wall.
     """
-    p1, _, normals, _ = geom
+    p1, _, normals, _, _ = geom
     seqs, images = [], []
     for seq in itertools.permutations(range(p1.shape[0]), order):
         chain = [tx]
@@ -197,7 +201,7 @@ def _reflections(scenario, tx, rx, geom, order):
     zero amplitude where a bounce point misses its wall.  Every entry keeps
     its delay, hit or not.
     """
-    p1, p2, normals, _ = geom
+    p1, p2, normals, _, reflect = geom
     seqs, images = _wall_sequences(tx[:, 0], geom, order)
     n_seq, n = seqs.shape[0], rx.shape[1]
     amps = np.zeros((n, n_seq))
@@ -206,7 +210,6 @@ def _reflections(scenario, tx, rx, geom, order):
         return amps, delays
     images = images.transpose(1, 2, 0).copy()  # (order + 1, 2, S)
     walls_at = seqs.T.copy()  # (order, S): the wall of each bounce
-    used = [np.unique(w) for w in walls_at]  # the walls at each bounce
     p1, p2, normals = p1.T, p2.T, normals.T
     last = walls_at[-1, :, None]
     block = max(1, _BLOCK_ENTRIES // n_seq)
@@ -237,9 +240,7 @@ def _reflections(scenario, tx, rx, geom, order):
             # some row counts and not others.
             cos = np.abs(leg[0] * normal[0] + leg[1] * normal[1])
             cos /= np.maximum(length, 1e-12)
-            for w in used[j]:  # each wall's own reflection law
-                on = walls == w
-                refl[on] = scenario.walls[w].reflection_amplitude(cos[on]) * refl[on]
+            refl = reflect.take(walls) * cos * refl
             if j:  # through the previous image back to the previous bounce point
                 image = images[j].take(seq, axis=1)
                 leg = points[0] - image
@@ -483,13 +484,13 @@ def evaluation_grid(scenario, step=1.0):
     )
 
 
-def measurement_noise_std(p_bar, snr_db=40.0):
+def measurement_noise_std(p_bar):
     """Power-measurement noise sigma_eps from the dB-domain SNR rule.
 
-    Solves ``10 log10(p_bar^2 / sigma_eps^2) = snr_db`` for the spatial
-    average ``p_bar`` of the map (PrecomputedGrid.p_bar).
+    Solves ``10 log10(p_bar^2 / sigma_eps^2) = _MEASUREMENT_SNR_DB`` for the
+    spatial average ``p_bar`` of the map (PrecomputedGrid.p_bar).
     """
-    return abs(p_bar) / 10.0 ** (snr_db / 20.0)
+    return abs(p_bar) / 10.0 ** (_MEASUREMENT_SNR_DB / 20.0)
 
 
 def measure_power(scenario, point, rng, noise_std):

@@ -10,7 +10,7 @@ rate ``T = 1/B``.
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,10 +28,8 @@ class WallSegment:
     """Straight wall with transmission loss and specular reflection.
 
     ``loss_db`` applies once per crossing (amplitude factor
-    ``10**(-loss_db/20)``).  The reflection amplitude for incidence angle
-    ``theta`` (measured from the wall normal) defaults to
-    ``max_reflection * |cos(theta)|``; a custom ``reflection`` callable
-    mapping angle (radians, ndarray) to amplitude in [0, 1] may be given.
+    ``10**(-loss_db/20)``).  The reflection amplitude at incidence angle
+    ``theta`` from the wall normal is ``max_reflection * |cos(theta)|``.
     """
 
     x1: float
@@ -40,7 +38,6 @@ class WallSegment:
     y2: float
     loss_db: float = 6.0
     max_reflection: float = 0.7
-    reflection: object = field(default=None, compare=False)
 
     def __post_init__(self):
         if (self.x1, self.y1) == (self.x2, self.y2):
@@ -49,10 +46,6 @@ class WallSegment:
             raise ConfigurationError("wall transmission loss must be >= 0 dB")
         if not 0.0 <= self.max_reflection <= 1.0:
             raise ConfigurationError("max_reflection must lie in [0, 1]")
-        if self.reflection is not None:
-            probe = np.abs(np.asarray(self.reflection(np.linspace(0.0, math.pi / 2, 7))))
-            if np.any(probe > 1.0 + 1e-12):
-                raise ConfigurationError("reflection coefficient must not exceed 1")
 
     @property
     def p1(self):
@@ -61,14 +54,6 @@ class WallSegment:
     @property
     def p2(self):
         return (self.x2, self.y2)
-
-    def reflection_amplitude(self, cos_theta):
-        """Amplitude reflection coefficient for |cos| of the incidence angle."""
-        cos_theta = np.abs(np.asarray(cos_theta, dtype=float))
-        if self.reflection is None:
-            return self.max_reflection * cos_theta
-        theta = np.arccos(np.clip(cos_theta, 0.0, 1.0))
-        return np.asarray(self.reflection(theta), dtype=float)
 
 
 @dataclass(frozen=True)
@@ -95,7 +80,8 @@ class Scenario:
     bandwidth_hz -- pilot bandwidth B; the sample period is T = 1/B
     num_samples  -- K, taps per channel / samples per pilot row
     noise_variance -- sigma_w^2, watts per complex pilot sample
-    seed     -- default RNG seed for reproducible synthesis
+    seed     -- a label saved with the scenario; no draw reads it (runs
+                are seeded by ExperimentConfig.seed)
     """
 
     region: tuple

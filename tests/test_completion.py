@@ -235,7 +235,7 @@ def _reference_svp_complete(incomplete, config):
                     raise SolverError("SVP diverges even after step halving")
         else:
             grow_streak = 0
-        if abs(prev - res) < config.tol:
+        if abs(prev - res) < completion._TOL:
             converged = True
             break
         prev = res

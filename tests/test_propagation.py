@@ -139,7 +139,7 @@ def _oracle_segment_params(starts, ends, a, b):
 
 
 def _oracle_crossing_factors(starts, ends, geom, exclude=()):
-    p1, p2, _, factors = geom
+    p1, p2, _, factors, _ = geom
     n = np.atleast_2d(ends).shape[0]
     out = np.ones(n)
     for w in range(p1.shape[0]):
@@ -167,7 +167,7 @@ def _two_block_trace_tx(scenario, tx, rx, geom):
     top_k = propagation._top_k
     walls = scenario.walls
     n_walls = len(walls)
-    p1, p2, normals, _ = geom
+    p1, p2, normals, _, _ = geom
     rx = np.atleast_2d(np.asarray(rx, dtype=float))
     n = rx.shape[0]
     fc = scenario.carrier_hz
@@ -195,7 +195,7 @@ def _two_block_trace_tx(scenario, tx, rx, geom):
             length = np.linalg.norm(rx - image, axis=1)
             with np.errstate(invalid="ignore", divide="ignore"):
                 cos_inc = np.abs(_dot(rx - image, normals[w])) / length
-            refl = walls[w].reflection_amplitude(cos_inc)
+            refl = walls[w].max_reflection * cos_inc
             amp = (
                 friis(np.maximum(length, 1e-12), fc)
                 * refl
@@ -238,7 +238,7 @@ def _two_block_trace_tx(scenario, tx, rx, geom):
                 with np.errstate(invalid="ignore", divide="ignore"):
                     cos2 = np.abs(_dot(rx - image2, normals[w2])) / length
                     cos1 = np.abs(_dot(q2 - image1, normals[w1])) / np.maximum(leg2, 1e-12)
-                refl = walls[w1].reflection_amplitude(cos1) * walls[w2].reflection_amplitude(cos2)
+                refl = (walls[w1].max_reflection * cos1) * (walls[w2].max_reflection * cos2)
                 amp = (
                     friis(np.maximum(length, 1e-12), fc)
                     * refl
@@ -268,19 +268,11 @@ def _tx_on_wall_plane():
 
 
 def _custom_reflection_walls():
-    """Mixed max_reflection values and custom reflection laws, so every
-    bounce position has sequences on walls with different coefficients."""
-    laws = (
-        None,
-        lambda theta: 0.5 * np.cos(theta) ** 2 + 0.1,
-        None,
-        lambda theta: np.full_like(theta, 0.4),
-        None,
-        lambda theta: 0.8 * np.sin(theta),
-    )
+    """Mixed max_reflection values, so every bounce position has sequences
+    on walls with different coefficients."""
     walls = tuple(
-        replace(w, max_reflection=m, reflection=law)
-        for w, m, law in zip(canonical_walls(6), (0.3, 0.9, 0.7, 0.5, 0.7, 1.0), laws)
+        replace(w, max_reflection=m)
+        for w, m in zip(canonical_walls(6), (0.3, 0.9, 0.7, 0.5, 0.7, 1.0))
     )
     return replace(preset("indoor-dense", bandwidth_hz=200e6), walls=walls)
 

@@ -1,6 +1,6 @@
 import json
+from dataclasses import fields
 
-import numpy as np
 import pytest
 
 from locfree.errors import ConfigurationError
@@ -13,6 +13,7 @@ from locfree.scenario import (
     samples_for_bandwidth,
     save_scenario,
     scenario_from_dict,
+    scenario_to_dict,
 )
 
 
@@ -66,8 +67,6 @@ def test_negative_pilot_power_rejected():
 def test_reflection_coefficient_bound_checked():
     with pytest.raises(ConfigurationError):
         WallSegment(0, 0, 1, 0, max_reflection=1.2)
-    with pytest.raises(ConfigurationError):
-        WallSegment(0, 0, 1, 0, reflection=lambda theta: 2.0 * np.ones_like(theta))
 
 
 def test_json_round_trip(tmp_path):
@@ -76,6 +75,17 @@ def test_json_round_trip(tmp_path):
     save_scenario(scn, path)
     again = load_scenario(path)
     assert again == scn
+
+
+def test_scenario_document_has_a_key_for_every_field():
+    """A saved scenario drops no field: each init field of Scenario,
+    WallSegment and Transmitter has its key (noise_variance as noise_dbm)."""
+    doc = scenario_to_dict(preset("indoor-fig4"))
+    renamed = {"noise_variance": "noise_dbm"}
+    for cls, written in (
+        (Scenario, doc), (WallSegment, doc["walls"][0]), (Transmitter, doc["transmitters"][0]),
+    ):
+        assert {renamed.get(f.name, f.name) for f in fields(cls) if f.init} == set(written)
 
 
 def test_noise_dbm_null_means_zero_variance(tmp_path):
