@@ -68,6 +68,7 @@ from .evaluation import (
     nmse,
     precompute_grid,
     run_experiment,
+    run_experiments,
 )
 
 __version__ = "0.1.0"

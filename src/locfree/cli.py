@@ -17,11 +17,12 @@ from dataclasses import replace
 
 import numpy as np
 
-from . import experiments, features, io, kernels
+from . import experiments, io, kernels
 from .errors import ConfigurationError, SolverError
 from .evaluation import (
     ExperimentConfig,
     Model,
+    PilotSet,
     _draw_training,
     _grid_points,
     fit_estimator,
@@ -188,7 +189,9 @@ def cmd_predict(args):
     pilots = tables.channels
     if config.noisy_query:
         pilots = pilots + pilot_noise(scenario, pilots.shape, rng)
-    values = predict_estimator(config, model, pilots, tables.pilot_powers)
+    values = predict_estimator(
+        config, model, PilotSet(pilots, scenario.sample_period), tables.pilot_powers
+    )
     out = args.out or "."
     os.makedirs(out, exist_ok=True)
     path = os.path.join(out, "predictions.csv")
@@ -240,7 +243,7 @@ def cmd_features(args):
     doc = _load_json(args.config)
     config = _experiment_config(doc, seed_override=args.seed)
     world = _draw_training(config, 0.0, 0)
-    matrix = features.feature_matrix_nosync(world.train_pilots, config.scenario.sample_period)
+    matrix = world.train.com
     if np.isfinite(config.gamma_dbw):
         incomplete = mask_features(matrix, world.train_powers, config.gamma_dbw)
         matrix = np.where(incomplete.observed, incomplete.values, np.nan)

@@ -13,13 +13,22 @@ predicting the average everywhere".
 Runs are independent and reproducible: run i uses a fresh generator
 seeded with ``seed + i``, and all noise draws happen in a fixed order
 before estimator-specific work, so different estimator kinds under the
-same seed see identical worlds (common random numbers).
+same seed see identical worlds (common random numbers).  Such a world is
+drawn once, not just drawn alike: the process holds the last world it
+drew, read-only, with the CoM features of its training and query pilots
+extracted on first read, and every run that draws the same world on the
+same grid reads it (``_draw_world``).  ``run_experiments`` loops over run
+indices on the outside, so the configurations of one sweep that share a
+world draw, trace and extract it once per run index.
 """
 
+import copy
 import logging
 import os
+import weakref
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -183,21 +192,43 @@ def power_grid(scenario, step=1.0):
     return _grid(scenario, step, simulate_powers)
 
 
+def _read_only(array):
+    """A read-only view of ``array``."""
+    view = array.view()
+    view.flags.writeable = False
+    return view
+
+
+@dataclass
+class PilotSet:
+    """(n, L, K) received pilots and, extracted on first read, their (M, n)
+    CoM feature matrix ``com`` (features.feature_matrix_nosync)."""
+
+    pilots: np.ndarray
+    sample_period: float
+
+    @cached_property
+    def com(self):
+        return _read_only(features.feature_matrix_nosync(self.pilots, self.sample_period))
+
+
 @dataclass
 class RunWorld:
-    """Everything a single run draws before estimator-specific work."""
+    """Everything a single run draws before estimator-specific work.
+
+    Its arrays are read-only: one world may serve several runs."""
 
     train_points: np.ndarray
-    train_pilots: np.ndarray
+    train: PilotSet
     train_powers: np.ndarray   # (N, L) pilot powers in dBW at training points
     targets: np.ndarray
-    query_pilots: np.ndarray
+    queries: PilotSet
     rng: np.random.Generator
 
 
 def _draw_training(config, noise_std, run_idx):
     """The training half of run ``run_idx``'s world, with targets of
-    measurement noise ``noise_std`` dB; ``query_pilots`` is None."""
+    measurement noise ``noise_std`` dB; ``queries`` is None."""
     scenario = config.scenario
     rng = np.random.default_rng(config.seed + run_idx)
     pts = sample_sensor_locations(scenario, config.n_train, rng)
@@ -207,22 +238,44 @@ def _draw_training(config, noise_std, run_idx):
         rng.normal(0.0, noise_std, config.n_train) if noise_std > 0 else 0.0
     )
     return RunWorld(
-        train_points=pts,
-        train_pilots=train_pilots,
-        train_powers=tables.pilot_powers,
-        targets=targets,
-        query_pilots=None,
+        train_points=_read_only(pts),
+        train=PilotSet(_read_only(train_pilots), scenario.sample_period),
+        train_powers=_read_only(tables.pilot_powers),
+        targets=_read_only(targets),
+        queries=None,
         rng=rng,
     )
 
 
+# The world _draw_world drew last: (weak reference to its grid, key, world).
+# A grid is held weakly, never by id(): a freed grid's address can be reused.
+_held = None
+
+
 def _draw_world(config, grid, run_idx):
-    world = _draw_training(config, grid.noise_std if config.measurement_noise else 0.0, run_idx)
-    world.query_pilots = grid.channels
-    if config.noisy_query:
-        world.query_pilots = pilot_noise(config.scenario, grid.channels.shape, world.rng)
-        world.query_pilots += grid.channels
-    return world
+    """Run ``run_idx``'s world on ``grid``: the training draw, then the
+    (by default noisy) query pilots at the grid points.
+
+    The process holds the last world drawn and returns it again while the
+    grid, the scenario, ``seed + run_idx``, ``n_train``,
+    ``measurement_noise`` and ``noisy_query`` match; a miss drops it before
+    drawing, so two worlds never coexist.  Each call gets its own copy of
+    the post-draw generator, which an ``n_features`` fit draws from.
+    """
+    global _held
+    key = (config.scenario, config.seed + run_idx, config.n_train,
+           config.measurement_noise, config.noisy_query)
+    if _held is None or _held[0]() is not grid or _held[1] != key:
+        _held = None
+        world = _draw_training(config, grid.noise_std if config.measurement_noise else 0.0, run_idx)
+        pilots = grid.channels
+        if config.noisy_query:
+            pilots = pilot_noise(config.scenario, grid.channels.shape, world.rng)
+            pilots += grid.channels
+        world.queries = PilotSet(_read_only(pilots), config.scenario.sample_period)
+        _held = (weakref.ref(grid), key, world)
+    world = _held[2]
+    return replace(world, rng=copy.deepcopy(world.rng))
 
 
 @dataclass(frozen=True)
@@ -250,17 +303,17 @@ def fit_estimator(config, world, run_idx=0, *, table=None):
     Returns (Model, columns): the (M, N) training features, or for locb the
     (2, N) location estimates, NaN where a point failed to localize.
     """
-    t_samp = config.scenario.sample_period
     if config.estimator == "locb":
         fitted, report = localization.locb_fit(
-            localization.AnchorSet.from_scenario(config.scenario), world.train_pilots,
-            world.targets, t_samp, kernels.GaussianKernel(config.sigma_loc),
-            config.lam_loc, center_targets=config.center_targets, table=table,
+            localization.AnchorSet.from_scenario(config.scenario), world.train.pilots,
+            world.targets, config.scenario.sample_period,
+            kernels.GaussianKernel(config.sigma_loc), config.lam_loc,
+            center_targets=config.center_targets, table=table,
         )
         if report.n_dropped:
             log.warning("dropped %d unlocalizable measurements", report.n_dropped)
         return Model(fitted, located=report), report.estimates.T
-    train_f = features.feature_matrix_nosync(world.train_pilots, t_samp)
+    train_f = world.train.com
     columns, extra = train_f, {}
     if config.estimator == "locf_reduced":
         eta = None if config.rank is not None else config.eta or 0.99
@@ -315,20 +368,19 @@ def _complete(config, world, train_f, run_idx):
     }
 
 
-def predict_estimator(config, model, query_pilots, query_powers, *, table=None):
-    """Map values at (n, L, K) query pilots, whose (n, L) pilot powers in
+def predict_estimator(config, model, queries, query_powers, *, table=None):
+    """Map values at the PilotSet ``queries``, whose (n, L) pilot powers in
     dBW mask the completion features.  Returns (n,) values, NaN where no
     input column can be formed: an unlocalized locb query, or a completion
     query with nothing observed (a NaN column predicts NaN).  A locb
     predict localizes through the LocationTable ``table`` if given."""
-    t_samp = config.scenario.sample_period
     if config.estimator == "locb":
         columns = localization.localize_batch(
-            localization.AnchorSet.from_scenario(config.scenario), query_pilots, t_samp,
-            table=table,
+            localization.AnchorSet.from_scenario(config.scenario), queries.pilots,
+            config.scenario.sample_period, table=table,
         )[0].T
     else:
-        columns = features.feature_matrix_nosync(query_pilots, t_samp)
+        columns = queries.com
     if model.subset is not None:
         columns = columns[model.subset]
     if config.estimator == "locf_completion":
@@ -345,7 +397,7 @@ def fit_and_predict(config, grid, run_idx):
     world = _draw_world(config, grid, run_idx)
     model, _ = fit_estimator(config, world, run_idx, table=grid.locations)
     predictions = predict_estimator(
-        config, model, world.query_pilots, grid.pilot_powers, table=grid.locations
+        config, model, world.queries, grid.pilot_powers, table=grid.locations
     )
     fallback = np.isnan(predictions)
     if np.any(fallback):
@@ -363,12 +415,17 @@ def run_once(config, grid, run_idx):
 
 def _run_safely(config, grid, run_idx):
     try:
-        return run_idx, run_once(config, grid, run_idx), None
+        return run_once(config, grid, run_idx), None
     except (SolverError, np.linalg.LinAlgError) as exc:
-        return run_idx, None, f"{type(exc).__name__}: {exc}"
+        return None, f"{type(exc).__name__}: {exc}"
 
 
-# The grid of a run_experiment pool's worker process, shipped once by the
+def _run_index(configs, grid, run_idx):
+    """Run ``run_idx`` of every config that has one (None for the others)."""
+    return [_run_safely(c, grid, run_idx) if run_idx < c.runs else None for c in configs]
+
+
+# The grid of a run_experiments pool's worker process, shipped once by the
 # pool initializer; the worker's runs fill its location table.
 _worker_grid = None
 
@@ -379,29 +436,14 @@ def _set_worker_grid(grid):
 
 
 def _run_in_worker(task):
-    config, run_idx = task
-    return _run_safely(config, _worker_grid, run_idx)
+    configs, run_idx = task
+    return _run_index(configs, _worker_grid, run_idx)
 
 
-def run_experiment(config, grid, jobs=1):
-    """Monte Carlo NMSE of one estimator configuration.
-
-    Runs are seeded ``config.seed + run_index`` and are order-insensitive;
-    failed runs are excluded and counted.  ``grid`` is the config's
-    PrecomputedGrid; sharing it amortizes the scenario tables, and its
-    location table, across experiments.  With ``jobs`` > 1 each worker gets
-    the grid once and a task carries only (config, run index).
-    """
-    if jobs > 1:
-        with ProcessPoolExecutor(
-            max_workers=jobs, initializer=_set_worker_grid, initargs=(grid,)
-        ) as pool:
-            outcomes = list(pool.map(_run_in_worker, [(config, i) for i in range(config.runs)]))
-    else:
-        outcomes = [_run_safely(config, grid, i) for i in range(config.runs)]
-    outcomes.sort(key=lambda item: item[0])
+def _summarize(outcomes):
+    """NmseResult of one config's (result, error) outcomes in run order."""
     values, missing, failed = [], [], 0
-    for run_idx, result, error in outcomes:
+    for run_idx, (result, error) in enumerate(outcomes):
         if error is None:
             values.append(result[0])
             missing.append(result[1])
@@ -418,6 +460,40 @@ def run_experiment(config, grid, jobs=1):
         failed=failed,
         avg_missing=float(np.mean(missing)),
     )
+
+
+def run_experiments(configs, grid, jobs=1):
+    """Monte Carlo NMSE of estimator configurations that share ``grid``:
+    one NmseResult per config, in order.
+
+    Runs are seeded ``config.seed + run_index`` and are order-insensitive;
+    failed runs are excluded and counted.  The loop over run indices is the
+    outer one, so the configs of one run index that draw the same world
+    (same scenario, seed + run index, N and noise options) read it drawn
+    once.  ``grid`` is the configs' PrecomputedGrid; sharing it amortizes
+    the scenario tables, and its location table, across configs.  With
+    ``jobs`` > 1 one pool serves the call: each worker gets the grid once,
+    and a task is one run index of every config.
+    """
+    configs = list(configs)
+    indices = range(max(config.runs for config in configs))
+    if jobs > 1:
+        with ProcessPoolExecutor(
+            max_workers=jobs, initializer=_set_worker_grid, initargs=(grid,)
+        ) as pool:
+            by_run = list(pool.map(_run_in_worker, [(configs, i) for i in indices]))
+    else:
+        by_run = [_run_index(configs, grid, i) for i in indices]
+    return [
+        _summarize(outcomes[:config.runs])
+        for config, outcomes in zip(configs, zip(*by_run))
+    ]
+
+
+def run_experiment(config, grid, jobs=1):
+    """Monte Carlo NMSE of one estimator configuration: run_experiments of
+    the one config."""
+    return run_experiments([config], grid, jobs)[0]
 
 
 def pooled_std(result_a, result_b):

@@ -14,6 +14,7 @@ isolated in feature space fall back to the training mean instead of an
 arbitrary 0 dBW).
 """
 
+import itertools
 import os
 from dataclasses import asdict
 
@@ -27,7 +28,7 @@ from .evaluation import (
     nmse,
     pair_min_power,
     precompute_grid,
-    run_experiment,
+    run_experiments,
 )
 from .propagation import pilot_noise
 from .scenario import preset as scenario_preset
@@ -92,19 +93,26 @@ def _locb_config(scenario, tuned=True, **overrides):
     return ExperimentConfig(**base)
 
 
-def _run_sweep(entries, out_dir, jobs, grid_cache=None):
-    """Run (label, config) pairs, write results.csv and return the summary."""
-    grid_cache = {} if grid_cache is None else grid_cache
+def _run_sweep(entries, out_dir, jobs, grids=None):
+    """Run (label, config) pairs, write results.csv and return the summary.
+
+    Consecutive entries of one scenario share its grid and one
+    run_experiments call, so they draw each of their common worlds once
+    and, with ``jobs`` > 1, share their workers' location tables.  A
+    group's grid is taken from ``grids`` (keyed by id(scenario)) or
+    computed, and is dropped when the group ends."""
     rows = []
     summary = {}
-    for label, config in entries:
-        key = id(config.scenario)
-        if key not in grid_cache:
-            grid_cache[key] = precompute_grid(config.scenario, config.grid_step)
-        result = run_experiment(config, grid=grid_cache[key], jobs=jobs)
-        summary[label] = asdict(result)
-        for run, value in enumerate(result.per_run):
-            rows.append((label, config.n_train, run, value))
+    for key, group in itertools.groupby(entries, key=lambda entry: id(entry[1].scenario)):
+        group = list(group)
+        grid = (grids or {}).get(key)
+        if grid is None:
+            grid = precompute_grid(group[0][1].scenario, group[0][1].grid_step)
+        results = run_experiments([config for _, config in group], grid, jobs)
+        for (label, config), result in zip(group, results):
+            summary[label] = asdict(result)
+            for run, value in enumerate(result.per_run):
+                rows.append((label, config.n_train, run, value))
     io.write_results_csv(rows, os.path.join(out_dir, "results.csv"))
     return summary
 
@@ -230,7 +238,6 @@ def run_fig11_missing(out_dir, runs, seed=0, jobs=1, gamma_sweep=None,
     grid = precompute_grid(scenario)
     if gamma_sweep is None:
         gamma_sweep = default_gamma_sweep(grid)
-    grid_cache = {id(scenario): grid}
     common = dict(n_train=300, runs=runs, seed=seed)
     entries = [("locf_baseline", _locf_config(scenario, **common))]
     rank = scenario.n_transmitters - 1
@@ -248,7 +255,7 @@ def run_fig11_missing(out_dir, runs, seed=0, jobs=1, gamma_sweep=None,
                 ),
             )
         )
-    summary = _run_sweep(entries, out_dir, jobs, grid_cache=grid_cache)
+    summary = _run_sweep(entries, out_dir, jobs, grids={id(scenario): grid})
     summary["gamma_sweep_dbw"] = list(gamma_sweep)
     return summary
 

@@ -25,7 +25,7 @@ from locfree.completion import (
     rls_recover_query,
     svp_complete,
 )
-from locfree.evaluation import ExperimentConfig, pooled_std, precompute_grid, run_experiment
+from locfree.evaluation import ExperimentConfig, pooled_std, precompute_grid, run_experiments
 from locfree.features import com_impulse, estimate_toa, pair_indices
 from locfree.kernels import GaussianKernel, fit, gram_matrix, predict
 from locfree.localization import AnchorSet, srdls_localize
@@ -58,15 +58,14 @@ def indoor20():
 @pytest.fixture(scope="session")
 def fig6_results(indoor20):
     scenario, grid = indoor20
-    out = {}
+    configs = {}
+    for n in (100, 150, 200, 300):
+        configs[("locf", n)] = experiments._locf_config(scenario, n_train=n, runs=RUNS, seed=SEED)
+        configs[("locb", n)] = experiments._locb_config(scenario, n_train=n, runs=RUNS, seed=SEED)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        for n in (100, 150, 200, 300):
-            cfg_f = experiments._locf_config(scenario, n_train=n, runs=RUNS, seed=SEED)
-            cfg_b = experiments._locb_config(scenario, n_train=n, runs=RUNS, seed=SEED)
-            out[("locf", n)] = run_experiment(cfg_f, grid=grid, jobs=2)
-            out[("locb", n)] = run_experiment(cfg_b, grid=grid, jobs=2)
-    return out
+        results = run_experiments(configs.values(), grid, jobs=2)
+    return dict(zip(configs, results))
 
 
 # ---------------------------------------------------------------------------
@@ -265,14 +264,14 @@ def test_criterion_6_wall_sweep_crossover():
                 "indoor-dense", bandwidth_hz=200e6, wall_count=walls, seed=SEED
             )
             grid = precompute_grid(scenario)
-            locf[walls] = run_experiment(
-                experiments._locf_config(scenario, n_train=300, runs=RUNS, seed=SEED),
-                grid=grid, jobs=2,
-            ).mean
-            locb[walls] = run_experiment(
-                experiments._locb_config(scenario, n_train=300, runs=RUNS, seed=SEED),
-                grid=grid, jobs=2,
-            ).mean
+            result_f, result_b = run_experiments(
+                [
+                    experiments._locf_config(scenario, n_train=300, runs=RUNS, seed=SEED),
+                    experiments._locb_config(scenario, n_train=300, runs=RUNS, seed=SEED),
+                ],
+                grid, jobs=2,
+            )
+            locf[walls], locb[walls] = result_f.mean, result_b.mean
     crossover = locb[0] < locf[0]
     locf_vals = np.array([locf[w] for w in range(6)])
     variation = (locf_vals.max() - locf_vals.min()) / locf_vals.min()
@@ -299,19 +298,18 @@ def test_criterion_7_reduced_feature_parity():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         grid = precompute_grid(scenario)
-        full = run_experiment(
-            ExperimentConfig(
-                scenario=scenario, estimator="locf", n_train=300, runs=RUNS,
-                seed=SEED, sigma=sigma, lam=lam,
-            ),
-            grid=grid, jobs=2,
-        )
-        reduced = run_experiment(
-            ExperimentConfig(
-                scenario=scenario, estimator="locf_reduced", rank=4, n_train=300,
-                runs=RUNS, seed=SEED, sigma=sigma, lam=lam,
-            ),
-            grid=grid, jobs=2,
+        full, reduced = run_experiments(
+            [
+                ExperimentConfig(
+                    scenario=scenario, estimator="locf", n_train=300, runs=RUNS,
+                    seed=SEED, sigma=sigma, lam=lam,
+                ),
+                ExperimentConfig(
+                    scenario=scenario, estimator="locf_reduced", rank=4, n_train=300,
+                    runs=RUNS, seed=SEED, sigma=sigma, lam=lam,
+                ),
+            ],
+            grid, jobs=2,
         )
     gap = abs(reduced.mean - full.mean) / full.mean
     elapsed = time.time() - start
@@ -333,20 +331,21 @@ def test_criterion_8_missing_feature_degradation(indoor20, fig6_results):
     scenario, grid = indoor20
     sweep = experiments.default_gamma_sweep(grid)
     sigma, lam = experiments.LOCF_TUNED[20e6]
-    means, missing = [], []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        for gamma in sweep:
-            result = run_experiment(
+        results = run_experiments(
+            [
                 ExperimentConfig(
                     scenario=scenario, estimator="locf_completion", rank=4,
                     mu=5.42, gamma_dbw=gamma, n_train=300, runs=RUNS,
                     seed=SEED, sigma=sigma, lam=lam,
-                ),
-                grid=grid, jobs=2,
-            )
-            means.append(result.mean)
-            missing.append(result.avg_missing)
+                )
+                for gamma in sweep
+            ],
+            grid, jobs=2,
+        )
+    means = [result.mean for result in results]
+    missing = [result.avg_missing for result in results]
     nondecreasing = all(a <= b + 1e-12 for a, b in zip(means, means[1:]))
     baseline = fig6_results[("locf", 300)].mean
     parity = abs(means[0] - baseline) / baseline

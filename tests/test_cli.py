@@ -249,7 +249,7 @@ def test_fit_then_predict_locb_matches_in_process_predict(tmp_path):
     so it cannot be localized and is written as an empty field."""
     from locfree.cli import _experiment_config
     from locfree.evaluation import (
-        _draw_world, fit_estimator, precompute_grid, predict_estimator,
+        PilotSet, _draw_world, fit_estimator, precompute_grid, predict_estimator,
     )
     from locfree.kernels import save_model
     from locfree.propagation import pilot_noise
@@ -279,7 +279,9 @@ def test_fit_then_predict_locb_matches_in_process_predict(tmp_path):
     assert (tmp_path / "in_process.json").read_bytes() == (out / "model.json").read_bytes()
     rng = np.random.default_rng(config.seed)
     pilots = grid.channels + pilot_noise(config.scenario, grid.channels.shape, rng)
-    expected = predict_estimator(config, model, pilots, grid.pilot_powers)
+    expected = predict_estimator(
+        config, model, PilotSet(pilots, config.scenario.sample_period), grid.pilot_powers
+    )
 
     rows = [row.split(",") for row in (pred_out / "predictions.csv").read_text().splitlines()[1:]]
     assert len(rows) == grid.points.shape[0]

@@ -1,10 +1,13 @@
+import gc
 import logging
 import warnings
+import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from locfree import experiments
+from locfree import evaluation, experiments, features
 from locfree.errors import ConfigurationError
 from locfree.evaluation import (
     ESTIMATORS,
@@ -19,6 +22,7 @@ from locfree.evaluation import (
     precompute_grid,
     predict_estimator,
     run_experiment,
+    run_experiments,
     run_once,
 )
 from locfree.propagation import measurement_noise_std
@@ -200,8 +204,8 @@ def test_completion_predict_is_nan_where_nothing_is_observed(small_world):
     assert columns.shape == (10, 40)
     powers = grid.pilot_powers.copy()
     powers[:3] = -np.inf
-    values = predict_estimator(cfg, model, world.query_pilots, powers)
-    observed = predict_estimator(cfg, model, world.query_pilots, grid.pilot_powers)
+    values = predict_estimator(cfg, model, world.queries, powers)
+    observed = predict_estimator(cfg, model, world.queries, grid.pilot_powers)
     assert np.all(np.isnan(values[:3]))
     assert np.array_equal(values[3:], observed[3:])
     assert np.all(np.isfinite(observed))
@@ -304,3 +308,123 @@ def test_locb_parallel_matches_serial_with_filled_and_fresh_tables():
     assert len(grid.locations) > filled
     fresh_serial = run_experiment(cfg, grid=precompute_grid(scn, 3.0), jobs=1)
     assert fresh_parallel == filled_parallel == filled_serial == fresh_serial
+
+
+def _same_world_configs(scn):
+    """locf, locf_reduced, locb and two n_features configs of one world."""
+    common = dict(scenario=scn, n_train=40, runs=3, seed=7, sigma=20.0, lam=1e-4)
+    return [
+        ExperimentConfig(estimator="locf", **common),
+        ExperimentConfig(estimator="locf_reduced", rank=4, **common),
+        ExperimentConfig(estimator="locb", sigma_loc=3.0, lam_loc=1e-3,
+                         center_targets=True, **common),
+        ExperimentConfig(estimator="locf", n_features=6, **common),
+        ExperimentConfig(estimator="locf", n_features=8, **common),
+    ]
+
+
+def _count_draws(monkeypatch):
+    """Counters of the training traces, pilot-noise draws by shape and
+    feature extractions by point count that runs make from now on."""
+    calls = {"traces": 0, "noise": [], "features": []}
+    trace, noise, extract = (
+        evaluation.simulate_points, evaluation.pilot_noise, features.feature_matrix_nosync
+    )
+
+    def traced(*args, **kwargs):
+        calls["traces"] += 1
+        return trace(*args, **kwargs)
+
+    def drawn(scenario, shape, rng):
+        calls["noise"].append(shape[0])
+        return noise(scenario, shape, rng)
+
+    def extracted(pilots, sample_period):
+        calls["features"].append(pilots.shape[0])
+        return extract(pilots, sample_period)
+
+    monkeypatch.setattr(evaluation, "simulate_points", traced)
+    monkeypatch.setattr(evaluation, "pilot_noise", drawn)
+    monkeypatch.setattr(features, "feature_matrix_nosync", extracted)
+    return calls
+
+
+def test_runs_of_one_world_draw_trace_and_extract_it_once(small_world, monkeypatch):
+    """locf, locf_reduced, locb and n_features runs of one (seed, run, N)
+    trace the training points once, draw the query noise once and extract
+    each side's CoM features once."""
+    scn, _ = small_world
+    grid = precompute_grid(scn)
+    calls = _count_draws(monkeypatch)
+    for config in _same_world_configs(scn):
+        run_once(config, grid, 1)
+    n = grid.points.shape[0]
+    assert calls == {"traces": 1, "noise": [40, n], "features": [40, n]}
+
+
+@pytest.mark.parametrize("order", [1, -1])
+def test_a_held_world_gives_the_nmse_of_a_fresh_draw(small_world, order):
+    """Each run of a shared world scores exactly as the same run alone on
+    a fresh grid, whichever run drew the world."""
+    scn, _ = small_world
+    configs = _same_world_configs(scn)[::order]
+    grid = precompute_grid(scn)
+    shared = [run_once(config, grid, 2) for config in configs]
+    alone = [run_once(config, precompute_grid(scn), 2) for config in configs]
+    assert shared == alone
+
+
+def test_a_changed_draw_option_draws_a_new_world(small_world, monkeypatch):
+    scn, _ = small_world
+    grid, other_grid = precompute_grid(scn), precompute_grid(scn)
+    config = _same_world_configs(scn)[0]
+    calls = _count_draws(monkeypatch)
+    evaluation._draw_world(config, grid, 0)
+    evaluation._draw_world(replace(config, estimator="locf_reduced", rank=4), grid, 0)
+    assert calls["traces"] == 1
+    for changed, run_idx in (
+        (config, 1),
+        (replace(config, n_train=41), 1),
+        (replace(config, n_train=41, noisy_query=False), 1),
+        (replace(config, n_train=41, noisy_query=False, measurement_noise=False), 1),
+    ):
+        before = calls["traces"]
+        evaluation._draw_world(changed, grid, run_idx)
+        assert calls["traces"] == before + 1, changed
+    evaluation._draw_world(config, other_grid, 0)
+    assert calls["traces"] == 6
+
+
+def test_a_held_world_does_not_keep_its_grid_alive(small_world):
+    scn, _ = small_world
+    grid = precompute_grid(scn)
+    evaluation._draw_world(_same_world_configs(scn)[0], grid, 0)
+    ref = weakref.ref(grid)
+    del grid
+    gc.collect()
+    assert ref() is None
+
+
+def test_held_world_arrays_are_read_only(small_world):
+    scn, grid = small_world
+    world = evaluation._draw_world(_same_world_configs(scn)[0], grid, 0)
+    for array in (world.train_points, world.train.pilots, world.train_powers, world.targets,
+                  world.queries.pilots, world.train.com, world.queries.com):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
+    assert grid.channels.flags.writeable
+
+
+def test_run_experiments_matches_each_config_alone(small_world):
+    """Serial and parallel run_experiments give, config by config, the
+    NmseResult of run_experiment on a fresh grid; configs may differ in
+    their run counts."""
+    scn, _ = small_world
+    configs = _same_world_configs(scn)
+    configs[1] = replace(configs[1], runs=2)
+    grid = precompute_grid(scn)
+    serial = run_experiments(configs, grid)
+    parallel = run_experiments(configs, grid, jobs=2)
+    alone = [run_experiment(config, grid=precompute_grid(scn)) for config in configs]
+    assert [len(result.per_run) for result in serial] == [3, 2, 3, 3, 3]
+    assert serial == parallel == alone

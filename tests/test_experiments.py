@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from locfree import localization
+from locfree import experiments, localization
 from locfree.errors import ConfigurationError
 from locfree.experiments import (
     LOCB_REFERENCE,
@@ -110,3 +110,29 @@ def test_map_csv_and_pgm_round_trip(tmp_path, indoor_grid):
     field = lattice_field(indoor_grid, predictions)
     assert np.all(pixels[~np.isfinite(field.ravel())] == 0)  # holes are black
     assert pixels.max() == 255 and pixels[np.isfinite(field.ravel())].min() >= 1
+
+
+def test_sweep_artifacts_match_entries_run_alone(tmp_path):
+    """fig11-missing at jobs 1 and 2 writes the same bytes, and every
+    entry's runs score as that entry alone on a fresh grid, where no run
+    reads another entry's world."""
+    from locfree.evaluation import run_experiment
+
+    outputs = []
+    for jobs in (1, 2):
+        run_preset("fig11-missing", str(tmp_path / f"j{jobs}"), runs=2, seed=3, jobs=jobs)
+        outputs.append([(tmp_path / f"j{jobs}" / name).read_bytes()
+                        for name in ("results.csv", "summary.json")])
+    assert outputs[0] == outputs[1]
+    summary = json.loads(outputs[0][1])
+    scenario = preset("indoor-fig4", seed=3)
+    gammas = summary["gamma_sweep_dbw"]
+    configs = {"locf_baseline": experiments._locf_config(scenario, n_train=300, runs=2, seed=3)}
+    for idx, gamma in enumerate(gammas):
+        configs[f"completion_g{idx}"] = experiments._locf_config(
+            scenario, estimator="locf_completion", rank=4, gamma_dbw=gamma,
+            n_train=300, runs=2, seed=3,
+        )
+    for label, config in configs.items():
+        alone = run_experiment(config, grid=precompute_grid(scenario))
+        assert tuple(summary[label]["per_run"]) == alone.per_run, label

@@ -7,6 +7,7 @@ from locfree.errors import ConfigurationError
 from locfree.evaluation import (
     ExperimentConfig,
     Model,
+    PilotSet,
     _draw_world,
     fit_and_predict,
     precompute_grid,
@@ -183,7 +184,9 @@ def test_locb_fit_shares_the_kernel_solver(indoor):
     expected = predict(direct, est[0])
     config = ExperimentConfig(scenario=indoor, estimator="locb")
     powers_q = simulate_points(indoor, query).pilot_powers
-    values = predict_estimator(config, Model(fitted), pilot_q[None], powers_q)
+    values = predict_estimator(
+        config, Model(fitted), PilotSet(pilot_q[None], indoor.sample_period), powers_q
+    )
     assert values.tolist() == [expected]
 
 
@@ -620,7 +623,8 @@ def test_filled_table_answers_with_the_bytes_of_a_fresh_call(name, bandwidth, wa
     for run_idx in range(5):
         world = _draw_world(config, grid, run_idx)
         rng = np.random.default_rng(90 + run_idx)
-        for pilots in (world.train_pilots, world.query_pilots):
+        # The world's arrays are read-only: set dead pilots in copies.
+        for pilots in (world.train.pilots.copy(), world.queries.pilots.copy()):
             dead = rng.choice(pilots.shape[0], size=pilots.shape[0] // 10, replace=False)
             pilots[dead, rng.integers(0, scn.n_transmitters, size=dead.size)] = 0.0
             filled = localize_batch(anchors, pilots, scn.sample_period, table=grid.locations)
@@ -645,7 +649,7 @@ def test_each_distinct_row_is_solved_once_per_grid(monkeypatch):
     for run_idx in range(3):
         fit_and_predict(config, grid, run_idx)
         world = _draw_world(config, grid, run_idx)
-        for pilots in (world.train_pilots, world.query_pilots):
+        for pilots in (world.train.pilots, world.queries.pilots):
             diffs = tdoa_range_differences(pilots, scn.sample_period)
             keys.append(np.where(np.isfinite(diffs), diffs, np.inf))
             calls += len(np.unique(keys[-1], axis=0))
