@@ -395,22 +395,85 @@ def test_dead_pilot_row_gives_nan_in_both_outputs():
     assert np.array_equal(diffs, scalar_range_differences(pilots, period), equal_nan=True)
 
 
-def test_feature_bits_do_not_depend_on_the_block_size(monkeypatch):
-    """Both readers of the pair kernel give the same bits at any block size.
-    Past 256 KiB numpy's temporary elision would reuse the conj spectrum as
-    the output of `a * b.conj()` and multiply in the other order; larger
-    blocks than the default reach that size on a noisy 200 MHz grid."""
+@pytest.fixture(scope="module")
+def dense_pilots():
+    """Noisy pilots on the 2,375-point 200 MHz 5-wall grid (K=100) and T."""
     from locfree.evaluation import precompute_grid
     from locfree.scenario import preset
 
     scn = preset("indoor-dense", bandwidth_hz=200e6, wall_count=5)
     grid = precompute_grid(scn)
     pilots = grid.channels + pilot_noise(scn, grid.channels.shape, np.random.default_rng(15))
-    com = feature_matrix_nosync(pilots, scn.sample_period)
-    tdoa = tdoa_range_differences(pilots, scn.sample_period)
+    return pilots, scn.sample_period
+
+
+def test_batched_com_matches_cross_correlate_loop_at_200mhz(dense_pilots):
+    pilots, period = dense_pilots
+    sample = pilots[np.random.default_rng(22).choice(len(pilots), size=200, replace=False)]
+    assert sample.shape[2] == 100
+    matrix = feature_matrix_nosync(sample, period)
+    assert np.max(np.abs(matrix - scalar_com_columns(sample, period))) <= 1e-9
+
+
+@pytest.mark.parametrize("k", [1, 2, 10, 100])
+def test_batched_com_single_taps_at_every_lag(k):
+    """One tap per row at every position pair, the extreme lags +-(K-1)
+    included: the CoM range difference is c T (ka - kb)."""
+    ka, kb = np.divmod(np.arange(k * k), k)
+    pilots = np.zeros((k * k, 2, k), dtype=complex)
+    pilots[np.arange(k * k), 0, ka] = 1.3
+    pilots[np.arange(k * k), 1, kb] = 0.4j
+    com = feature_matrix_nosync(pilots, 1.0 / 20e6)[0]
+    assert np.max(np.abs(com - SPEED_OF_LIGHT / 20e6 * (ka - kb))) <= 1e-9
+
+
+def test_feature_bits_do_not_depend_on_the_block_size(monkeypatch, dense_pilots):
+    """Both pair features give the same bits at any block size.  The CoM
+    kernel's FFTs and Gram product act on each point alone.  The TDoA
+    product calls np.multiply because past 256 KiB numpy's temporary elision
+    would reuse the conj spectrum as the output of `a * b.conj()` and
+    multiply in the other order; larger blocks than the default reach that
+    size on a noisy 200 MHz grid."""
+    pilots, period = dense_pilots
+    com = feature_matrix_nosync(pilots, period)
+    tdoa = tdoa_range_differences(pilots, period)
     for block_entries in (1 << 15, 1 << 16, 1 << 18):
         monkeypatch.setattr(features, "_BLOCK_ENTRIES", block_entries)
-        assert np.array_equal(feature_matrix_nosync(pilots, scn.sample_period), com, equal_nan=True)
-        assert np.array_equal(
-            tdoa_range_differences(pilots, scn.sample_period), tdoa, equal_nan=True
+        assert np.array_equal(feature_matrix_nosync(pilots, period), com, equal_nan=True)
+        assert np.array_equal(tdoa_range_differences(pilots, period), tdoa, equal_nan=True)
+
+
+_FEATURE_BYTES = """
+import sys
+import numpy as np
+from locfree.evaluation import precompute_grid
+from locfree.features import feature_matrix_nosync
+from locfree.propagation import pilot_noise
+from locfree.scenario import preset
+
+scn = preset("indoor-fig4")
+grid = precompute_grid(scn)
+pilots = grid.channels + pilot_noise(scn, grid.channels.shape, np.random.default_rng(21))
+sys.stdout.buffer.write(feature_matrix_nosync(pilots, scn.sample_period).tobytes())
+"""
+
+
+def test_feature_bits_do_not_depend_on_the_blas_thread_count():
+    """The Gram products go through BLAS; one and two OpenBLAS threads write
+    the same CoM bytes on the noisy 20 MHz grid."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
+        proc = subprocess.run(
+            [sys.executable, "-c", _FEATURE_BYTES], env=env, capture_output=True, timeout=600
         )
+        assert proc.returncode == 0, proc.stderr.decode()
+        outputs.append(proc.stdout)
+    assert len(outputs[0]) == 10 * 2375 * 8
+    assert outputs[0] == outputs[1]
