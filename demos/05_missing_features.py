@@ -56,7 +56,7 @@ for gamma in default_gamma_sweep(grid):
     fitted = fit(reduced, targets, kernel, lam)
 
     query_masked = mask_features(query, grid.pilot_powers, gamma)
-    recovered = rls_recover_queries(ctx, query_masked.values, query_masked.observed)
+    recovered = rls_recover_queries(ctx, query_masked)
     predictions = predict(fitted, recovered)
     # a query with nothing observed predicts NaN: use the training average
     predictions[np.isnan(predictions)] = targets.mean()

@@ -9,11 +9,13 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 """
 
 import argparse
+import inspect
 import json
 import logging
 import os
 import sys
-from dataclasses import replace
+import typing
+from dataclasses import fields
 
 import numpy as np
 
@@ -58,60 +60,63 @@ def _load_json(path):
         raise ConfigurationError(f"cannot parse JSON {path}: {exc}") from exc
 
 
+def _keyword_args(doc, schema, skip):
+    """Keyword arguments from the keys of ``doc`` but ``skip``.  ``schema``
+    maps each allowed key to its (argument name, type).  A value is taken if
+    the type's conversion keeps it equal (1 passes as a float; "5", 50.7 and
+    true fail as an int), and null is taken where the type is ``X | None``."""
+    kwargs = {}
+    for key, value in doc.items():
+        if key == skip:
+            continue
+        if key not in schema:
+            raise ConfigurationError(f"unknown config field {key!r}")
+        name, kind = schema[key]
+        kind, *nullable = typing.get_args(kind) or (kind,)
+        try:
+            kwargs[name] = None if value is None and nullable else kind(value)
+            kept = kwargs[name] == value and isinstance(value, bool) == (kind is bool)
+        except (TypeError, ValueError, OverflowError):
+            kept = False
+        if not kept:
+            raise ConfigurationError(f"config field {key!r} must be {kind.__name__}, got {value!r}")
+    return kwargs
+
+
 def _scenario_from_config(doc):
-    """Scenario from a config section: preset name, file path, or inline."""
+    """Scenario from a config section: preset name, file path, or inline.
+    A preset section's other keys are preset's keyword arguments."""
     if isinstance(doc, str):
         doc = {"preset": doc}
     if not isinstance(doc, dict):
         raise ConfigurationError("scenario section must be a name, path or object")
     if "preset" in doc:
-        kwargs = {
-            k: doc[k]
-            for k in ("n_transmitters", "bandwidth_hz", "wall_count", "noise_dbm", "seed")
-            if k in doc
-        }
-        return preset(doc["preset"], **kwargs)
+        params = list(inspect.signature(preset).parameters.values())[1:]
+        schema = {p.name: (p.name, p.annotation) for p in params}
+        return preset(doc["preset"], **_keyword_args(doc, schema, "preset"))
     if "path" in doc:
         return load_scenario(doc["path"])
     return scenario_from_dict(doc)
 
 
-_FIT_KEYS = {
-    "estimator": str,
-    "n_train": int,
-    "seed": int,
-    "lambda": float,
-    "sigma": float,
-    "lambda_loc": float,
-    "sigma_loc": float,
-    "eta": float,
-    "rank": int,
-    "mu": float,
-    "gamma_dbw": float,
-    "n_features": int,
-    "noisy_query": bool,
-    "measurement_noise": bool,
-    "center_targets": bool,
-    "grid_step": float,
-    "runs": int,
+# JSON key -> (ExperimentConfig field, type) for every field but the
+# scenario (its own section) and diagnostics_dir (set by the preset runners).
+_CONFIG_FIELDS = {
+    {"lam": "lambda", "lam_loc": "lambda_loc"}.get(f.name, f.name): (f.name, f.type)
+    for f in fields(ExperimentConfig)
+    if f.name not in ("scenario", "diagnostics_dir")
 }
 
 
-def _experiment_config(doc, seed_override=None):
+def _experiment_config(doc, **overrides):
+    """ExperimentConfig of a config document; the ``overrides`` that are not
+    None (command-line flags) replace their fields."""
     if "scenario" not in doc:
         raise ConfigurationError("config is missing the required field 'scenario'")
     scenario = _scenario_from_config(doc["scenario"])
-    kwargs = {"scenario": scenario}
-    rename = {"lambda": "lam", "lambda_loc": "lam_loc"}
-    for key, value in doc.items():
-        if key == "scenario":
-            continue
-        if key not in _FIT_KEYS:
-            raise ConfigurationError(f"unknown config field {key!r}")
-        kwargs[rename.get(key, key)] = _FIT_KEYS[key](value)
-    if seed_override is not None:
-        kwargs["seed"] = seed_override
-    return ExperimentConfig(**kwargs)
+    kwargs = _keyword_args(doc, _CONFIG_FIELDS, "scenario")
+    kwargs.update((key, value) for key, value in overrides.items() if value is not None)
+    return ExperimentConfig(scenario=scenario, **kwargs)
 
 
 def cmd_scenario(args):
@@ -137,7 +142,7 @@ def _serving_config(args, command):
     """Config of ``fit``/``predict``: only estimators a model file can hold."""
     if args.config is None:
         raise ConfigurationError(f"{command} needs --config PATH")
-    config = _experiment_config(_load_json(args.config), seed_override=args.seed)
+    config = _experiment_config(_load_json(args.config), seed=args.seed)
     if config.estimator == "locf_completion":
         raise ConfigurationError(
             f"estimator 'locf_completion' is experiment-only; {command} supports "
@@ -221,9 +226,7 @@ def cmd_experiment(args):
         if gamma_sweep is not None:
             raise ConfigurationError("--gamma-sweep applies only to fig11-missing")
         doc = _load_json(args.name)
-        config = _experiment_config(doc, seed_override=args.seed)
-        if args.runs is not None:
-            config = replace(config, runs=args.runs)
+        config = _experiment_config(doc, seed=args.seed, runs=args.runs)
         os.makedirs(out, exist_ok=True)
         summary = experiments._run_sweep([(config.estimator, config)], out, args.jobs or 1)
         io.write_summary_json(summary, os.path.join(out, "summary.json"))
@@ -241,7 +244,7 @@ def cmd_features(args):
     if args.config is None:
         raise ConfigurationError("features needs --config PATH")
     doc = _load_json(args.config)
-    config = _experiment_config(doc, seed_override=args.seed)
+    config = _experiment_config(doc, seed=args.seed)
     world = _draw_training(config, 0.0, 0)
     matrix = world.train.com
     if np.isfinite(config.gamma_dbw):

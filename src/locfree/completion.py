@@ -278,8 +278,8 @@ class RecoveredQuery:
     status: str
 
 
-def rls_recover_queries(ctx, values, observed):
-    """Regularized least-squares recovery of (M, n) query feature columns.
+def rls_recover_queries(ctx, incomplete):
+    """Regularized least-squares recovery of the (M, n) query columns ``incomplete``.
 
     Solves, for each column over its observed rows S of the basis U,
 
@@ -290,14 +290,9 @@ def rls_recover_queries(ctx, values, observed):
     with one solve per distinct observation pattern.  Returns (r, n)
     reduced columns, NaN where nothing is observed.
     """
-    values = np.asarray(values, dtype=float)
-    observed = np.asarray(observed, dtype=bool)
-    if values.shape != observed.shape or values.ndim != 2:
-        raise ValueError("values and observed mask must be equal-shape (M, n) arrays")
+    values, observed = incomplete.values, incomplete.observed
     if values.shape[0] != ctx.basis.shape[0]:
         raise ValueError("query vector length must match the basis row count")
-    if not np.all(np.isfinite(values[observed])):
-        raise ValueError("observed query features must be finite")
     reduced = np.full((ctx.basis.shape[1], values.shape[1]), np.nan)
     prior = ctx.mu * ctx.cov_inv
     patterns, inverse = np.unique(observed.T, axis=0, return_inverse=True)
@@ -314,13 +309,11 @@ def rls_recover_queries(ctx, values, observed):
 
 def rls_recover_query(ctx, values, observed):
     """Recovery of one (M,) query vector: the n=1 case of rls_recover_queries,
-    with its status."""
-    observed = np.asarray(observed, dtype=bool)
-    if np.ndim(values) != 1 or observed.ndim != 1:
-        raise ValueError("values and observed mask must be equal-length vectors")
-    reduced = rls_recover_queries(ctx, np.asarray(values)[:, None], observed[:, None])[:, 0]
-    n_obs = int(observed.sum())
-    if n_obs == 0:
+    with its status.  The (M, 1) IncompleteFeatureMatrix of the query checks
+    its shapes and values."""
+    query = IncompleteFeatureMatrix(np.asarray(values)[:, None], np.asarray(observed)[:, None])
+    reduced = rls_recover_queries(ctx, query)[:, 0]
+    if query.n_observed == 0:
         return RecoveredQuery(reduced=None, status="empty")
-    status = "ok" if n_obs >= ctx.basis.shape[1] else "underdetermined"
+    status = "ok" if query.n_observed >= ctx.basis.shape[1] else "underdetermined"
     return RecoveredQuery(reduced=reduced, status=status)

@@ -385,7 +385,7 @@ def predict_estimator(config, model, queries, query_powers, *, table=None):
         columns = columns[model.subset]
     if config.estimator == "locf_completion":
         masked = mask_features(columns, query_powers, config.gamma_dbw)
-        columns = completion.rls_recover_queries(model.recovery, masked.values, masked.observed)
+        columns = completion.rls_recover_queries(model.recovery, masked)
     return kernels.predict(model.fitted, columns)
 
 

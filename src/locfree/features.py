@@ -65,12 +65,10 @@ def default_toa_threshold(noise_variance):
 
 
 def com_impulse(h):
-    """Energy-weighted mean tap index of an impulse response (NaN if empty)."""
-    energy = np.abs(np.asarray(h)) ** 2
-    total = energy.sum()
-    if total == 0.0:
-        return MISSING
-    return float(energy @ np.arange(len(energy)) / total)
+    """Energy-weighted mean tap index of an impulse response (NaN if empty):
+    com_crosscorr with the tap indices as lags."""
+    h = np.asarray(h)
+    return com_crosscorr(CrossCorrelation(lags=np.arange(len(h)), values=h))
 
 
 def cross_correlate(row_a, row_b):

@@ -318,14 +318,6 @@ def _srdls_batch(pos, diffs):
     return best_x, data_cost
 
 
-def _records(rows):
-    """(m,) structured view of (m, P) float rows, one field per column: numpy
-    sorts and searches it lexicographically, in np.unique's row order."""
-    rows = np.ascontiguousarray(rows)
-    fields = [(f"f{i}", rows.dtype) for i in range(rows.shape[1])]
-    return rows.view(fields).reshape(-1)
-
-
 class LocationTable:
     """Every distinct range-difference row solved so far for one set of
     anchor positions (index 0 the reference), with its answer.
@@ -350,44 +342,38 @@ class LocationTable:
     def __len__(self):
         return self.keys.shape[0]
 
-    @property
-    def nbytes(self):
-        return self.keys.nbytes + self.estimates.nbytes + self.residuals.nbytes
-
     def localize(self, diffs):
         """Estimates (n, 2) and data costs (n,) from (n, L-1) range
         differences.  NaN rows where localization fails, among them rows
         with fewer usable differences than the 3 unknowns (x, y, d_0).
 
-        Rows in the table are looked up.  The distinct rows it lacks are
-        solved with one _srdls_batch call per pattern of finite
-        differences, on that pattern's anchors, and merged into it.
+        The call's rows are merged into the table's by one np.unique: a
+        row is known when its first occurrence is a table row.  The distinct
+        rows it lacks are solved with one _srdls_batch call per pattern of
+        finite differences, on that pattern's anchors, and the merged rows
+        become the table.
         """
         keys = np.where(np.isfinite(diffs), diffs, np.inf)
-        distinct, inverse = np.unique(keys, axis=0, return_inverse=True)
-        table, rows = _records(self.keys), _records(distinct)
-        at = np.searchsorted(table, rows)
-        known = at < len(table)
-        known[known] = table[at[known]] == rows[known]
-        estimates = np.full((distinct.shape[0], 2), np.nan)
-        residuals = np.full(distinct.shape[0], np.nan)
-        estimates[known], residuals[known] = self.estimates[at[known]], self.residuals[at[known]]
+        merged, first, inverse = np.unique(
+            np.concatenate([self.keys, keys]), axis=0, return_index=True, return_inverse=True
+        )
+        known = first < len(self)
+        estimates = np.full((merged.shape[0], 2), np.nan)
+        residuals = np.full(merged.shape[0], np.nan)
+        estimates[known], residuals[known] = self.estimates[first[known]], self.residuals[first[known]]
         new = (~known).nonzero()[0]
-        patterns, pattern_of = np.unique(np.isfinite(distinct[new]), axis=0, return_inverse=True)
+        patterns, pattern_of = np.unique(np.isfinite(merged[new]), axis=0, return_inverse=True)
         for k, usable in enumerate(patterns):
             if usable.sum() < 3:
                 continue
             solve = new[pattern_of.reshape(-1) == k]
             sub = np.vstack([self.positions[0], self.positions[1:][usable]])
-            estimates[solve], residuals[solve] = _srdls_batch(sub, distinct[solve][:, usable])
-        # The new rows are sorted, and each sorts just before the table row
-        # at its searchsorted place: inserted there, the keys stay sorted.
-        self.keys = np.insert(self.keys, at[new], distinct[new], axis=0)
-        self.estimates = np.insert(self.estimates, at[new], estimates[new], axis=0)
-        self.residuals = np.insert(self.residuals, at[new], residuals[new])
+            estimates[solve], residuals[solve] = _srdls_batch(sub, merged[solve][:, usable])
+        inverse = inverse.reshape(-1)[len(self):]
+        self.keys, self.estimates, self.residuals = merged, estimates, residuals
         solved = np.count_nonzero(patterns.sum(axis=1) >= 3)
-        log.debug("%d distinct of %d rows, %d patterns solved", len(distinct), len(diffs), solved)
-        inverse = inverse.reshape(-1)
+        log.debug("%d distinct of %d rows, %d patterns solved",
+                  len(np.unique(inverse)), len(diffs), solved)
         return estimates[inverse], residuals[inverse]
 
 

@@ -315,25 +315,27 @@ def discretize_channel(paths, scenario):
     """K complex taps of the band-limited channel for a traced path list.
 
     Implements ``h[k] = sum_p alpha_p exp(-j 2 pi f_c t_p) sinc(k - t_p/T)``
-    with sinc(x) = sin(pi x)/(pi x).  Paths whose delay exceeds the tap
-    window (t/T > K-1) are kept, with a warning: their energy leaks into
-    the sinc tails, and K should be sized to avoid this.  The 1-row case of
-    _batch_channels.
+    with sinc(x) = sin(pi x)/(pi x).  The 1-row case of _batch_channels.
     """
     amps = np.array([[p.amplitude for p in paths]], dtype=float)
     delays = np.array([[p.delay for p in paths]], dtype=float)
-    if np.any(delays / scenario.sample_period > scenario.num_samples - 1):
-        warnings.warn(
-            "path delay exceeds the tap window (t/T > K-1); energy leaks into sinc tails",
-            stacklevel=2,
-        )
     return _batch_channels(scenario, amps, delays)[0]
 
 
 def _batch_channels(scenario, amps, delays):
-    """Taps for (n, P) amplitude/delay path tables -> (n, K) complex."""
+    """Taps for (n, P) amplitude/delay path tables -> (n, K) complex.
+
+    Paths (nonzero amplitudes) whose delay exceeds the tap window (t/T >
+    K-1) are kept, with a warning: their energy leaks into the sinc tails.
+    """
     k_taps = scenario.num_samples
     t_samp = scenario.sample_period
+    if np.any((amps != 0.0) & (delays / t_samp > k_taps - 1)):
+        warnings.warn(
+            "path delays exceed the tap window (t/T > K-1); energy leaks into the "
+            "sinc tails, consider increasing num_samples",
+            stacklevel=3,
+        )
     k_grid = np.arange(k_taps)
     out = np.zeros((amps.shape[0], k_taps), dtype=complex)
     for p in range(amps.shape[1]):
@@ -386,20 +388,11 @@ def _simulate(scenario, points, check_domain, with_channels):
     if with_channels:
         channels = np.zeros((n, n_tx, scenario.num_samples), dtype=complex)
     rx_power = np.zeros((n, n_tx))
-    overflow_limit = (scenario.num_samples - 1) * scenario.sample_period
-    overflow = False
     for l in range(n_tx):
         amps, delays, _ = _trace_tx(scenario, txs[l], pts, geom)
         rx_power[:, l] = powers[l] * np.sum(amps**2, axis=1)
         if with_channels:
             channels[:, l, :] = _batch_channels(scenario, amps, delays)
-            overflow |= bool(np.any((amps != 0.0) & (delays > overflow_limit)))
-    if overflow:
-        warnings.warn(
-            "some path delays exceed the tap window (t/T > K-1); "
-            "consider increasing num_samples",
-            stacklevel=3,
-        )
     with np.errstate(divide="ignore"):
         pilot_powers = 10.0 * np.log10(rx_power)
         true_power_dbw = 10.0 * np.log10(np.sum(rx_power, axis=1))

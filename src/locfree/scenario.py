@@ -295,33 +295,37 @@ def samples_for_bandwidth(bandwidth_hz):
     return max(k, 1)
 
 
-def preset(name, n_transmitters=5, bandwidth_hz=20e6, wall_count=None,
-           noise_dbm=-70.0, seed=0):
+# Canonical wall count of each built-in scenario; freespace keeps none.
+_PRESET_WALLS = {"indoor-fig4": 5, "indoor-dense": 6, "freespace": 0}
+SCENARIO_PRESETS = tuple(_PRESET_WALLS)
+
+
+def preset(name, n_transmitters: int = 5, bandwidth_hz: float = 20e6,
+           wall_count: int | None = None, noise_dbm: float | None = -70.0, seed: int = 0):
     """Built-in scenarios: ``indoor-fig4``, ``indoor-dense`` and ``freespace``.
 
     ``indoor-fig4``  -- 42 x 27 m five-plane structure in a 60 x 40 m area.
     ``indoor-dense`` -- same plus a horizontal room divider (6 walls).
     ``freespace``    -- same region and anchors, no walls.
+
+    ``wall_count=None`` keeps the preset's walls; ``noise_dbm=None`` is
+    noiseless.  The CLI checks a config's preset keys by these annotations.
     """
     if not 1 <= n_transmitters <= len(_CANONICAL_TX):
         raise ConfigurationError(
             f"n_transmitters must be in 1..{len(_CANONICAL_TX)}"
         )
-    if name == "indoor-fig4":
-        walls = canonical_walls(5 if wall_count is None else wall_count)
-    elif name == "indoor-dense":
-        walls = canonical_walls(6 if wall_count is None else wall_count)
-    elif name == "freespace":
-        walls = ()
-    else:
+    if name not in _PRESET_WALLS:
         raise ConfigurationError(
-            f"unknown scenario preset {name!r} (choose from indoor-fig4, indoor-dense, freespace)"
+            f"unknown scenario preset {name!r} (choose from {', '.join(SCENARIO_PRESETS)})"
         )
+    if name == "freespace" or wall_count is None:
+        wall_count = _PRESET_WALLS[name]
     txs = tuple(Transmitter(x, y, 1.0) for x, y in _CANONICAL_TX[:n_transmitters])
     noise_variance = 0.0 if noise_dbm is None else _watts_from_dbm(noise_dbm)
     return Scenario(
         region=_REGION,
-        walls=walls,
+        walls=canonical_walls(wall_count),
         transmitters=txs,
         carrier_hz=800e6,
         bandwidth_hz=bandwidth_hz,
@@ -330,5 +334,3 @@ def preset(name, n_transmitters=5, bandwidth_hz=20e6, wall_count=None,
         seed=seed,
     )
 
-
-SCENARIO_PRESETS = ("indoor-fig4", "indoor-dense", "freespace")

@@ -1,5 +1,3 @@
-import warnings
-
 import numpy as np
 import pytest
 
@@ -26,9 +24,7 @@ def indoor():
 def indoor_grid(indoor):
     from locfree.evaluation import precompute_grid
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return precompute_grid(indoor)
+    return precompute_grid(indoor)
 
 
 def grid_aligned_free_space(delays_in_samples, bandwidth=20e6, carrier=None, k=None):

@@ -10,7 +10,6 @@ runs in roughly 10 minutes.
 """
 
 import time
-import warnings
 
 import numpy as np
 import pytest
@@ -49,9 +48,7 @@ SEED = 1
 @pytest.fixture(scope="session")
 def indoor20():
     scenario = preset("indoor-fig4", seed=SEED)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        grid = precompute_grid(scenario)
+    grid = precompute_grid(scenario)
     return scenario, grid
 
 
@@ -62,9 +59,7 @@ def fig6_results(indoor20):
     for n in (100, 150, 200, 300):
         configs[("locf", n)] = experiments._locf_config(scenario, n_train=n, runs=RUNS, seed=SEED)
         configs[("locb", n)] = experiments._locb_config(scenario, n_train=n, runs=RUNS, seed=SEED)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        results = run_experiments(configs.values(), grid, jobs=2)
+    results = run_experiments(configs.values(), grid, jobs=2)
     return dict(zip(configs, results))
 
 
@@ -257,21 +252,19 @@ def test_criterion_5_nmse_vs_n_trend(fig6_results):
 def test_criterion_6_wall_sweep_crossover():
     start = time.time()
     locf, locb = {}, {}
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for walls in range(6):
-            scenario = preset(
-                "indoor-dense", bandwidth_hz=200e6, wall_count=walls, seed=SEED
-            )
-            grid = precompute_grid(scenario)
-            result_f, result_b = run_experiments(
-                [
-                    experiments._locf_config(scenario, n_train=300, runs=RUNS, seed=SEED),
-                    experiments._locb_config(scenario, n_train=300, runs=RUNS, seed=SEED),
-                ],
-                grid, jobs=2,
-            )
-            locf[walls], locb[walls] = result_f.mean, result_b.mean
+    for walls in range(6):
+        scenario = preset(
+            "indoor-dense", bandwidth_hz=200e6, wall_count=walls, seed=SEED
+        )
+        grid = precompute_grid(scenario)
+        result_f, result_b = run_experiments(
+            [
+                experiments._locf_config(scenario, n_train=300, runs=RUNS, seed=SEED),
+                experiments._locb_config(scenario, n_train=300, runs=RUNS, seed=SEED),
+            ],
+            grid, jobs=2,
+        )
+        locf[walls], locb[walls] = result_f.mean, result_b.mean
     crossover = locb[0] < locf[0]
     locf_vals = np.array([locf[w] for w in range(6)])
     variation = (locf_vals.max() - locf_vals.min()) / locf_vals.min()
@@ -295,22 +288,20 @@ def test_criterion_7_reduced_feature_parity():
     start = time.time()
     scenario = preset("indoor-dense", seed=SEED)
     sigma, lam = experiments.LOCF_TUNED[20e6]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        grid = precompute_grid(scenario)
-        full, reduced = run_experiments(
-            [
-                ExperimentConfig(
-                    scenario=scenario, estimator="locf", n_train=300, runs=RUNS,
-                    seed=SEED, sigma=sigma, lam=lam,
-                ),
-                ExperimentConfig(
-                    scenario=scenario, estimator="locf_reduced", rank=4, n_train=300,
-                    runs=RUNS, seed=SEED, sigma=sigma, lam=lam,
-                ),
-            ],
-            grid, jobs=2,
-        )
+    grid = precompute_grid(scenario)
+    full, reduced = run_experiments(
+        [
+            ExperimentConfig(
+                scenario=scenario, estimator="locf", n_train=300, runs=RUNS,
+                seed=SEED, sigma=sigma, lam=lam,
+            ),
+            ExperimentConfig(
+                scenario=scenario, estimator="locf_reduced", rank=4, n_train=300,
+                runs=RUNS, seed=SEED, sigma=sigma, lam=lam,
+            ),
+        ],
+        grid, jobs=2,
+    )
     gap = abs(reduced.mean - full.mean) / full.mean
     elapsed = time.time() - start
     _report(
@@ -331,19 +322,17 @@ def test_criterion_8_missing_feature_degradation(indoor20, fig6_results):
     scenario, grid = indoor20
     sweep = experiments.default_gamma_sweep(grid)
     sigma, lam = experiments.LOCF_TUNED[20e6]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        results = run_experiments(
-            [
-                ExperimentConfig(
-                    scenario=scenario, estimator="locf_completion", rank=4,
-                    mu=5.42, gamma_dbw=gamma, n_train=300, runs=RUNS,
-                    seed=SEED, sigma=sigma, lam=lam,
-                )
-                for gamma in sweep
-            ],
-            grid, jobs=2,
-        )
+    results = run_experiments(
+        [
+            ExperimentConfig(
+                scenario=scenario, estimator="locf_completion", rank=4,
+                mu=5.42, gamma_dbw=gamma, n_train=300, runs=RUNS,
+                seed=SEED, sigma=sigma, lam=lam,
+            )
+            for gamma in sweep
+        ],
+        grid, jobs=2,
+    )
     means = [result.mean for result in results]
     missing = [result.avg_missing for result in results]
     nondecreasing = all(a <= b + 1e-12 for a, b in zip(means, means[1:]))

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from locfree.cli import _build_parser, main
+from locfree.cli import _build_parser, _experiment_config, main
 
 
 def run_cli(*argv):
@@ -69,6 +69,39 @@ def test_unknown_config_field_rejected(tmp_path, capsys):
     cfg.write_text(json.dumps({"scenario": "freespace", "bad_field": 1}))
     assert run_cli("fit", "--config", str(cfg)) == 2
     assert "bad_field" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "doc, field",
+    [
+        ({"scenario": {"preset": "indoor-fig4", "n_transmitters": "5"}}, "n_transmitters"),
+        ({"scenario": "indoor-fig4", "eta": None}, "eta"),
+        ({"scenario": {"preset": "indoor-fig4", "wall_cout": 2}}, "wall_cout"),
+        ({"scenario": "indoor-fig4", "noisy_query": "false"}, "noisy_query"),
+        ({"scenario": "indoor-fig4", "n_train": 50.7}, "n_train"),
+    ],
+    ids=["string-count", "null-eta", "misspelled-preset-key", "string-bool", "fractional-int"],
+)
+def test_bad_config_value_exits_2_before_any_work(doc, field, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert run_cli("fit", "--config", str(cfg), "--out", str(out)) == 2
+    assert field in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_values_keep_their_meaning():
+    """Values their field's conversion keeps equal pass, converted; null
+    passes where preset takes None."""
+    config = _experiment_config({
+        "scenario": {"preset": "freespace", "noise_dbm": None, "wall_count": None, "seed": 3},
+        "n_train": 50.0, "lambda": 1, "noisy_query": False, "estimator": "locb",
+    })
+    assert type(config.n_train) is int and config.n_train == 50
+    assert type(config.lam) is float and config.lam == 1.0
+    assert config.noisy_query is False and config.estimator == "locb"
+    assert config.scenario.noise_variance == 0.0 and config.scenario.seed == 3
 
 
 def test_unknown_experiment_preset_lists_options(tmp_path, capsys):

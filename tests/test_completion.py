@@ -483,7 +483,7 @@ def test_batched_recovery_matches_one_query_at_a_time():
     patterns[1] = True
     observed = patterns[rng.integers(0, 6, size=200)].T
     values = np.where(observed, rng.normal(size=(10, 200)), np.nan)
-    reduced = rls_recover_queries(ctx, values, observed)
+    reduced = rls_recover_queries(ctx, IncompleteFeatureMatrix(values, observed))
     assert reduced.shape == (4, 200)
     empty = ~observed.any(axis=0)
     assert empty.any()
@@ -516,6 +516,8 @@ def test_rls_rejects_nonfinite_observed_values():
     observed = np.array([True, True, False, False])
     with pytest.raises(ValueError):
         rls_recover_query(ctx, values, observed)
+    with pytest.raises(ValueError, match="equal-shape"):
+        rls_recover_query(ctx, np.ones((4, 1)), observed[:, None])
 
 
 def test_consistency_chain_matches_direct_projection():

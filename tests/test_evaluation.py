@@ -45,9 +45,7 @@ def small_world():
         num_samples=40,
         noise_variance=1e-10,
     )
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        grid = precompute_grid(scn)
+    grid = precompute_grid(scn)
     return scn, grid
 
 
@@ -163,15 +161,13 @@ def test_benign_regime_locb_pipeline_is_accurate():
         num_samples=350,
         noise_variance=0.0,
     )
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        grid = precompute_grid(scn)
-        cfg = ExperimentConfig(
-            scenario=scn, estimator="locb", n_train=200, runs=1, seed=0,
-            sigma_loc=3.5, lam_loc=1e-4, center_targets=True,
-            measurement_noise=False,
-        )
-        result = run_experiment(cfg, grid=grid)
+    grid = precompute_grid(scn)
+    cfg = ExperimentConfig(
+        scenario=scn, estimator="locb", n_train=200, runs=1, seed=0,
+        sigma_loc=3.5, lam_loc=1e-4, center_targets=True,
+        measurement_noise=False,
+    )
+    result = run_experiment(cfg, grid=grid)
     assert result.mean < 0.05
 
 

@@ -680,7 +680,11 @@ def test_a_table_refuses_other_anchors():
     own = AnchorSet.from_scenario(scn)
     localize_batch(own, pilots, scn.sample_period, table=grid.locations)
     assert len(grid.locations) > 0
-    assert grid.locations.nbytes == len(grid.locations) * 8 * (scn.n_transmitters - 1 + 3)
+    table = grid.locations
+    assert table.keys.shape == (len(table), scn.n_transmitters - 1)
+    assert table.estimates.shape == (len(table), 2)
+    assert table.residuals.shape == (len(table),)
+    assert all(a.dtype == np.float64 for a in (table.keys, table.estimates, table.residuals))
 
 
 def _awkward_rows(rng, n, p):

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -460,12 +461,39 @@ def test_discretize_empty_paths_gives_zero_channel():
     assert np.array_equal(discretize_channel([], scn), np.zeros(8, dtype=complex))
 
 
+TAP_WINDOW = r"path delays exceed the tap window \(t/T > K-1\)"
+
+
 def test_discretize_overflow_warns_but_keeps_path():
     scn = _channel_scenario(k=4, bandwidth=1e6)
     t = scn.sample_period
-    with pytest.warns(UserWarning, match="tap window"):
+    with pytest.warns(UserWarning, match=TAP_WINDOW):
         taps = discretize_channel([PathComponent(1.0, 9.5 * t, 0)], scn)
     assert np.linalg.norm(taps) > 0
+
+
+def test_traced_overflow_warns_from_both_channel_paths():
+    """A point whose direct ray arrives after the tap window warns from
+    simulate_points and from discretize_channel(trace_paths(...)); a point
+    inside the window warns from neither."""
+    # T = 50 ns, so the window (K-1) T holds 30 m of path.
+    scn = Scenario(
+        region=(0.0, 0.0, 60.0, 40.0),
+        transmitters=(Transmitter(5.0, 20.0),),
+        bandwidth_hz=20e6,
+        num_samples=3,
+        noise_variance=0.0,
+    )
+    tx = scn.tx_positions()[0]
+    far, near = np.array([50.0, 20.0]), np.array([20.0, 20.0])
+    with pytest.warns(UserWarning, match=TAP_WINDOW):
+        simulate_points(scn, far[None, :])
+    with pytest.warns(UserWarning, match=TAP_WINDOW):
+        discretize_channel(trace_paths(scn, tx, far), scn)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        simulate_points(scn, near[None, :])
+        discretize_channel(trace_paths(scn, tx, near), scn)
 
 
 def test_tap_magnitudes_invariant_to_carrier_on_grid_delays():
