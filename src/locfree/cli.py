@@ -14,7 +14,6 @@ import json
 import logging
 import os
 import sys
-import typing
 from dataclasses import fields
 
 import numpy as np
@@ -39,8 +38,10 @@ from .propagation import (
 )
 from .scenario import (
     SCENARIO_PRESETS,
+    keyword_args,
     load_scenario,
     preset,
+    read_json,
     save_scenario,
     scenario_from_dict,
 )
@@ -50,42 +51,10 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
 
-def _load_json(path):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except FileNotFoundError as exc:
-        raise ConfigurationError(f"config file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigurationError(f"cannot parse JSON {path}: {exc}") from exc
-
-
-def _keyword_args(doc, schema, skip):
-    """Keyword arguments from the keys of ``doc`` but ``skip``.  ``schema``
-    maps each allowed key to its (argument name, type).  A value is taken if
-    the type's conversion keeps it equal (1 passes as a float; "5", 50.7 and
-    true fail as an int), and null is taken where the type is ``X | None``."""
-    kwargs = {}
-    for key, value in doc.items():
-        if key == skip:
-            continue
-        if key not in schema:
-            raise ConfigurationError(f"unknown config field {key!r}")
-        name, kind = schema[key]
-        kind, *nullable = typing.get_args(kind) or (kind,)
-        try:
-            kwargs[name] = None if value is None and nullable else kind(value)
-            kept = kwargs[name] == value and isinstance(value, bool) == (kind is bool)
-        except (TypeError, ValueError, OverflowError):
-            kept = False
-        if not kept:
-            raise ConfigurationError(f"config field {key!r} must be {kind.__name__}, got {value!r}")
-    return kwargs
-
-
 def _scenario_from_config(doc):
     """Scenario from a config section: preset name, file path, or inline.
-    A preset section's other keys are preset's keyword arguments."""
+    A preset section's other keys are preset's keyword arguments; a path
+    section has only ``path``."""
     if isinstance(doc, str):
         doc = {"preset": doc}
     if not isinstance(doc, dict):
@@ -93,9 +62,9 @@ def _scenario_from_config(doc):
     if "preset" in doc:
         params = list(inspect.signature(preset).parameters.values())[1:]
         schema = {p.name: (p.name, p.annotation) for p in params}
-        return preset(doc["preset"], **_keyword_args(doc, schema, "preset"))
+        return preset(doc["preset"], **keyword_args(doc, schema, skip="preset"))
     if "path" in doc:
-        return load_scenario(doc["path"])
+        return load_scenario(keyword_args(doc, {"path": ("path", str)})["path"])
     return scenario_from_dict(doc)
 
 
@@ -111,10 +80,8 @@ _CONFIG_FIELDS = {
 def _experiment_config(doc, **overrides):
     """ExperimentConfig of a config document; the ``overrides`` that are not
     None (command-line flags) replace their fields."""
-    if "scenario" not in doc:
-        raise ConfigurationError("config is missing the required field 'scenario'")
+    kwargs = keyword_args(doc, _CONFIG_FIELDS, skip="scenario", required=("scenario",))
     scenario = _scenario_from_config(doc["scenario"])
-    kwargs = _keyword_args(doc, _CONFIG_FIELDS, "scenario")
     kwargs.update((key, value) for key, value in overrides.items() if value is not None)
     return ExperimentConfig(scenario=scenario, **kwargs)
 
@@ -124,7 +91,7 @@ def cmd_scenario(args):
         scn = preset(args.preset, seed=args.seed or 0)
         name = args.preset
     elif args.config is not None:
-        scn = _scenario_from_config(_load_json(args.config))
+        scn = _scenario_from_config(read_json(args.config))
         name = os.path.splitext(os.path.basename(args.config))[0]
     else:
         raise ConfigurationError("scenario needs --preset NAME or --config PATH")
@@ -142,7 +109,7 @@ def _serving_config(args, command):
     """Config of ``fit``/``predict``: only estimators a model file can hold."""
     if args.config is None:
         raise ConfigurationError(f"{command} needs --config PATH")
-    config = _experiment_config(_load_json(args.config), seed=args.seed)
+    config = _experiment_config(read_json(args.config), seed=args.seed)
     if config.estimator == "locf_completion":
         raise ConfigurationError(
             f"estimator 'locf_completion' is experiment-only; {command} supports "
@@ -225,9 +192,7 @@ def cmd_experiment(args):
     elif os.path.exists(args.name):
         if gamma_sweep is not None:
             raise ConfigurationError("--gamma-sweep applies only to fig11-missing")
-        doc = _load_json(args.name)
-        config = _experiment_config(doc, seed=args.seed, runs=args.runs)
-        os.makedirs(out, exist_ok=True)
+        config = _experiment_config(read_json(args.name), seed=args.seed, runs=args.runs)
         summary = experiments._run_sweep([(config.estimator, config)], out, args.jobs or 1)
         io.write_summary_json(summary, os.path.join(out, "summary.json"))
     else:
@@ -243,8 +208,7 @@ def cmd_experiment(args):
 def cmd_features(args):
     if args.config is None:
         raise ConfigurationError("features needs --config PATH")
-    doc = _load_json(args.config)
-    config = _experiment_config(doc, seed=args.seed)
+    config = _experiment_config(read_json(args.config), seed=args.seed)
     world = _draw_training(config, 0.0, 0)
     matrix = world.train.com
     if np.isfinite(config.gamma_dbw):

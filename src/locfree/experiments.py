@@ -94,13 +94,15 @@ def _locb_config(scenario, tuned=True, **overrides):
 
 
 def _run_sweep(entries, out_dir, jobs, grids=None):
-    """Run (label, config) pairs, write results.csv and return the summary.
+    """Run (label, config) pairs, write results.csv into out_dir (made if
+    missing) and return the summary.
 
     Consecutive entries of one scenario share its grid and one
     run_experiments call, so they draw each of their common worlds once
     and, with ``jobs`` > 1, share their workers' location tables.  A
     group's grid is taken from ``grids`` (keyed by id(scenario)) or
     computed, and is dropped when the group ends."""
+    os.makedirs(out_dir, exist_ok=True)
     rows = []
     summary = {}
     for key, group in itertools.groupby(entries, key=lambda entry: id(entry[1].scenario)):
@@ -284,18 +286,18 @@ def run_preset(name, out_dir, runs=None, seed=0, jobs=None, gamma_sweep=None,
             f"unknown experiment preset {name!r}; available: {', '.join(sorted(PRESETS))}"
         )
     kwargs = dict(seed=seed)
-    if name in ("fig4-maps", "fig5-featuremaps"):
-        for option, value in (("runs", runs), ("jobs", jobs)):
-            if value is not None:
-                raise ConfigurationError(f"{option} applies only to Monte Carlo presets, not {name}")
-    else:
-        kwargs.update(runs=runs or DEFAULT_RUNS, jobs=jobs or 1)
     if name == "fig11-missing":
         kwargs["gamma_sweep"] = gamma_sweep
         kwargs["diagnostics_dir"] = out_dir if verbose else None
     elif gamma_sweep is not None:
         raise ConfigurationError(f"gamma_sweep applies only to fig11-missing, not {name}")
-    os.makedirs(out_dir, exist_ok=True)
+    if name in ("fig4-maps", "fig5-featuremaps"):
+        for option, value in (("runs", runs), ("jobs", jobs)):
+            if value is not None:
+                raise ConfigurationError(f"{option} applies only to Monte Carlo presets, not {name}")
+        os.makedirs(out_dir, exist_ok=True)
+    else:  # _run_sweep makes out_dir once its configs are checked
+        kwargs.update(runs=DEFAULT_RUNS if runs is None else runs, jobs=jobs or 1)
     summary = PRESETS[name](out_dir, **kwargs)
     io.write_summary_json(summary, os.path.join(out_dir, "summary.json"))
     return summary

@@ -10,7 +10,8 @@ rate ``T = 1/B``.
 
 import json
 import math
-from dataclasses import dataclass
+import typing
+from dataclasses import MISSING, asdict, dataclass, fields
 
 import numpy as np
 
@@ -164,79 +165,99 @@ def _dbm_from_watts(watts):
     return 10.0 * math.log10(watts) + 30.0
 
 
-def scenario_from_dict(doc):
-    """Build a Scenario from its JSON document form."""
+def read_json(path):
+    """The JSON document in the file at ``path``."""
     try:
-        region = (
-            float(doc["region"]["x_min"]),
-            float(doc["region"]["y_min"]),
-            float(doc["region"]["x_max"]),
-            float(doc["region"]["y_max"]),
-        )
-        walls = tuple(
-            WallSegment(
-                float(w["x1"]), float(w["y1"]), float(w["x2"]), float(w["y2"]),
-                loss_db=float(w.get("loss_db", 6.0)),
-                max_reflection=float(w.get("max_reflection", 0.7)),
-            )
-            for w in doc.get("walls", [])
-        )
-        txs = tuple(
-            Transmitter(float(t["x"]), float(t["y"]), float(t.get("power_w", 1.0)))
-            for t in doc["transmitters"]
-        )
-        noise_dbm = doc.get("noise_dbm", None)
-        noise_variance = 0.0 if noise_dbm is None else _watts_from_dbm(float(noise_dbm))
-        return Scenario(
-            region=region,
-            walls=walls,
-            transmitters=txs,
-            carrier_hz=float(doc["carrier_hz"]),
-            bandwidth_hz=float(doc["bandwidth_hz"]),
-            num_samples=int(doc["num_samples"]),
-            noise_variance=noise_variance,
-            seed=int(doc.get("seed", 0)),
-        )
-    except KeyError as exc:
-        raise ConfigurationError(f"scenario document missing field {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, ConfigurationError):
-            raise
-        raise ConfigurationError(f"invalid scenario document: {exc}") from exc
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot read {path}: {exc.strerror}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigurationError(f"cannot parse JSON {path}: {exc}") from exc
+
+
+def keyword_args(doc, schema, skip=None, required=()):
+    """Keyword arguments from the keys of the JSON object ``doc`` but ``skip``.
+
+    ``schema`` maps each allowed key to its (argument name, type), and each
+    ``required`` key must be there.  A value is taken if the type's
+    conversion keeps it equal (1 passes as a float; "5", 50.7 and true fail
+    as an int, a list as a dict), and null is taken where the type is
+    ``X | None``.
+    """
+    if not isinstance(doc, dict):
+        raise ConfigurationError(f"expected a JSON object, got {doc!r}")
+    for key in required:
+        if key not in doc:
+            raise ConfigurationError(f"missing required field {key!r}")
+    kwargs = {}
+    for key, value in doc.items():
+        if key == skip:
+            continue
+        if key not in schema:
+            raise ConfigurationError(f"unknown field {key!r}")
+        name, kind = schema[key]
+        kind, *nullable = typing.get_args(kind) or (kind,)
+        try:
+            kwargs[name] = None if value is None and nullable else kind(value)
+            kept = kwargs[name] == value and isinstance(value, bool) == (kind is bool)
+        except (TypeError, ValueError, OverflowError):
+            kept = False
+        if not kept:
+            raise ConfigurationError(f"field {key!r} must be {kind.__name__}, got {value!r}")
+    return kwargs
+
+
+def _field_args(doc, cls):
+    """Keyword arguments of dataclass ``cls`` from the JSON object ``doc``:
+    a key per field, of its type, required where the field has no default."""
+    return keyword_args(
+        doc, {f.name: (f.name, f.type) for f in fields(cls)},
+        required=[f.name for f in fields(cls) if f.default is MISSING],
+    )
+
+
+_REGION_KEYS = ("x_min", "y_min", "x_max", "y_max")
+_DOCUMENT_KEYS = {"noise_variance": "noise_dbm"}
+
+
+def scenario_from_dict(doc):
+    """Build a Scenario from its JSON document form.
+
+    The document has a key per Scenario field, of the field's type, but
+    ``region`` is an object of x_min, y_min, x_max and y_max, ``walls`` and
+    ``transmitters`` are lists of WallSegment and Transmitter objects (read
+    by their fields), and ``noise_dbm`` (null: noiseless) stands for
+    noise_variance.  Only ``walls``, ``noise_dbm`` and ``seed`` may be omitted.
+    """
+    kinds = {"region": dict, "walls": list, "transmitters": list, "noise_variance": float | None}
+    schema = {
+        _DOCUMENT_KEYS.get(f.name, f.name): (f.name, kinds.get(f.name, f.type))
+        for f in fields(Scenario)
+    }
+    optional = ("walls", "noise_dbm", "seed")
+    kwargs = keyword_args(doc, schema, required=[key for key in schema if key not in optional])
+    region_schema = {key: (key, float) for key in _REGION_KEYS}
+    region = keyword_args(kwargs["region"], region_schema, required=_REGION_KEYS)
+    kwargs["region"] = tuple(region[key] for key in _REGION_KEYS)
+    for name, cls in (("walls", WallSegment), ("transmitters", Transmitter)):
+        kwargs[name] = tuple(cls(**_field_args(item, cls)) for item in kwargs.get(name, ()))
+    noise_dbm = kwargs.get("noise_variance")
+    kwargs["noise_variance"] = 0.0 if noise_dbm is None else _watts_from_dbm(noise_dbm)
+    return Scenario(**kwargs)
 
 
 def scenario_to_dict(scenario):
-    x_min, y_min, x_max, y_max = scenario.region
-    return {
-        "region": {"x_min": x_min, "y_min": y_min, "x_max": x_max, "y_max": y_max},
-        "walls": [
-            {
-                "x1": w.x1, "y1": w.y1, "x2": w.x2, "y2": w.y2,
-                "loss_db": w.loss_db, "max_reflection": w.max_reflection,
-            }
-            for w in scenario.walls
-        ],
-        "transmitters": [
-            {"x": t.x, "y": t.y, "power_w": t.power_w} for t in scenario.transmitters
-        ],
-        "carrier_hz": scenario.carrier_hz,
-        "bandwidth_hz": scenario.bandwidth_hz,
-        "num_samples": scenario.num_samples,
-        "noise_dbm": (
-            None if scenario.noise_variance == 0.0
-            else _dbm_from_watts(scenario.noise_variance)
-        ),
-        "seed": scenario.seed,
-    }
+    """The JSON document form of ``scenario`` (see scenario_from_dict)."""
+    doc = asdict(scenario)
+    doc["region"] = dict(zip(_REGION_KEYS, scenario.region))
+    noise = scenario.noise_variance
+    doc["noise_variance"] = None if noise == 0.0 else _dbm_from_watts(noise)
+    return {_DOCUMENT_KEYS.get(key, key): value for key, value in doc.items()}
 
 
 def load_scenario(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigurationError(f"cannot parse scenario JSON {path}: {exc}") from exc
-    return scenario_from_dict(doc)
+    return scenario_from_dict(read_json(path))
 
 
 def save_scenario(scenario, path):
@@ -319,8 +340,12 @@ def preset(name, n_transmitters: int = 5, bandwidth_hz: float = 20e6,
         raise ConfigurationError(
             f"unknown scenario preset {name!r} (choose from {', '.join(SCENARIO_PRESETS)})"
         )
-    if name == "freespace" or wall_count is None:
+    if wall_count is None:
         wall_count = _PRESET_WALLS[name]
+    elif name == "freespace" and wall_count != 0:
+        raise ConfigurationError(
+            f"freespace has no walls; wall_count must be 0 or null, got {wall_count}"
+        )
     txs = tuple(Transmitter(x, y, 1.0) for x, y in _CANONICAL_TX[:n_transmitters])
     noise_variance = 0.0 if noise_dbm is None else _watts_from_dbm(noise_dbm)
     return Scenario(

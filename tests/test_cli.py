@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from locfree.cli import _build_parser, _experiment_config, main
+from locfree.scenario import preset, save_scenario, scenario_to_dict
 
 
 def run_cli(*argv):
@@ -28,7 +29,6 @@ def test_scenario_writes_the_precomputed_grid_files(tmp_path, monkeypatch):
     that the grid of precompute_grid gives, byte for byte."""
     from locfree import io, propagation
     from locfree.evaluation import precompute_grid
-    from locfree.scenario import preset
 
     grid = precompute_grid(preset("indoor-fig4"))
     io.write_truth_csv(grid, tmp_path / "true_map.csv")
@@ -71,6 +71,9 @@ def test_unknown_config_field_rejected(tmp_path, capsys):
     assert "bad_field" in capsys.readouterr().err
 
 
+_INLINE = scenario_to_dict(preset("indoor-fig4"))
+
+
 @pytest.mark.parametrize(
     "doc, field",
     [
@@ -79,10 +82,29 @@ def test_unknown_config_field_rejected(tmp_path, capsys):
         ({"scenario": {"preset": "indoor-fig4", "wall_cout": 2}}, "wall_cout"),
         ({"scenario": "indoor-fig4", "noisy_query": "false"}, "noisy_query"),
         ({"scenario": "indoor-fig4", "n_train": 50.7}, "n_train"),
+        ({"scenario": {"preset": "freespace", "wall_count": 3}}, "wall_count"),
+        ({"scenario": {**_INLINE, "wals": _INLINE["walls"]}}, "wals"),
+        ({"scenario": {**_INLINE, "walls": [{**_INLINE["walls"][0], "loss": 30}]}}, "loss"),
+        ({"scenario": {**_INLINE, "num_samples": 10.7}}, "num_samples"),
+        ({"scenario": {**_INLINE, "carrier_hz": "8e8"}}, "carrier_hz"),
+        ({"scenario": {**_INLINE, "noise_dbm": True}}, "noise_dbm"),
+        ({"scenario": {**_INLINE, "region": [0, 0, 60, 40]}}, "region"),
+        ({"scenario": {"path": "scenario.json", "seed": 4}}, "seed"),
+        ({"scenario": {"path": "missing.json"}}, "missing.json"),
     ],
-    ids=["string-count", "null-eta", "misspelled-preset-key", "string-bool", "fractional-int"],
+    ids=[
+        "string-count", "null-eta", "misspelled-preset-key", "string-bool", "fractional-int",
+        "freespace-walls", "inline-misspelled-key", "misspelled-wall-key",
+        "fractional-num-samples", "string-carrier", "bool-noise", "list-region",
+        "seed-next-to-path", "missing-path-file",
+    ],
 )
-def test_bad_config_value_exits_2_before_any_work(doc, field, tmp_path, capsys):
+def test_bad_config_value_exits_2_before_any_work(doc, field, tmp_path, capsys, monkeypatch):
+    """Each bad key is named, at any depth of the config or its scenario,
+    before the output directory is made.  Paths are relative to tmp_path,
+    which holds a valid scenario.json."""
+    monkeypatch.chdir(tmp_path)
+    save_scenario(preset("freespace"), tmp_path / "scenario.json")
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(doc))
     out = tmp_path / "out"
@@ -123,6 +145,14 @@ def test_gamma_sweep_rejected_for_config_experiment(tmp_path, capsys):
     out = tmp_path / "out"
     assert run_cli("experiment", str(cfg), "--gamma-sweep=-90", "--out", str(out)) == 2
     assert "fig11-missing" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("runs", ["0", "-2"])
+def test_runs_below_one_rejected_for_monte_carlo_presets(runs, tmp_path, capsys):
+    out = tmp_path / "fig6"
+    assert run_cli("experiment", "fig6-nmse-vs-N", "--runs", runs, "--out", str(out)) == 2
+    assert "runs must be >= 1" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -1,10 +1,13 @@
+import itertools
 import json
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
 from locfree.errors import ConfigurationError
 from locfree.scenario import (
+    SCENARIO_PRESETS,
     Scenario,
     Transmitter,
     WallSegment,
@@ -70,11 +73,57 @@ def test_reflection_coefficient_bound_checked():
 
 
 def test_json_round_trip(tmp_path):
-    scn = preset("indoor-fig4", seed=7)
     path = tmp_path / "scn.json"
-    save_scenario(scn, path)
-    again = load_scenario(path)
-    assert again == scn
+    for name, bandwidth, noise_dbm in itertools.product(
+        SCENARIO_PRESETS, (20e6, 200e6), (-70.0, None)
+    ):
+        scn = preset(name, bandwidth_hz=bandwidth, noise_dbm=noise_dbm, seed=7)
+        save_scenario(scn, path)
+        assert load_scenario(path) == scn
+
+
+_MINIMAL = {
+    "region": {"x_min": 0, "y_min": 0, "x_max": 60, "y_max": 40},
+    "transmitters": [{"x": 3, "y": 20}],
+    "carrier_hz": 8e8,
+    "bandwidth_hz": 2e7,
+    "num_samples": 10,
+}
+_WALL = {"x1": 30, "y1": 6.5, "x2": 30, "y2": 33.5}
+
+
+def test_omitted_optional_keys_keep_their_meaning():
+    """No walls, the dataclass defaults of loss_db, max_reflection, power_w
+    and seed, and noiseless pilots without noise_dbm."""
+    expected = Scenario(
+        region=(0.0, 0.0, 60.0, 40.0), transmitters=(Transmitter(3.0, 20.0, 1.0),),
+        carrier_hz=8e8, bandwidth_hz=2e7, num_samples=10, noise_variance=0.0, seed=0,
+    )
+    assert scenario_from_dict(_MINIMAL) == expected
+    walled = scenario_from_dict({**_MINIMAL, "walls": [_WALL]})
+    assert walled.walls == (WallSegment(30.0, 6.5, 30.0, 33.5, loss_db=6.0, max_reflection=0.7),)
+
+
+@pytest.mark.parametrize(
+    "doc, key",
+    [({k: v for k, v in _MINIMAL.items() if k != key}, key) for key in _MINIMAL]
+    + [
+        ({**_MINIMAL, "region": {"x_min": 0, "y_min": 0, "x_max": 60}}, "y_max"),
+        ({**_MINIMAL, "walls": [{"y1": 6.5, "x2": 30, "y2": 33.5}]}, "x1"),
+        ({**_MINIMAL, "transmitters": [{"x": 3}]}, "y"),
+    ],
+)
+def test_required_keys_stay_required(doc, key):
+    with pytest.raises(ConfigurationError, match=f"missing required field '{key}'"):
+        scenario_from_dict(doc)
+
+
+def test_readme_scenario_format_loads():
+    """The README's scenario file format is a document the reader takes."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("### Scenario file format", 1)[1].split("```json", 1)[1]
+    doc = json.loads(block.split("```", 1)[0])
+    assert json.loads(json.dumps(scenario_to_dict(scenario_from_dict(doc)))) == doc
 
 
 def test_scenario_document_has_a_key_for_every_field():
@@ -114,6 +163,9 @@ def test_presets():
     assert indoor.n_transmitters == 5
     assert len(preset("indoor-dense").walls) == 6
     assert preset("freespace").walls == ()
+    assert preset("freespace", wall_count=0).walls == ()
+    with pytest.raises(ConfigurationError, match="wall_count"):
+        preset("freespace", wall_count=3)
     with pytest.raises(ConfigurationError, match="unknown scenario preset"):
         preset("nope")
 
