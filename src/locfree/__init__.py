@@ -18,30 +18,19 @@ from .scenario import (
 from .propagation import (
     PathComponent,
     discretize_channel,
-    measure_power,
     sample_sensor_locations,
     simulate_points,
     synthesize_pilot_matrix,
     trace_paths,
     true_power,
 )
-from .features import (
-    CrossCorrelation,
-    com_crosscorr,
-    com_impulse,
-    cross_correlate,
-    estimate_tdoa,
-    estimate_toa,
-    feature_vector_nosync,
-    feature_vector_sync,
-)
+from .features import com_impulse, estimate_toa, feature_vector_sync
 from .kernels import (
     FittedMap,
     GaussianKernel,
     fit,
     gram_matrix,
     load_model,
-    objective_value,
     predict,
     save_model,
 )

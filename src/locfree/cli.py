@@ -153,7 +153,10 @@ def cmd_predict(args):
     scenario = config.scenario
     rng = np.random.default_rng(config.seed)
     if args.points is not None:
-        pts = np.loadtxt(args.points, delimiter=",", ndmin=2)
+        try:
+            pts = np.loadtxt(args.points, delimiter=",", ndmin=2)
+        except OSError as exc:
+            raise ConfigurationError(f"cannot read --points file: {exc}") from exc
         tables = simulate_points(scenario, pts, check_domain=False)
     else:  # the grid carries the same channels and pilot powers
         tables = precompute_grid(scenario, config.grid_step)

@@ -38,7 +38,7 @@ from .scenario import preset as scenario_preset
 # re-tuned on this simulator at the nominal indoor scenario, N=300
 # (at 200 MHz the reference feature-map values are already optimal here).
 LOCF_REFERENCE = {
-    20e6: (37.0, 1.9e-4),
+    20e6: (ExperimentConfig.sigma, ExperimentConfig.lam),
     50e6: (27.0, 3.81e-4),
     100e6: (41.0, 6.1e-5),
     200e6: (53.0, 1.1e-5),
@@ -52,7 +52,7 @@ LOCF_TUNED = {
     700e6: (40.0, 1e-4),
 }
 LOCB_REFERENCE = {
-    20e6: (0.5, 3.3e-3),
+    20e6: (ExperimentConfig.sigma_loc, ExperimentConfig.lam_loc),
     50e6: (10.1, 1.8e-3),
     100e6: (8.9, 9.1e-4),
     200e6: (9.0, 7.1e-4),

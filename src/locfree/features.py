@@ -13,14 +13,16 @@ Pair CoMs come from spectral moments, without the correlation: with A_i and
 D_i the FFTs of row a_i and of k * a_i (k = 0..K-1), zero-padded to
 S >= 2K-1, P_i = |A_i|^2 and Q_i = Re(conj(A_i) D_i), Parseval gives
 CoM_ij = sum_f (Q_i P_j - P_i Q_j) / sum_f P_i P_j, within 1e-9 m of the lag
-sums of cross_correlate (about 1e-13 m on the evaluation grids).
+sum over the correlation (about 1e-13 m on the evaluation grids).
+
+The argmax TDoA is the lag of the peak correlation magnitude.  Magnitudes
+within a relative 1e-12 of the peak tie, so FFT roundoff cannot break an
+exact tie, and a tie goes to the smallest |lag|, then the negative lag.
 
 A feature that cannot be extracted (no tap above threshold, all-zero
 correlation) is reported as NaN; downstream code treats non-finite entries
 as missing.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,22 +30,11 @@ from .scenario import SPEED_OF_LIGHT
 
 MISSING = np.nan
 
-# Correlation magnitudes this close to the peak, relative to it, tie.
+# TDoA ties: correlation magnitudes this close to the peak, relative to it,
+# tie; the smallest |lag| among them wins, then the negative lag.
 _TIE_RTOL = 1e-12
 # Complex entries in each intermediate array of one block of points.
 _BLOCK_ENTRIES = 1 << 14
-
-
-@dataclass(frozen=True)
-class CrossCorrelation:
-    """Deterministic finite-sample cross-correlation over the full lag range.
-
-    ``values[j]`` is ``sum_k a[k] * conj(b[k - lags[j]])`` for
-    ``lags = -(K-1) ... K-1`` (length 2K-1, unnormalized).
-    """
-
-    lags: np.ndarray
-    values: np.ndarray
 
 
 def estimate_toa(h, gamma, sample_period):
@@ -65,52 +56,12 @@ def default_toa_threshold(noise_variance):
 
 
 def com_impulse(h):
-    """Energy-weighted mean tap index of an impulse response (NaN if empty):
-    com_crosscorr with the tap indices as lags."""
-    h = np.asarray(h)
-    return com_crosscorr(CrossCorrelation(lags=np.arange(len(h)), values=h))
-
-
-def cross_correlate(row_a, row_b):
-    """Finite-sample cross-correlation c[i] = sum_k a[k] conj(b[k-i]).
-
-    Unnormalized (pilots carry unit energy); full lag range -(K-1)..K-1.
-    """
-    a = np.asarray(row_a, dtype=complex)
-    b = np.asarray(row_b, dtype=complex)
-    if a.shape != b.shape:
-        raise ValueError("pilot rows must have equal length")
-    k = a.shape[0]
-    return CrossCorrelation(
-        lags=np.arange(-(k - 1), k),
-        values=np.correlate(a, b, mode="full"),
-    )
-
-
-def estimate_tdoa(corr, sample_period):
-    """Argmax time difference of arrival: T * lag of maximum |c[i]|.
-
-    Magnitude ties (within a relative 1e-12, so that roundoff cannot break
-    an exact tie differently here and in tdoa_range_differences) break
-    toward the smallest |lag|, then toward the negative lag.  Returns NaN
-    for an all-zero correlation.
-    """
-    mag = np.abs(corr.values)
-    peak = mag.max()
-    if peak == 0.0:
-        return MISSING
-    candidates = corr.lags[peak - mag <= _TIE_RTOL * peak]
-    best = min(candidates, key=lambda lag: (abs(lag), lag))
-    return sample_period * float(best)
-
-
-def com_crosscorr(corr):
-    """Energy-weighted mean lag of a cross-correlation (NaN if all-zero)."""
-    energy = np.abs(corr.values) ** 2
+    """Energy-weighted mean tap index of an impulse response (NaN if empty)."""
+    energy = np.abs(np.asarray(h)) ** 2
     total = energy.sum()
     if total == 0.0:
         return MISSING
-    return float(energy @ corr.lags / total)
+    return float(energy @ np.arange(len(energy)) / total)
 
 
 def pair_indices(n_transmitters):
@@ -129,15 +80,6 @@ def feature_vector_sync(pilot):
     response.
     """
     return np.array([com_impulse(row) for row in pilot])
-
-
-def feature_vector_nosync(pilot, sample_period):
-    """Pairwise cross-correlation CoM features scaled to meters.
-
-    Entry order follows pair_indices; length M = L(L-1)/2.  Requires at
-    least two pilot rows.  The n=1 case of feature_matrix_nosync.
-    """
-    return feature_matrix_nosync(np.asarray(pilot)[None], sample_period)[:, 0]
 
 
 def toa_feature_vector(pilot, gamma, sample_period):
@@ -159,7 +101,8 @@ def _fft_size(pilots):
 def _peak_lag(corr, lags):
     mag = np.abs(corr)
     peak = mag.max(axis=2, keepdims=True)
-    # estimate_tdoa's tie rule: the smallest |lag| wins, then the negative one.
+    # Of the lags tied within _TIE_RTOL of the peak, the smallest |lag| wins,
+    # then the negative one: lag -d ranks 2d, lag +d ranks 2d + 1.
     preference = 2 * np.abs(lags) + (lags > 0)
     tied = peak - mag <= _TIE_RTOL * peak
     lag = lags[np.argmin(np.where(tied, preference, np.inf), axis=2)]
@@ -197,8 +140,9 @@ def tdoa_range_differences(pilots, sample_period):
     """Range differences c * TDoA(0, l) against the reference pilot row 0.
 
     pilots -- (n, L, K) array of received pilot matrices, L >= 2
-    returns (n, L-1) in meters: c * estimate_tdoa of each pair's
-    cross_correlate, NaN where it carries no energy (dead pilot)
+    returns (n, L-1) in meters: c * T * the argmax lag of each pair's
+    correlation under the tie rule above, NaN where it carries no energy
+    (dead pilot)
     """
     pilots = np.asarray(pilots)
     size = _fft_size(pilots)

@@ -17,8 +17,9 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 from scipy.spatial.distance import cdist
 
-from .errors import SolverError
+from .errors import ConfigurationError, SolverError
 from .reduction import ReducedBasis, project
+from .scenario import keyword_args, read_json
 
 
 @dataclass(frozen=True)
@@ -132,15 +133,6 @@ def predict(fitted, phi):
     return float(values[0]) if single else values
 
 
-def objective_value(fitted, features, targets):
-    """Ridge objective (1/N)||p - K alpha||^2 + lambda alpha^T K alpha."""
-    targets = np.asarray(targets, dtype=float) - fitted.target_mean
-    gram = gram_matrix(np.asarray(features, dtype=float), fitted.kernel)
-    resid = targets - gram @ fitted.alpha
-    n = targets.shape[0]
-    return float(resid @ resid / n + fitted.lam * fitted.alpha @ gram @ fitted.alpha)
-
-
 # ---------------------------------------------------------------------------
 # Persistence: JSON blob whose reload reproduces predictions bit-exactly
 # (Python float serialization round-trips exactly).
@@ -170,23 +162,23 @@ def save_model(fitted, path):
         fh.write("\n")
 
 
+# Model document key -> (FittedMap argument, type); every key is required.
+_MODEL_FIELDS = {
+    "sigma": ("kernel", float), "lambda": ("lam", float), "target_mean": ("target_mean", float),
+    "features": ("features", list), "alpha": ("alpha", list), "basis": ("basis", dict | None),
+}
+_BASIS_FIELDS = {key: (key, list) for key in ("mean", "vectors", "singular_values")}
+
+
 def load_model(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("format") != _MODEL_FORMAT:
-        raise ValueError(f"{path} is not a {_MODEL_FORMAT} model blob")
-    basis = None
-    if doc["basis"] is not None:
-        basis = ReducedBasis(
-            mean=np.array(doc["basis"]["mean"], dtype=float),
-            vectors=np.array(doc["basis"]["vectors"], dtype=float),
-            singular_values=np.array(doc["basis"]["singular_values"], dtype=float),
-        )
-    return FittedMap(
-        kernel=GaussianKernel(doc["sigma"]),
-        lam=doc["lambda"],
-        features=np.array(doc["features"], dtype=float),
-        alpha=np.array(doc["alpha"], dtype=float),
-        target_mean=doc["target_mean"],
-        basis=basis,
-    )
+    doc = read_json(path)
+    if not isinstance(doc, dict) or doc.get("format") != _MODEL_FORMAT:
+        raise ConfigurationError(f"{path} is not a {_MODEL_FORMAT} model blob")
+    args = keyword_args(doc, _MODEL_FIELDS, skip="format", required=_MODEL_FIELDS)
+    if args["basis"] is not None:
+        basis = keyword_args(args["basis"], _BASIS_FIELDS, required=_BASIS_FIELDS)
+        args["basis"] = ReducedBasis(**{key: np.array(basis[key], dtype=float) for key in basis})
+    args["kernel"] = GaussianKernel(args["kernel"])
+    for key in ("features", "alpha"):
+        args[key] = np.array(args[key], dtype=float)
+    return FittedMap(**args)

@@ -484,11 +484,3 @@ def measurement_noise_std(p_bar):
     spatial average ``p_bar`` of the map (PrecomputedGrid.p_bar).
     """
     return abs(p_bar) / 10.0 ** (_MEASUREMENT_SNR_DB / 20.0)
-
-
-def measure_power(scenario, point, rng, noise_std):
-    """Noisy power measurement: true map value plus N(0, sigma_eps^2) in dB."""
-    value = true_power(scenario, point)
-    if noise_std == 0.0:
-        return value
-    return value + rng.normal(0.0, noise_std)

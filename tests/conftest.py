@@ -1,7 +1,14 @@
+"""Shared fixtures, and the scalar oracles the batched kernels are checked
+against: one correlation per pilot pair, and the ridge objective."""
+
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
-from locfree.scenario import Scenario, Transmitter, preset
+from locfree.features import _TIE_RTOL, MISSING, pair_indices
+from locfree.kernels import gram_matrix
+from locfree.scenario import SPEED_OF_LIGHT, Scenario, Transmitter, preset
 
 
 @pytest.fixture(scope="session")
@@ -34,8 +41,6 @@ def grid_aligned_free_space(delays_in_samples, bandwidth=20e6, carrier=None, k=N
     from the origin receiver, so every channel is a pure Kronecker tap and
     correlation-based features are exact.
     """
-    from locfree.scenario import SPEED_OF_LIGHT
-
     t = 1.0 / bandwidth
     xs = [n * SPEED_OF_LIGHT * t for n in delays_in_samples]
     span = max(xs) + 10.0
@@ -49,11 +54,71 @@ def grid_aligned_free_space(delays_in_samples, bandwidth=20e6, carrier=None, k=N
     )
 
 
+@dataclass(frozen=True)
+class CrossCorrelation:
+    """Deterministic finite-sample cross-correlation over the full lag range.
+
+    ``values[j]`` is ``sum_k a[k] * conj(b[k - lags[j]])`` for
+    ``lags = -(K-1) ... K-1`` (length 2K-1, unnormalized).
+    """
+
+    lags: np.ndarray
+    values: np.ndarray
+
+
+def cross_correlate(row_a, row_b):
+    """Finite-sample cross-correlation c[i] = sum_k a[k] conj(b[k-i]).
+
+    Unnormalized (pilots carry unit energy); full lag range -(K-1)..K-1.
+    """
+    a = np.asarray(row_a, dtype=complex)
+    b = np.asarray(row_b, dtype=complex)
+    if a.shape != b.shape:
+        raise ValueError("pilot rows must have equal length")
+    k = a.shape[0]
+    return CrossCorrelation(
+        lags=np.arange(-(k - 1), k),
+        values=np.correlate(a, b, mode="full"),
+    )
+
+
+def estimate_tdoa(corr, sample_period):
+    """Argmax time difference of arrival: T * lag of maximum |c[i]|.
+
+    Magnitude ties (within a relative 1e-12, so that roundoff cannot break
+    an exact tie differently here and in tdoa_range_differences) break
+    toward the smallest |lag|, then toward the negative lag.  Returns NaN
+    for an all-zero correlation.
+    """
+    mag = np.abs(corr.values)
+    peak = mag.max()
+    if peak == 0.0:
+        return MISSING
+    candidates = corr.lags[peak - mag <= _TIE_RTOL * peak]
+    best = min(candidates, key=lambda lag: (abs(lag), lag))
+    return sample_period * float(best)
+
+
+def com_crosscorr(corr):
+    """Energy-weighted mean lag of a cross-correlation (NaN if all-zero)."""
+    energy = np.abs(corr.values) ** 2
+    total = energy.sum()
+    if total == 0.0:
+        return MISSING
+    return float(energy @ corr.lags / total)
+
+
+def objective_value(fitted, features, targets):
+    """Ridge objective (1/N)||p - K alpha||^2 + lambda alpha^T K alpha."""
+    targets = np.asarray(targets, dtype=float) - fitted.target_mean
+    gram = gram_matrix(np.asarray(features, dtype=float), fitted.kernel)
+    resid = targets - gram @ fitted.alpha
+    n = targets.shape[0]
+    return float(resid @ resid / n + fitted.lam * fitted.alpha @ gram @ fitted.alpha)
+
+
 def scalar_com_columns(pilots, sample_period):
     """Nosync CoM features from one cross_correlate per point and pair: (M, n)."""
-    from locfree.features import com_crosscorr, cross_correlate, pair_indices
-    from locfree.scenario import SPEED_OF_LIGHT
-
     scale = sample_period * SPEED_OF_LIGHT
     return np.array(
         [
@@ -65,9 +130,6 @@ def scalar_com_columns(pilots, sample_period):
 
 def scalar_range_differences(pilots, sample_period):
     """Argmax-TDoA range differences from one cross_correlate per point and pair: (n, L-1)."""
-    from locfree.features import cross_correlate, estimate_tdoa
-    from locfree.scenario import SPEED_OF_LIGHT
-
     return np.array(
         [
             [

@@ -305,6 +305,39 @@ def test_predict_rejects_completion_estimator(tmp_path, capsys):
     assert not (tmp_path / "pred").exists()
 
 
+_MODEL = {
+    "format": "locfree-krr-map/1", "sigma": 40.0, "lambda": 0.0, "target_mean": 0.0,
+    "features": [[0.0]] * 10, "alpha": [0.0], "basis": None,
+}
+
+
+@pytest.mark.parametrize(
+    "model, points, named",
+    [
+        (None, None, "missing.json"),
+        ({key: value for key, value in _MODEL.items() if key != "alpha"}, None, "alpha"),
+        ([_MODEL], None, "model.json"),
+        (_MODEL, "nope.csv", "nope.csv"),
+    ],
+    ids=["missing-model-file", "model-without-alpha", "list-model", "missing-points-file"],
+)
+def test_bad_predict_input_exits_2_before_any_work(model, points, named, tmp_path, capsys, monkeypatch):
+    """A model or points file that predict cannot read is named, before the
+    output directory is made.  Paths are relative to tmp_path."""
+    monkeypatch.chdir(tmp_path)
+    argv = ["predict", "--config", str(_fit_config(tmp_path)), "--out", "out"]
+    if model is None:
+        argv += ["--model", "missing.json"]
+    else:
+        (tmp_path / "model.json").write_text(json.dumps(model))
+        argv += ["--model", "model.json"]
+    if points is not None:
+        argv += ["--points", points]
+    assert run_cli(*argv) == 2
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_fit_then_predict_locb_matches_in_process_predict(tmp_path):
     """locb through the CLI: the model equals the in-process fit, and the
     grid predictions equal predict_estimator on the same noisy pilots.  On

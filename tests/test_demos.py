@@ -1,4 +1,5 @@
-"""Every demo script runs to completion against the library in src/."""
+"""Every demo script, and the README's library quick start, runs to
+completion against the library in src/."""
 
 import os
 import subprocess
@@ -20,3 +21,15 @@ def test_demo_runs(demo, tmp_path):
         capture_output=True, text=True, timeout=600,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_library_quick_start_runs(tmp_path):
+    readme = (REPO / "README.md").read_text()
+    block = readme.split("## Quick start (library)", 1)[1].split("```python", 1)[1].split("```", 1)[0]
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", block], cwd=tmp_path, env=env,
+        capture_output=True, text=True, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("NMSE: ")

@@ -4,17 +4,21 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import grid_aligned_free_space, scalar_com_columns, scalar_range_differences
+from conftest import (
+    CrossCorrelation,
+    com_crosscorr,
+    cross_correlate,
+    estimate_tdoa,
+    grid_aligned_free_space,
+    scalar_com_columns,
+    scalar_range_differences,
+)
 from locfree import features
 from locfree.features import (
-    com_crosscorr,
     com_impulse,
-    cross_correlate,
     default_toa_threshold,
-    estimate_tdoa,
     estimate_toa,
     feature_matrix_nosync,
-    feature_vector_nosync,
     feature_vector_sync,
     pair_indices,
     tdoa_range_differences,
@@ -71,6 +75,20 @@ def test_com_impulse_examples():
     weighted[4] = 1.0
     assert com_impulse(weighted) == pytest.approx(1.0)
     assert np.isnan(com_impulse(np.zeros(4)))
+
+
+def test_com_impulse_is_com_crosscorr_over_tap_indices(indoor, indoor_grid):
+    """com_impulse equals the oracle com_crosscorr with the tap indices as
+    lags, bit for bit, on noisy pilot rows and on an all-zero row (NaN)."""
+    rng = np.random.default_rng(17)
+    channels = indoor_grid.channels[rng.choice(len(indoor_grid.channels), 200, replace=False)]
+    pilots = channels + pilot_noise(indoor, channels.shape, rng)
+    k = pilots.shape[2]
+    rows = [*pilots.reshape(-1, k), np.zeros(k, dtype=complex)]
+    got = np.array([com_impulse(h) for h in rows])
+    expected = np.array([com_crosscorr(CrossCorrelation(np.arange(k), h)) for h in rows])
+    assert np.array_equal(got, expected, equal_nan=True)
+    assert np.isnan(got[-1]) and np.all(np.isfinite(got[:-1]))
 
 
 def test_cross_correlation_delta_example():
@@ -138,8 +156,6 @@ def test_tdoa_single_tap_channels():
 
 
 def test_tdoa_tie_breaks_toward_smallest_then_negative_lag():
-    from locfree.features import CrossCorrelation
-
     lags = np.arange(-3, 4)
     values = np.zeros(7, dtype=complex)
     values[lags == -2] = 1.0
@@ -148,14 +164,24 @@ def test_tdoa_tie_breaks_toward_smallest_then_negative_lag():
     assert estimate_tdoa(corr, 1.0) == -2.0
 
 
+def test_tdoa_magnitudes_within_the_tie_tolerance_tie():
+    """Magnitudes within a relative 1e-12 of the peak tie, in the oracle and
+    in the batched kernel's _peak_lag; a larger gap does not."""
+    lags = np.arange(-3, 4)
+    for gap, expected in ((5e-13, -2.0), (1e-11, 2.0)):
+        values = np.zeros(7, dtype=complex)
+        values[lags == -2] = 1.0
+        values[lags == 2] = 1.0 + gap
+        assert estimate_tdoa(CrossCorrelation(lags=lags, values=values), 1.0) == expected
+        assert features._peak_lag(values[None, None], lags)[0, 0] == expected
+
+
 def test_tdoa_missing_on_zero_correlation():
     corr = cross_correlate(np.zeros(4, dtype=complex), np.zeros(4, dtype=complex))
     assert np.isnan(estimate_tdoa(corr, 1.0))
 
 
 def test_com_crosscorr_examples():
-    from locfree.features import CrossCorrelation
-
     lags = np.arange(-4, 5)
     single = np.zeros(9, dtype=complex)
     single[lags == -3] = 2.0
@@ -218,14 +244,14 @@ def test_pair_indices_order_and_count():
 
 def test_nosync_feature_count_for_five_transmitters(indoor):
     pilot = synthesize_pilot_matrix(indoor, (33.0, 22.0), np.random.default_rng(0))
-    vec = feature_vector_nosync(pilot, indoor.sample_period)
+    vec = feature_matrix_nosync(pilot[None], indoor.sample_period)[:, 0]
     assert len(vec) == 10
 
 
 def test_nosync_two_transmitters_reduces_to_scaled_tdoa():
     scn = grid_aligned_free_space([3, 7], k=12)
     pilot = synthesize_pilot_matrix(scn, (0.0, 0.0), np.random.default_rng(0))
-    vec = feature_vector_nosync(pilot, scn.sample_period)
+    vec = feature_matrix_nosync(pilot[None], scn.sample_period)[:, 0]
     expected = SPEED_OF_LIGHT * scn.sample_period * (3 - 7)
     assert vec[0] == pytest.approx(expected, rel=1e-9)
 
@@ -233,7 +259,7 @@ def test_nosync_two_transmitters_reduces_to_scaled_tdoa():
 def test_nosync_linear_dependence_identity_on_grid():
     scn = grid_aligned_free_space([2, 5, 9], k=14)
     pilot = synthesize_pilot_matrix(scn, (0.0, 0.0), np.random.default_rng(0))
-    vec = feature_vector_nosync(pilot, scn.sample_period)
+    vec = feature_matrix_nosync(pilot[None], scn.sample_period)[:, 0]
     # entries ordered (1,2), (1,3), (2,3)
     assert vec[2] == pytest.approx(vec[1] - vec[0], rel=1e-9)
 
@@ -242,7 +268,7 @@ def test_noiseless_free_space_features_are_range_differences():
     delays = [2, 6, 9]
     scn = grid_aligned_free_space(delays, k=14)
     pilot = synthesize_pilot_matrix(scn, (0.0, 0.0), np.random.default_rng(0))
-    vec = feature_vector_nosync(pilot, scn.sample_period)
+    vec = feature_matrix_nosync(pilot[None], scn.sample_period)[:, 0]
     step = SPEED_OF_LIGHT * scn.sample_period
     expected = [step * (delays[i] - delays[j]) for i, j in pair_indices(3)]
     assert np.allclose(vec, expected, rtol=1e-9)
@@ -284,7 +310,7 @@ def test_feature_matrix_nosync_stacks_columns(indoor):
     matrix = feature_matrix_nosync(pilots, indoor.sample_period)
     assert matrix.shape == (10, 3)
     for i in range(3):
-        single = feature_vector_nosync(pilots[i], indoor.sample_period)
+        single = feature_matrix_nosync(pilots[i][None], indoor.sample_period)[:, 0]
         assert np.array_equal(matrix[:, i], single)
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import objective_value
 from locfree import kernels
 from locfree.errors import SolverError
 from locfree.kernels import (
@@ -9,7 +10,6 @@ from locfree.kernels import (
     fit,
     gram_matrix,
     load_model,
-    objective_value,
     predict,
     save_model,
     with_basis,
@@ -170,6 +170,18 @@ def test_objective_at_zero_coefficients():
     )
     assert objective_value(zeroed, features, targets) == pytest.approx(
         np.mean(targets**2), rel=1e-12
+    )
+
+
+def test_objective_minimum_is_lambda_p_dot_alpha():
+    """At alpha = (K + lambda N I)^-1 p the residual p - K alpha is
+    lambda N alpha, so the objective is lambda alpha^T (K + lambda N I) alpha
+    = lambda p^T alpha."""
+    rng = np.random.default_rng(9)
+    features, targets, kernel = _random_instance(rng, n=25, m=3)
+    fitted = fit(features, targets, kernel, 1e-2)
+    assert objective_value(fitted, features, targets) == pytest.approx(
+        1e-2 * targets @ fitted.alpha, rel=1e-9
     )
 
 

@@ -7,11 +7,11 @@ import pytest
 
 from locfree import propagation
 from locfree.errors import ConfigurationError, DomainError
+from locfree.evaluation import ExperimentConfig, _draw_training
 from locfree.propagation import (
     PathComponent,
     discretize_channel,
     evaluation_grid,
-    measure_power,
     measurement_noise_std,
     pilot_noise,
     sample_sensor_locations,
@@ -369,13 +369,10 @@ def test_power_only_trace_matches_simulate_points(name, monkeypatch):
     assert np.array_equal(powers.pilot_powers, full.pilot_powers)
     assert np.array_equal(powers.true_power, full.true_power)
     assert [true_power(scn, p) for p in pts[:20]] == full.true_power[:20].tolist()
-    rng = np.random.default_rng(0)
-    assert measure_power(scn, pts[0], rng, 0.0) == full.true_power[0]
-    for check in (true_power, lambda s, x: measure_power(s, x, rng, 1.0)):
-        with pytest.raises(DomainError):
-            check(scn, (1e3, 1e3))
-        with pytest.raises(DomainError):
-            check(scn, scn.tx_positions()[0])
+    with pytest.raises(DomainError):
+        true_power(scn, (1e3, 1e3))
+    with pytest.raises(DomainError):
+        true_power(scn, scn.tx_positions()[0])
 
 
 # ---------------------------------------------------------------------------
@@ -669,17 +666,17 @@ def test_exclusion_covering_region_is_configuration_error():
 
 
 def test_measurement_noise_free_case(free_space):
-    value = measure_power(free_space, (30.0, 0.0), np.random.default_rng(0), noise_std=0.0)
-    assert value == true_power(free_space, (30.0, 0.0))
+    """Training targets without measurement noise are the true map values."""
+    world = _draw_training(ExperimentConfig(free_space, n_train=20), 0.0, 0)
+    assert world.targets.tolist() == [true_power(free_space, p) for p in world.train_points]
 
 
 def test_measurement_noise_variance(free_space):
-    rng = np.random.default_rng(21)
-    truth = true_power(free_space, (30.0, 0.0))
+    """Training targets add N(0, sigma_eps^2) dB to the true map values."""
     sigma = 0.7
-    draws = np.array(
-        [measure_power(free_space, (30.0, 0.0), rng, noise_std=sigma) for _ in range(10_000)]
-    )
+    world = _draw_training(ExperimentConfig(free_space, n_train=10_000, seed=21), sigma, 0)
+    truth = propagation.simulate_powers(free_space, world.train_points).true_power
+    draws = world.targets
     sample_var = np.var(draws - truth, ddof=1)
     std_err = sigma**2 * math.sqrt(2.0 / (len(draws) - 1))
     assert abs(sample_var - sigma**2) < 3 * std_err
