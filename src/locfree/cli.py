@@ -25,17 +25,12 @@ from .evaluation import (
     Model,
     PilotSet,
     _draw_training,
-    _grid_points,
     fit_estimator,
     mask_features,
     power_grid,
-    precompute_grid,
     predict_estimator,
 )
-from .propagation import (
-    pilot_noise,
-    simulate_points,
-)
+from .propagation import evaluation_grid, pilot_noise, simulate_points
 from .scenario import (
     SCENARIO_PRESETS,
     keyword_args,
@@ -91,6 +86,8 @@ def cmd_scenario(args):
         scn = preset(args.preset, seed=args.seed or 0)
         name = args.preset
     elif args.config is not None:
+        if args.seed is not None:
+            raise ConfigurationError("--seed applies only to --preset, not to --config")
         scn = _scenario_from_config(read_json(args.config))
         name = os.path.splitext(os.path.basename(args.config))[0]
     else:
@@ -107,8 +104,6 @@ def cmd_scenario(args):
 
 def _serving_config(args, command):
     """Config of ``fit``/``predict``: only estimators a model file can hold."""
-    if args.config is None:
-        raise ConfigurationError(f"{command} needs --config PATH")
     config = _experiment_config(read_json(args.config), seed=args.seed)
     if config.estimator == "locf_completion":
         raise ConfigurationError(
@@ -132,7 +127,7 @@ def cmd_fit(args):
     if config.measurement_noise:
         noise_std = power_grid(config.scenario, config.grid_step).noise_std
     else:
-        _grid_points(config.scenario, config.grid_step)  # an empty grid still exits 2
+        evaluation_grid(config.scenario, config.grid_step)  # an empty grid still exits 2
         noise_std = 0.0
     world = _draw_training(config, noise_std, 0)
     model, columns = fit_estimator(config, world)
@@ -146,8 +141,6 @@ def cmd_fit(args):
 
 
 def cmd_predict(args):
-    if args.model is None:
-        raise ConfigurationError("predict needs --model PATH and --config PATH")
     config = _serving_config(args, "predict")
     model = Model(kernels.load_model(args.model))
     scenario = config.scenario
@@ -157,10 +150,9 @@ def cmd_predict(args):
             pts = np.loadtxt(args.points, delimiter=",", ndmin=2)
         except OSError as exc:
             raise ConfigurationError(f"cannot read --points file: {exc}") from exc
-        tables = simulate_points(scenario, pts, check_domain=False)
-    else:  # the grid carries the same channels and pilot powers
-        tables = precompute_grid(scenario, config.grid_step)
-        pts = tables.points
+    else:
+        pts = evaluation_grid(scenario, config.grid_step)[0]
+    tables = simulate_points(scenario, pts)
     pilots = tables.channels
     if config.noisy_query:
         pilots = pilots + pilot_noise(scenario, pilots.shape, rng)
@@ -209,8 +201,6 @@ def cmd_experiment(args):
 
 
 def cmd_features(args):
-    if args.config is None:
-        raise ConfigurationError("features needs --config PATH")
     config = _experiment_config(read_json(args.config), seed=args.seed)
     world = _draw_training(config, 0.0, 0)
     matrix = world.train.com
@@ -231,21 +221,24 @@ def _build_parser():
         description="Location-free spectrum cartography toolkit",
     )
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="JSON config path")
     common.add_argument("--out", help="output directory")
     common.add_argument("--seed", type=int, default=None, help="RNG seed override")
     common.add_argument("--verbose", action="store_true")
+    configured = argparse.ArgumentParser(add_help=False, parents=[common])
+    configured.add_argument("--config", required=True, help="JSON config path")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("scenario", parents=[common], help="generate a scenario + truth map")
-    p.add_argument("--preset", choices=SCENARIO_PRESETS)
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--preset", choices=SCENARIO_PRESETS)
+    source.add_argument("--config", help="JSON scenario section path")
     p.set_defaults(func=cmd_scenario)
 
-    p = sub.add_parser("fit", parents=[common], help="fit and persist a power map")
+    p = sub.add_parser("fit", parents=[configured], help="fit and persist a power map")
     p.set_defaults(func=cmd_fit)
 
-    p = sub.add_parser("predict", parents=[common], help="evaluate a persisted map")
-    p.add_argument("--model", help="model blob path")
+    p = sub.add_parser("predict", parents=[configured], help="evaluate a persisted map")
+    p.add_argument("--model", required=True, help="model blob path")
     p.add_argument("--points", help="CSV of x,y query points (default: whole grid)")
     p.set_defaults(func=cmd_predict)
 
@@ -257,7 +250,7 @@ def _build_parser():
                    help="comma-separated sensitivity thresholds in dBW; use --gamma-sweep=-90,-80 for negative values")
     p.set_defaults(func=cmd_experiment)
 
-    p = sub.add_parser("features", parents=[common], help="dump extracted features")
+    p = sub.add_parser("features", parents=[configured], help="dump extracted features")
     p.set_defaults(func=cmd_features)
     return parser
 

@@ -102,7 +102,7 @@ class ExperimentConfig:
     sigma: float = 37.0          # feature-based kernel bandwidth (m)
     lam_loc: float = 3.3e-3      # location-based ridge weight
     sigma_loc: float = 0.5       # location-based kernel bandwidth (m)
-    eta: float = None            # energy fraction for rank selection
+    eta: float = 0.99            # energy fraction for rank selection
     rank: int = None             # fixed reduced rank (defaults to L-1 where needed)
     mu: float = 5.42             # query-recovery regularization
     gamma_dbw: float = -np.inf   # pilot sensitivity threshold
@@ -121,6 +121,8 @@ class ExperimentConfig:
             raise ConfigurationError("runs must be >= 1")
         if self.n_train < 2:
             raise ConfigurationError("n_train must be >= 2")
+        if not 0.0 < self.eta <= 1.0:
+            raise ConfigurationError(f"eta must lie in (0, 1], got {self.eta}")
 
 
 @dataclass(frozen=True)
@@ -153,19 +155,11 @@ class PrecomputedGrid:
     locations: localization.LocationTable
 
 
-def _grid_points(scenario, step):
-    """evaluation_grid(scenario, step); an empty grid is a ConfigurationError."""
-    grid = evaluation_grid(scenario, step)
-    if grid[0].shape[0] == 0:
-        raise ConfigurationError("evaluation grid is empty")
-    return grid
-
-
 def _grid(scenario, step, simulate):
     """The PrecomputedGrid of ``simulate`` (simulate_points or
     simulate_powers) over the grid, with an empty location table."""
-    points, shape, flat_index, xs, ys = _grid_points(scenario, step)
-    tables = simulate(scenario, points, check_domain=False)
+    points, shape, flat_index, xs, ys = evaluation_grid(scenario, step)
+    tables = simulate(scenario, points)
     p_bar = float(np.mean(tables.true_power))
     return PrecomputedGrid(
         points=points,
@@ -232,7 +226,7 @@ def _draw_training(config, noise_std, run_idx):
     scenario = config.scenario
     rng = np.random.default_rng(config.seed + run_idx)
     pts = sample_sensor_locations(scenario, config.n_train, rng)
-    tables = simulate_points(scenario, pts, check_domain=False)
+    tables = simulate_points(scenario, pts)
     train_pilots = tables.channels + pilot_noise(scenario, tables.channels.shape, rng)
     targets = tables.true_power + (
         rng.normal(0.0, noise_std, config.n_train) if noise_std > 0 else 0.0
@@ -316,7 +310,7 @@ def fit_estimator(config, world, run_idx=0, *, table=None):
     train_f = world.train.com
     columns, extra = train_f, {}
     if config.estimator == "locf_reduced":
-        eta = None if config.rank is not None else config.eta or 0.99
+        eta = None if config.rank is not None else config.eta
         basis, columns = reduction.reduce_features(train_f, eta=eta, rank=config.rank)
     elif config.estimator == "locf_completion":
         columns, extra = _complete(config, world, train_f, run_idx)

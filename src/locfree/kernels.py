@@ -170,15 +170,29 @@ _MODEL_FIELDS = {
 _BASIS_FIELDS = {key: (key, list) for key in ("mean", "vectors", "singular_values")}
 
 
+def _array(doc, key, *shape):
+    """``doc[key]`` as a float array of ``shape``, None matching any length;
+    a ragged list or another shape is a ConfigurationError naming ``key``."""
+    try:
+        array = np.array(doc[key], dtype=float)
+    except ValueError:  # a ragged or non-numeric list
+        array = np.empty(())
+    if array.ndim != len(shape) or any(n not in (None, m) for m, n in zip(array.shape, shape)):
+        raise ConfigurationError(f"model field {key!r} must be a {shape} array (None: any length)")
+    return array
+
+
 def load_model(path):
     doc = read_json(path)
     if not isinstance(doc, dict) or doc.get("format") != _MODEL_FORMAT:
         raise ConfigurationError(f"{path} is not a {_MODEL_FORMAT} model blob")
     args = keyword_args(doc, _MODEL_FIELDS, skip="format", required=_MODEL_FIELDS)
+    features = args["features"] = _array(args, "features", None, None)
+    args["alpha"] = _array(args, "alpha", features.shape[1])
     if args["basis"] is not None:
         basis = keyword_args(args["basis"], _BASIS_FIELDS, required=_BASIS_FIELDS)
-        args["basis"] = ReducedBasis(**{key: np.array(basis[key], dtype=float) for key in basis})
+        vectors = _array(basis, "vectors", None, features.shape[0])
+        args["basis"] = ReducedBasis(_array(basis, "mean", len(vectors)), vectors,
+                                     _array(basis, "singular_values", None))
     args["kernel"] = GaussianKernel(args["kernel"])
-    for key in ("features", "alpha"):
-        args[key] = np.array(args[key], dtype=float)
     return FittedMap(**args)

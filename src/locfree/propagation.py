@@ -271,7 +271,6 @@ def _trace_tx(scenario, tx, rx, geom):
     Returns (amps, delays, orders): (n, P) float arrays plus a (P,) order
     vector; invalid candidate slots carry zero amplitude.
     """
-    rx = np.atleast_2d(np.asarray(rx, dtype=float))
     d = np.linalg.norm(rx - tx, axis=1)
     if np.any(d <= 0.0):
         raise DomainError("receiver coincides with a transmitter (near-field singularity)")
@@ -348,38 +347,40 @@ def _batch_channels(scenario, amps, delays):
     return out
 
 
-def simulate_points(scenario, points, check_domain=True):
-    """Noiseless channels, pilot powers and the true power map at given points.
+def simulate_points(scenario, points):
+    """Noiseless channels, pilot powers and the true power map at (n, 2) points
+    inside the region and outside the far-field discs (else DomainError).
 
     The true map value aggregates the received power from every transmitter
     over all traced paths::
 
         p(x) = 10 log10( sum_l sigma_a_l^2 sum_p alpha_{l,p}(x)^2 )  [dBW]
     """
-    return _simulate(scenario, points, check_domain, with_channels=True)
+    return _simulate(scenario, points, with_channels=True)
 
 
-def simulate_powers(scenario, points, check_domain=True):
-    """Pilot powers and the true power map at given points, without channels.
+def simulate_powers(scenario, points):
+    """Pilot powers and the true power map at (n, 2) points, without channels.
 
     The ``pilot_powers`` and ``true_power`` of simulate_points bit for bit,
     from the same traced ray amplitudes; ``channels`` is None.  No tap is
     synthesized, so no delay is checked against the tap window.
     """
-    return _simulate(scenario, points, check_domain, with_channels=False)
+    return _simulate(scenario, points, with_channels=False)
 
 
-def _simulate(scenario, points, check_domain, with_channels):
+def _simulate(scenario, points, with_channels):
     """The per-transmitter trace loop of simulate_points and simulate_powers."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if check_domain:
-        if not np.all(scenario.contains(pts)):
-            raise DomainError("all points must lie inside the region")
-        if not np.all(scenario.far_field(pts)):
-            raise DomainError(
-                f"all points must lie at least {FAR_FIELD_WAVELENGTHS} wavelengths "
-                "from every transmitter"
-            )
+    if pts.ndim != 2 or pts.shape[1] != 2:
+        raise DomainError(f"points must be an (n, 2) array of x, y; got shape {pts.shape}")
+    if not np.all(scenario.contains(pts)):
+        raise DomainError("all points must lie inside the region")
+    if not np.all(scenario.far_field(pts)):
+        raise DomainError(
+            f"all points must lie at least {FAR_FIELD_WAVELENGTHS} wavelengths "
+            "from every transmitter"
+        )
     geom = _wall_geometry(scenario)
     txs = scenario.tx_positions()
     powers = scenario.pilot_powers()
@@ -455,7 +456,7 @@ def sample_sensor_locations(scenario, count, rng):
 
 
 def evaluation_grid(scenario, step=1.0):
-    """Cell-center lattice over the admissible region.
+    """Cell-center lattice over the admissible region (ConfigurationError if empty).
 
     Returns (points, shape, flat_index, xs, ys): ``points`` are the
     admissible cell centers; ``flat_index`` maps them into the row-major
@@ -468,6 +469,8 @@ def evaluation_grid(scenario, step=1.0):
     gx, gy = np.meshgrid(xs, ys)
     lattice = np.stack([gx.ravel(), gy.ravel()], axis=1)
     admissible = scenario.far_field(lattice)
+    if not np.any(admissible):
+        raise ConfigurationError("evaluation grid is empty")
     return (
         lattice[admissible],
         (len(ys), len(xs)),

@@ -91,12 +91,14 @@ _INLINE = scenario_to_dict(preset("indoor-fig4"))
         ({"scenario": {**_INLINE, "region": [0, 0, 60, 40]}}, "region"),
         ({"scenario": {"path": "scenario.json", "seed": 4}}, "seed"),
         ({"scenario": {"path": "missing.json"}}, "missing.json"),
+        ({"scenario": "indoor-fig4", "eta": 0}, "eta"),
+        ({"scenario": "indoor-fig4", "eta": 1.5}, "eta"),
     ],
     ids=[
         "string-count", "null-eta", "misspelled-preset-key", "string-bool", "fractional-int",
         "freespace-walls", "inline-misspelled-key", "misspelled-wall-key",
         "fractional-num-samples", "string-carrier", "bool-noise", "list-region",
-        "seed-next-to-path", "missing-path-file",
+        "seed-next-to-path", "missing-path-file", "zero-eta", "eta-above-one",
     ],
 )
 def test_bad_config_value_exits_2_before_any_work(doc, field, tmp_path, capsys, monkeypatch):
@@ -188,6 +190,68 @@ def test_jobs_below_one_rejected(jobs, tmp_path, capsys):
     assert run_cli("experiment", str(cfg), "--jobs", jobs, "--out", str(out)) == 2
     assert "--jobs must be at least 1" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_readme_config_format_loads():
+    """The README's fit/experiment config is a document the reader takes,
+    each key landing on its ExperimentConfig field."""
+    from locfree.cli import _CONFIG_FIELDS
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("A `fit`/`experiment` config is JSON:", 1)[1].split("```json", 1)[1]
+    doc = json.loads(block.split("```", 1)[0])
+    config = _experiment_config(doc)
+    for key, value in doc.items():
+        if key != "scenario":
+            assert getattr(config, _CONFIG_FIELDS[key][0]) == value
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["experiment", "fig4-maps", "--config", "cfg.json"],
+     ["scenario", "--preset", "freespace", "--config", "cfg.json"]],
+    ids=["experiment-config", "scenario-preset-and-config"],
+)
+def test_options_a_command_does_not_read_are_rejected(argv, tmp_path, capsys, monkeypatch):
+    """experiment reads no --config, and scenario reads one of --preset and
+    --config: the parser exits 2 before any output directory is made."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps("freespace"))
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv, "--out", "out")
+    assert exc.value.code == 2
+    assert "--config" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_scenario_config_takes_no_seed(tmp_path, capsys):
+    """A scenario section sets its own seed, so --seed next to --config exits 2."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"preset": "freespace"}))
+    out = tmp_path / "out"
+    assert run_cli("scenario", "--config", str(cfg), "--seed", "3", "--out", str(out)) == 2
+    assert "--seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_scenario_config_reads_a_scenario_section(tmp_path, monkeypatch):
+    """scenario --config reads a scenario section: a preset name, a preset
+    section, a path section and an inline document each write the true map
+    of scenario --preset, byte for byte."""
+    monkeypatch.chdir(tmp_path)
+    assert run_cli("scenario", "--preset", "indoor-fig4", "--out", "preset") == 0
+    expected = (tmp_path / "preset" / "indoor-fig4_true_map.csv").read_bytes()
+    save_scenario(preset("indoor-fig4"), tmp_path / "scenario.json")
+    sections = {
+        "name": "indoor-fig4",
+        "section": {"preset": "indoor-fig4"},
+        "path": {"path": "scenario.json"},
+        "inline": json.loads((tmp_path / "scenario.json").read_text()),
+    }
+    for name, section in sections.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(section))
+        assert run_cli("scenario", "--config", f"{name}.json", "--out", name) == 0
+        assert (tmp_path / name / f"{name}_true_map.csv").read_bytes() == expected
 
 
 def test_readme_command_lines_parse():
@@ -309,6 +373,9 @@ _MODEL = {
     "format": "locfree-krr-map/1", "sigma": 40.0, "lambda": 0.0, "target_mean": 0.0,
     "features": [[0.0]] * 10, "alpha": [0.0], "basis": None,
 }
+# Orthonormal (10, 2) columns: a basis onto 2 reduced rows, not the model's 10.
+_BASIS = {"mean": [0.0] * 10, "vectors": [[1.0, 0.0], [0.0, 1.0]] + [[0.0, 0.0]] * 8,
+          "singular_values": [1.0, 1.0]}
 
 
 @pytest.mark.parametrize(
@@ -317,13 +384,26 @@ _MODEL = {
         (None, None, "missing.json"),
         ({key: value for key, value in _MODEL.items() if key != "alpha"}, None, "alpha"),
         ([_MODEL], None, "model.json"),
-        (_MODEL, "nope.csv", "nope.csv"),
+        (_MODEL, ("nope.csv", None), "nope.csv"),
+        ({**_MODEL, "features": [[0.0] * 3] * 10, "alpha": [0.0] * 2}, None, "alpha"),
+        ({**_MODEL, "features": [[0.0]] * 9 + [[0.0, 1.0]]}, None, "features"),
+        ({**_MODEL, "basis": _BASIS}, None, "vectors"),
+        (_MODEL, ("points.csv", "10.0\n20.0\n"), "(n, 2)"),
+        (_MODEL, ("points.csv", "10.0,10.0,1.0\n"), "(n, 2)"),
+        (_MODEL, ("points.csv", "10.0,10.0\n100.0,10.0\n"), "inside the region"),
+        (_MODEL, ("points.csv", "10.0,10.0\n3.5,20.0\n"), "wavelengths from every transmitter"),
     ],
-    ids=["missing-model-file", "model-without-alpha", "list-model", "missing-points-file"],
+    ids=["missing-model-file", "model-without-alpha", "list-model", "missing-points-file",
+         "alpha-short-of-features", "ragged-features", "basis-vectors-off-features",
+         "one-column-points", "three-column-points", "point-outside-the-region",
+         "point-in-a-far-field-disc"],
 )
 def test_bad_predict_input_exits_2_before_any_work(model, points, named, tmp_path, capsys, monkeypatch):
     """A model or points file that predict cannot read is named, before the
-    output directory is made.  Paths are relative to tmp_path."""
+    output directory is made.  Paths are relative to tmp_path.  Points are
+    x,y rows inside the region and outside the far-field discs (3
+    wavelengths, 1.12 m, around each transmitter, one at (3, 20)); a points
+    file of None rows is not written."""
     monkeypatch.chdir(tmp_path)
     argv = ["predict", "--config", str(_fit_config(tmp_path)), "--out", "out"]
     if model is None:
@@ -332,7 +412,10 @@ def test_bad_predict_input_exits_2_before_any_work(model, points, named, tmp_pat
         (tmp_path / "model.json").write_text(json.dumps(model))
         argv += ["--model", "model.json"]
     if points is not None:
-        argv += ["--points", points]
+        name, rows = points
+        if rows is not None:
+            (tmp_path / name).write_text(rows)
+        argv += ["--points", name]
     assert run_cli(*argv) == 2
     assert named in capsys.readouterr().err
     assert not (tmp_path / "out").exists()

@@ -111,6 +111,22 @@ def test_geometry_reciprocity_free_space(free_space):
     assert pa == pytest.approx(pb)
 
 
+def test_simulate_rejects_points_outside_the_domain(free_space):
+    """Every traced point passes one check: an (n, 2) array of points inside
+    the region and outside every transmitter's far-field disc."""
+    inside = [[10.0, 10.0]]
+    cases = [
+        (np.array([[10.0], [20.0]]), r"\(n, 2\)"),
+        (np.array([[10.0, 10.0, 1.0]]), r"\(n, 2\)"),
+        (np.array(inside + [[100.0, 10.0]]), "inside the region"),
+        (np.array(inside + [(free_space.tx_positions()[0] + [0.5, 0.0]).tolist()]), "wavelengths"),
+    ]
+    for simulate in (simulate_points, propagation.simulate_powers):
+        for points, message in cases:
+            with pytest.raises(DomainError, match=message):
+                simulate(free_space, points)
+
+
 def test_near_field_and_region_domain_errors(free_space):
     with pytest.raises(DomainError, match="near-field"):
         trace_paths(free_space, (0.0, 0.0), (0.0, 0.0))
