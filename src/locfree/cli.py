@@ -27,7 +27,7 @@ from .evaluation import (
     _draw_training,
     fit_estimator,
     mask_features,
-    power_grid,
+    precompute_grid,
     predict_estimator,
 )
 from .propagation import evaluation_grid, pilot_noise, simulate_points
@@ -85,17 +85,15 @@ def cmd_scenario(args):
     if args.preset is not None:
         scn = preset(args.preset, seed=args.seed or 0)
         name = args.preset
-    elif args.config is not None:
+    else:
         if args.seed is not None:
             raise ConfigurationError("--seed applies only to --preset, not to --config")
         scn = _scenario_from_config(read_json(args.config))
         name = os.path.splitext(os.path.basename(args.config))[0]
-    else:
-        raise ConfigurationError("scenario needs --preset NAME or --config PATH")
     out = args.out or "."
     os.makedirs(out, exist_ok=True)
     save_scenario(scn, os.path.join(out, f"{name}.json"))
-    grid = power_grid(scn)  # the writers read no channel
+    grid = precompute_grid(scn)  # the writers read no channel, so none is synthesized
     io.write_truth_csv(grid, os.path.join(out, f"{name}_true_map.csv"))
     io.write_pgm(grid, grid.truth, os.path.join(out, f"{name}_true_map.pgm"))
     print(f"wrote {name}.json, {name}_true_map.csv, {name}_true_map.pgm in {out}")
@@ -119,18 +117,18 @@ def _serving_config(args, command):
 
 def cmd_fit(args):
     config = _serving_config(args, "fit")
-    out = args.out or "."
-    os.makedirs(out, exist_ok=True)
-    # The fit reads no grid channels and no query pilots, so it draws no
-    # query noise.  The grid only sets the measurement noise, from its mean
-    # power, and is not traced when there is none.
+    # The fit reads no grid taps and no query pilots, so it synthesizes
+    # none and draws no query noise.  The grid only sets the measurement
+    # noise, from its mean power, and is not traced when there is none.
     if config.measurement_noise:
-        noise_std = power_grid(config.scenario, config.grid_step).noise_std
+        noise_std = precompute_grid(config.scenario, config.grid_step).noise_std
     else:
         evaluation_grid(config.scenario, config.grid_step)  # an empty grid still exits 2
         noise_std = 0.0
     world = _draw_training(config, noise_std, 0)
     model, columns = fit_estimator(config, world)
+    out = args.out or "."
+    os.makedirs(out, exist_ok=True)
     model_path = os.path.join(out, "model.json")
     kernels.save_model(model.fitted, model_path)
     io.write_feature_csv(
@@ -146,10 +144,12 @@ def cmd_predict(args):
     scenario = config.scenario
     rng = np.random.default_rng(config.seed)
     if args.points is not None:
-        try:
-            pts = np.loadtxt(args.points, delimiter=",", ndmin=2)
-        except OSError as exc:
-            raise ConfigurationError(f"cannot read --points file: {exc}") from exc
+        try:  # skip the x,y header the CLI's own CSV writers put first
+            with open(args.points, encoding="utf-8") as fh:
+                header = fh.readline().rstrip("\r\n") == "x,y"
+            pts = np.loadtxt(args.points, delimiter=",", ndmin=2, skiprows=int(header))
+        except (OSError, ValueError) as exc:
+            raise ConfigurationError(f"cannot read --points file {args.points}: {exc}") from exc
     else:
         pts = evaluation_grid(scenario, config.grid_step)[0]
     tables = simulate_points(scenario, pts)
@@ -229,7 +229,7 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("scenario", parents=[common], help="generate a scenario + truth map")
-    source = p.add_mutually_exclusive_group()
+    source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("--preset", choices=SCENARIO_PRESETS)
     source.add_argument("--config", help="JSON scenario section path")
     p.set_defaults(func=cmd_scenario)

@@ -40,7 +40,6 @@ from .propagation import (
     pilot_noise,
     sample_sensor_locations,
     simulate_points,
-    simulate_powers,
 )
 
 log = logging.getLogger(__name__)
@@ -123,6 +122,14 @@ class ExperimentConfig:
             raise ConfigurationError("n_train must be >= 2")
         if not 0.0 < self.eta <= 1.0:
             raise ConfigurationError(f"eta must lie in (0, 1], got {self.eta}")
+        for name in ("grid_step", "mu"):
+            if not getattr(self, name) > 0.0:
+                raise ConfigurationError(f"{name} must be > 0, got {getattr(self, name)}")
+        n_pairs = len(features.pair_indices(self.scenario.n_transmitters))
+        for name in ("rank", "n_features"):
+            value = getattr(self, name)
+            if value is not None and not 1 <= value <= n_pairs:
+                raise ConfigurationError(f"{name} must lie in 1..M = {n_pairs}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -143,8 +150,8 @@ class PrecomputedGrid:
     points: np.ndarray        # (n, 2) admissible cell centers
     shape: tuple              # (ny, nx) full lattice shape
     flat_index: np.ndarray    # positions of admissible cells in the lattice
+    tables: object            # the PointTables of simulate_points(points)
     truth: np.ndarray         # (n,) true map in dBW
-    channels: np.ndarray      # (n, L, K) noiseless query channels
     pilot_powers: np.ndarray  # (n, L) received pilot powers in dBW
     p_bar: float              # spatial average of the true map
     noise_std: float          # power-measurement noise sigma_eps (dB)
@@ -154,19 +161,24 @@ class PrecomputedGrid:
     # on this grid localizes through it.
     locations: localization.LocationTable
 
+    @property
+    def channels(self):
+        """(n, L, K) noiseless query channels, synthesized on first read."""
+        return self.tables.channels
 
-def _grid(scenario, step, simulate):
-    """The PrecomputedGrid of ``simulate`` (simulate_points or
-    simulate_powers) over the grid, with an empty location table."""
+
+def precompute_grid(scenario, step=1.0):
+    """The PrecomputedGrid of one trace of the grid points, with an empty
+    location table; its channel taps are synthesized on first read."""
     points, shape, flat_index, xs, ys = evaluation_grid(scenario, step)
-    tables = simulate(scenario, points)
+    tables = simulate_points(scenario, points)
     p_bar = float(np.mean(tables.true_power))
     return PrecomputedGrid(
         points=points,
         shape=shape,
         flat_index=flat_index,
+        tables=tables,
         truth=tables.true_power,
-        channels=tables.channels,
         pilot_powers=tables.pilot_powers,
         p_bar=p_bar,
         noise_std=measurement_noise_std(p_bar),
@@ -174,16 +186,6 @@ def _grid(scenario, step, simulate):
         ys=ys,
         locations=localization.LocationTable(scenario.tx_positions()),
     )
-
-
-def precompute_grid(scenario, step=1.0):
-    return _grid(scenario, step, simulate_points)
-
-
-def power_grid(scenario, step=1.0):
-    """precompute_grid(scenario, step) bit for bit, but from a power-only
-    trace of the grid: no channel is synthesized, and ``channels`` is None."""
-    return _grid(scenario, step, simulate_powers)
 
 
 def _read_only(array):

@@ -36,14 +36,15 @@ complex taps::
     h[k] = sum_p alpha_p * exp(-j 2 pi f_c t_p) * sinc(k - t_p / T)
 
 which is also the noiseless received pilot row for unit-sample pilots.
-simulate_points returns taps, pilot powers and map values; simulate_powers
-returns the same powers from the same trace without synthesizing taps, for
-callers that read only powers.
+simulate_points traces points once and returns their pilot powers and map
+values; it keeps the traced rays and synthesizes the taps from them on
+first read, so callers that read only powers synthesize none.
 """
 
 import itertools
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -78,15 +79,24 @@ class PathComponent:
 class PointTables:
     """Batched per-point synthesis products for one scenario.
 
-    channels     -- (n, L, K) complex noiseless channel taps (None from
-                    simulate_powers)
+    rays         -- per transmitter, the (n, P) amplitudes and delays of _trace_tx
     pilot_powers -- (n, L) received pilot power in dBW (noiseless)
     true_power   -- (n,) aggregate received power map value in dBW
+    channels     -- (n, L, K) complex noiseless channel taps, synthesized
+                    from ``rays`` on first read
     """
 
-    channels: np.ndarray
+    scenario: object
+    rays: tuple
     pilot_powers: np.ndarray
     true_power: np.ndarray
+
+    @cached_property
+    def channels(self):
+        out = np.zeros(self.pilot_powers.shape + (self.scenario.num_samples,), dtype=complex)
+        for l, (amps, delays) in enumerate(self.rays):
+            out[:, l, :] = _batch_channels(self.scenario, amps, delays)
+        return out
 
 
 def _wall_geometry(scenario):
@@ -348,29 +358,15 @@ def _batch_channels(scenario, amps, delays):
 
 
 def simulate_points(scenario, points):
-    """Noiseless channels, pilot powers and the true power map at (n, 2) points
-    inside the region and outside the far-field discs (else DomainError).
+    """Pilot powers, the true power map and, on first read of ``channels``,
+    the noiseless channels at (n, 2) points inside the region and outside
+    the far-field discs (else DomainError).
 
     The true map value aggregates the received power from every transmitter
     over all traced paths::
 
         p(x) = 10 log10( sum_l sigma_a_l^2 sum_p alpha_{l,p}(x)^2 )  [dBW]
     """
-    return _simulate(scenario, points, with_channels=True)
-
-
-def simulate_powers(scenario, points):
-    """Pilot powers and the true power map at (n, 2) points, without channels.
-
-    The ``pilot_powers`` and ``true_power`` of simulate_points bit for bit,
-    from the same traced ray amplitudes; ``channels`` is None.  No tap is
-    synthesized, so no delay is checked against the tap window.
-    """
-    return _simulate(scenario, points, with_channels=False)
-
-
-def _simulate(scenario, points, with_channels):
-    """The per-transmitter trace loop of simulate_points and simulate_powers."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise DomainError(f"points must be an (n, 2) array of x, y; got shape {pts.shape}")
@@ -382,28 +378,20 @@ def _simulate(scenario, points, with_channels):
             "from every transmitter"
         )
     geom = _wall_geometry(scenario)
-    txs = scenario.tx_positions()
     powers = scenario.pilot_powers()
-    n, n_tx = pts.shape[0], txs.shape[0]
-    channels = None
-    if with_channels:
-        channels = np.zeros((n, n_tx, scenario.num_samples), dtype=complex)
-    rx_power = np.zeros((n, n_tx))
-    for l in range(n_tx):
-        amps, delays, _ = _trace_tx(scenario, txs[l], pts, geom)
+    rays = tuple(_trace_tx(scenario, tx, pts, geom)[:2] for tx in scenario.tx_positions())
+    rx_power = np.zeros((pts.shape[0], len(rays)))
+    for l, (amps, _) in enumerate(rays):
         rx_power[:, l] = powers[l] * np.sum(amps**2, axis=1)
-        if with_channels:
-            channels[:, l, :] = _batch_channels(scenario, amps, delays)
     with np.errstate(divide="ignore"):
         pilot_powers = 10.0 * np.log10(rx_power)
         true_power_dbw = 10.0 * np.log10(np.sum(rx_power, axis=1))
-    return PointTables(channels=channels, pilot_powers=pilot_powers, true_power=true_power_dbw)
+    return PointTables(scenario, rays, pilot_powers, true_power_dbw)
 
 
 def true_power(scenario, point):
     """Aggregate noiseless received power at one point, in dBW."""
-    tables = simulate_powers(scenario, np.asarray(point, dtype=float)[None, :])
-    return float(tables.true_power[0])
+    return float(simulate_points(scenario, np.asarray(point, dtype=float)[None, :]).true_power[0])
 
 
 def synthesize_pilot_matrix(scenario, rx, rng):

@@ -25,8 +25,9 @@ def test_scenario_preset_writes_artifacts(tmp_path):
 
 
 def test_scenario_writes_the_precomputed_grid_files(tmp_path, monkeypatch):
-    """scenario traces the grid's powers only, and writes the true-map files
-    that the grid of precompute_grid gives, byte for byte."""
+    """scenario reads the grid's powers only, so it synthesizes no channel
+    taps, and writes the true-map files that the grid of precompute_grid
+    gives, byte for byte."""
     from locfree import io, propagation
     from locfree.evaluation import precompute_grid
 
@@ -45,9 +46,16 @@ def test_scenario_writes_the_precomputed_grid_files(tmp_path, monkeypatch):
         assert written == (tmp_path / f"true_map.{suffix}").read_bytes()
 
 
-def test_scenario_requires_preset_or_config(capsys):
-    assert run_cli("scenario") == 2
-    assert "configuration error" in capsys.readouterr().err
+def test_scenario_requires_preset_or_config(tmp_path, capsys, monkeypatch):
+    """The parser exits 2, naming both options, before any output directory
+    is made."""
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        run_cli("scenario", "--out", "out")
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--preset" in err and "--config" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_invalid_json_config_exits_2(tmp_path, capsys):
@@ -93,26 +101,33 @@ _INLINE = scenario_to_dict(preset("indoor-fig4"))
         ({"scenario": {"path": "missing.json"}}, "missing.json"),
         ({"scenario": "indoor-fig4", "eta": 0}, "eta"),
         ({"scenario": "indoor-fig4", "eta": 1.5}, "eta"),
+        ({"scenario": "indoor-fig4", "grid_step": 0}, "grid_step"),
+        ({"scenario": "indoor-fig4", "estimator": "locf_reduced", "rank": 0}, "rank"),
+        ({"scenario": "indoor-fig4", "n_features": 11}, "n_features must lie in 1..M"),
+        ({"scenario": "indoor-fig4", "mu": 0}, "mu"),
     ],
     ids=[
         "string-count", "null-eta", "misspelled-preset-key", "string-bool", "fractional-int",
         "freespace-walls", "inline-misspelled-key", "misspelled-wall-key",
         "fractional-num-samples", "string-carrier", "bool-noise", "list-region",
         "seed-next-to-path", "missing-path-file", "zero-eta", "eta-above-one",
+        "zero-grid-step", "zero-rank", "n-features-above-m", "zero-mu",
     ],
 )
 def test_bad_config_value_exits_2_before_any_work(doc, field, tmp_path, capsys, monkeypatch):
     """Each bad key is named, at any depth of the config or its scenario,
-    before the output directory is made.  Paths are relative to tmp_path,
-    which holds a valid scenario.json."""
+    before fit or experiment makes its output directory.  Paths are
+    relative to tmp_path, which holds a valid scenario.json.  rank and
+    n_features lie in 1..M, M = 10 pairs for indoor-fig4's 5 transmitters."""
     monkeypatch.chdir(tmp_path)
     save_scenario(preset("freespace"), tmp_path / "scenario.json")
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(doc))
     out = tmp_path / "out"
-    assert run_cli("fit", "--config", str(cfg), "--out", str(out)) == 2
-    assert field in capsys.readouterr().err
-    assert not out.exists()
+    for argv in (["fit", "--config", str(cfg)], ["experiment", str(cfg)]):
+        assert run_cli(*argv, "--out", str(out)) == 2
+        assert field in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_config_values_keep_their_meaning():
@@ -392,11 +407,12 @@ _BASIS = {"mean": [0.0] * 10, "vectors": [[1.0, 0.0], [0.0, 1.0]] + [[0.0, 0.0]]
         (_MODEL, ("points.csv", "10.0,10.0,1.0\n"), "(n, 2)"),
         (_MODEL, ("points.csv", "10.0,10.0\n100.0,10.0\n"), "inside the region"),
         (_MODEL, ("points.csv", "10.0,10.0\n3.5,20.0\n"), "wavelengths from every transmitter"),
+        (_MODEL, ("points.csv", "lon,lat\n10.0,10.0\n"), "--points file points.csv"),
     ],
     ids=["missing-model-file", "model-without-alpha", "list-model", "missing-points-file",
          "alpha-short-of-features", "ragged-features", "basis-vectors-off-features",
          "one-column-points", "three-column-points", "point-outside-the-region",
-         "point-in-a-far-field-disc"],
+         "point-in-a-far-field-disc", "foreign-header-points"],
 )
 def test_bad_predict_input_exits_2_before_any_work(model, points, named, tmp_path, capsys, monkeypatch):
     """A model or points file that predict cannot read is named, before the
@@ -562,25 +578,23 @@ def test_verbose_fig11_emits_svp_iteration_logs(tmp_path):
 
 
 def test_predict_writes_query_points_bit_exactly(tmp_path):
-    """The x,y columns of predictions.csv parse back to the query points."""
+    """The x,y columns of predictions.csv parse back to the query points.
+    A points file that starts with the x,y header of the CLI's own CSVs
+    predicts the same bytes as one without it."""
     cfg = _fit_config(tmp_path, **{"lambda": 1e-4})
     out = tmp_path / "out"
     assert run_cli("fit", "--config", str(cfg), "--out", str(out)) == 0
     query = [(0.1, 1.0 / 3.0), (12.345678901234567, 7.0), (41.5, 2.0 ** -20)]
-    points = tmp_path / "points.csv"
-    points.write_text("".join(f"{x!r},{y!r}\n" for x, y in query))
-    pred_out = tmp_path / "pred"
-    assert (
-        run_cli(
-            "predict",
-            "--model", str(out / "model.json"),
-            "--config", str(cfg),
-            "--points", str(points),
-            "--out", str(pred_out),
-        )
-        == 0
-    )
-    rows = (pred_out / "predictions.csv").read_text().splitlines()[1:]
+    written = []
+    for header in ("", "x,y\r\n"):
+        points = tmp_path / f"points{len(header)}.csv"
+        points.write_text(header + "".join(f"{x!r},{y!r}\n" for x, y in query))
+        pred_out = tmp_path / f"pred{len(header)}"
+        argv = ["predict", "--model", str(out / "model.json"), "--config", str(cfg)]
+        assert run_cli(*argv, "--points", str(points), "--out", str(pred_out)) == 0
+        written.append((pred_out / "predictions.csv").read_bytes())
+    assert written[0] == written[1]
+    rows = written[0].decode().splitlines()[1:]
     assert [tuple(float(v) for v in row.split(",")[:2]) for row in rows] == query
 
 
@@ -627,8 +641,8 @@ def test_predict_on_grid_matches_points_run_on_grid_points(tmp_path):
 
 
 def _fit_by_precomputed_grid(doc, out):
-    """``locfree fit`` as it ran on a full precompute_grid: the grid's
-    channels traced, its noise_std read, and the world drawn as a run draws
+    """``locfree fit`` as a Monte Carlo run draws its world: the grid's
+    channels read, its noise_std read, and the world drawn as a run draws
     it without query noise."""
     from dataclasses import replace
 
@@ -648,7 +662,7 @@ def _fit_by_precomputed_grid(doc, out):
 
 @pytest.mark.parametrize("estimator", ["locf", "locb"])
 def test_fit_writes_the_precomputed_grid_files(estimator, tmp_path):
-    """The power-only grid trace changes no byte of what fit writes."""
+    """Reading only the grid's powers changes no byte of what fit writes."""
     doc = {"scenario": {"preset": "indoor-fig4"}, "estimator": estimator, "n_train": 120,
            "seed": 11, "grid_step": 2.0}
     cfg = tmp_path / "fit.json"
@@ -662,23 +676,27 @@ def test_fit_writes_the_precomputed_grid_files(estimator, tmp_path):
 
 @pytest.mark.parametrize("noise", [True, False])
 def test_fit_traces_grid_powers_only_for_measurement_noise(noise, tmp_path, monkeypatch):
-    """fit traces channels only at the training points; the grid gets a
-    power-only trace when measurement noise needs its mean, else none."""
-    from locfree import evaluation
+    """fit synthesizes channel taps only at the training points; the grid
+    is traced, for its mean power, only when measurement noise needs it."""
+    from locfree import evaluation, propagation
 
-    traced = []
-    for name in ("simulate_points", "simulate_powers"):
-        original = getattr(evaluation, name)
+    traced, synthesized = [], []
+    trace, synthesize = evaluation.simulate_points, propagation._batch_channels
 
-        def spy(scenario, points, *args, _name=name, _original=original, **kwargs):
-            traced.append((_name, len(points)))
-            return _original(scenario, points, *args, **kwargs)
+    def spy_trace(scenario, points):
+        traced.append(len(points))
+        return trace(scenario, points)
 
-        monkeypatch.setattr(evaluation, name, spy)
+    def spy_synthesize(scenario, amps, delays):
+        synthesized.append(amps.shape[0])
+        return synthesize(scenario, amps, delays)
+
+    monkeypatch.setattr(evaluation, "simulate_points", spy_trace)
+    monkeypatch.setattr(propagation, "_batch_channels", spy_synthesize)
     cfg = _fit_config(tmp_path, **{"lambda": 1e-4, "grid_step": 5.0, "measurement_noise": noise})
     assert run_cli("fit", "--config", str(cfg), "--out", str(tmp_path / "out")) == 0
-    grid = [("simulate_powers", 96)] if noise else []
-    assert traced == grid + [("simulate_points", 25)]
+    assert traced == ([96] if noise else []) + [25]
+    assert synthesized == [25] * preset("freespace").n_transmitters
 
 
 @pytest.mark.parametrize("noise", [True, False])

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from locfree import evaluation, experiments, features
+from locfree import evaluation, experiments, features, propagation
 from locfree.errors import ConfigurationError
 from locfree.evaluation import (
     ESTIMATORS,
@@ -15,7 +15,6 @@ from locfree.evaluation import (
     NmseResult,
     _draw_world,
     fit_estimator,
-    power_grid,
     mask_features,
     nmse,
     pooled_std,
@@ -25,7 +24,7 @@ from locfree.evaluation import (
     run_experiments,
     run_once,
 )
-from locfree.propagation import measurement_noise_std
+from locfree.propagation import measurement_noise_std, simulate_points
 from locfree.scenario import Scenario, Transmitter, preset
 
 
@@ -272,17 +271,47 @@ def test_unconverged_completion_is_logged_once_per_run(fig4_coarse, caplog):
 @pytest.mark.parametrize(
     "name, bandwidth, walls", [("indoor-fig4", 20e6, None), ("indoor-dense", 200e6, 5)]
 )
-def test_power_only_grid_mean_is_precomputed_p_bar(name, bandwidth, walls):
-    """The grid of a power-only trace is precompute_grid's without channels:
-    its mean power is p_bar bit for bit, and so is the measurement noise
-    derived from it and every other field."""
+def test_power_only_grid_mean_is_precomputed_p_bar(name, bandwidth, walls, monkeypatch):
+    """Building a grid and reading its powers synthesizes no taps: its mean
+    power is p_bar, and the measurement noise is derived from it.  Its map
+    and pilot powers are those of simulate_points at its points, and so
+    are its channels on first read, bit for bit."""
     scn = preset(name, bandwidth_hz=bandwidth, wall_count=walls)
-    grid, powers = precompute_grid(scn), power_grid(scn)
-    assert powers.p_bar.hex() == grid.p_bar.hex()
-    assert powers.noise_std == grid.noise_std == measurement_noise_std(grid.p_bar)
-    assert powers.channels is None and powers.shape == grid.shape
-    for field in ("points", "flat_index", "truth", "pilot_powers", "xs", "ys"):
-        assert getattr(powers, field).tobytes() == getattr(grid, field).tobytes(), field
+
+    def no_taps(*args):
+        raise AssertionError("a grid synthesized channel taps before they were read")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(propagation, "_batch_channels", no_taps)
+        grid = precompute_grid(scn)
+        assert grid.p_bar == float(np.mean(grid.truth))
+        assert grid.noise_std == measurement_noise_std(grid.p_bar)
+    fresh = simulate_points(scn, grid.points)
+    assert grid.truth.tobytes() == fresh.true_power.tobytes()
+    assert grid.pilot_powers.tobytes() == fresh.pilot_powers.tobytes()
+    assert grid.channels.tobytes() == fresh.channels.tobytes()
+
+
+def test_a_grid_synthesizes_its_taps_once(small_world, monkeypatch):
+    """The first run on a grid synthesizes the taps of its training points
+    and then of the grid; a second run synthesizes only its training taps."""
+    scn, _ = small_world
+    grid = precompute_grid(scn)
+    rows = []
+    synthesize = propagation._batch_channels
+
+    def counted(scenario, amps, delays):
+        rows.append(amps.shape[0])
+        return synthesize(scenario, amps, delays)
+
+    monkeypatch.setattr(propagation, "_batch_channels", counted)
+    config = _same_world_configs(scn)[0]
+    n_tx, n = scn.n_transmitters, grid.points.shape[0]
+    run_once(config, grid, 0)
+    assert rows == [40] * n_tx + [n] * n_tx
+    rows.clear()
+    run_once(config, grid, 1)
+    assert rows == [40] * n_tx
 
 
 def test_locb_parallel_matches_serial_with_filled_and_fresh_tables():

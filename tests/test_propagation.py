@@ -121,10 +121,9 @@ def test_simulate_rejects_points_outside_the_domain(free_space):
         (np.array(inside + [[100.0, 10.0]]), "inside the region"),
         (np.array(inside + [(free_space.tx_positions()[0] + [0.5, 0.0]).tolist()]), "wavelengths"),
     ]
-    for simulate in (simulate_points, propagation.simulate_powers):
-        for points, message in cases:
-            with pytest.raises(DomainError, match=message):
-                simulate(free_space, points)
+    for points, message in cases:
+        with pytest.raises(DomainError, match=message):
+            simulate_points(free_space, points)
 
 
 def test_near_field_and_region_domain_errors(free_space):
@@ -369,22 +368,29 @@ def test_traced_rows_do_not_depend_on_their_batch(monkeypatch):
 
 
 @pytest.mark.parametrize("name", ["fig4-20MHz", "dense-200MHz-w5", "custom-reflection", "slanted"])
-def test_power_only_trace_matches_simulate_points(name, monkeypatch):
-    """simulate_powers gives simulate_points' pilot powers and map values bit
-    for bit without synthesizing a channel; true_power is its 1-row case."""
+def test_taps_are_synthesized_on_first_read(name, monkeypatch):
+    """simulate_points traces powers without synthesizing a tap; the first
+    read of ``channels`` gives the taps of each transmitter's own rays, bit
+    for bit.  true_power is the 1-row case of simulate_points."""
     scn = _ORACLE_SCENARIOS[name]()
     pts = sample_sensor_locations(scn, 500, np.random.default_rng(31))
-    full = simulate_points(scn, pts)
 
     def no_taps(*args):
-        raise AssertionError("a power-only trace synthesized channel taps")
+        raise AssertionError("a trace synthesized channel taps before they were read")
 
-    monkeypatch.setattr(propagation, "_batch_channels", no_taps)
-    powers = propagation.simulate_powers(scn, pts)
-    assert powers.channels is None
-    assert np.array_equal(powers.pilot_powers, full.pilot_powers)
-    assert np.array_equal(powers.true_power, full.true_power)
-    assert [true_power(scn, p) for p in pts[:20]] == full.true_power[:20].tolist()
+    with monkeypatch.context() as patch:
+        patch.setattr(propagation, "_batch_channels", no_taps)
+        tables = simulate_points(scn, pts)
+        assert tables.pilot_powers.shape == (500, scn.n_transmitters)
+    geom = propagation._wall_geometry(scn)
+    eager = np.zeros((500, scn.n_transmitters, scn.num_samples), dtype=complex)
+    for l, tx in enumerate(scn.tx_positions()):
+        eager[:, l, :] = propagation._batch_channels(
+            scn, *propagation._trace_tx(scn, tx, pts, geom)[:2]
+        )
+    assert tables.channels.tobytes() == eager.tobytes()
+    assert tables.channels is tables.channels
+    assert [true_power(scn, p) for p in pts[:20]] == tables.true_power[:20].tolist()
     with pytest.raises(DomainError):
         true_power(scn, (1e3, 1e3))
     with pytest.raises(DomainError):
@@ -486,9 +492,10 @@ def test_discretize_overflow_warns_but_keeps_path():
 
 
 def test_traced_overflow_warns_from_both_channel_paths():
-    """A point whose direct ray arrives after the tap window warns from
-    simulate_points and from discretize_channel(trace_paths(...)); a point
-    inside the window warns from neither."""
+    """A point whose direct ray arrives after the tap window warns on the
+    first read of simulate_points' channels, not at the trace, and from
+    discretize_channel(trace_paths(...)); a point inside the window warns
+    from neither."""
     # T = 50 ns, so the window (K-1) T holds 30 m of path.
     scn = Scenario(
         region=(0.0, 0.0, 60.0, 40.0),
@@ -499,13 +506,17 @@ def test_traced_overflow_warns_from_both_channel_paths():
     )
     tx = scn.tx_positions()[0]
     far, near = np.array([50.0, 20.0]), np.array([20.0, 20.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tables = simulate_points(scn, far[None, :])
+        assert tables.true_power.shape == (1,)
     with pytest.warns(UserWarning, match=TAP_WINDOW):
-        simulate_points(scn, far[None, :])
+        tables.channels
     with pytest.warns(UserWarning, match=TAP_WINDOW):
         discretize_channel(trace_paths(scn, tx, far), scn)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        simulate_points(scn, near[None, :])
+        simulate_points(scn, near[None, :]).channels
         discretize_channel(trace_paths(scn, tx, near), scn)
 
 
@@ -691,7 +702,7 @@ def test_measurement_noise_variance(free_space):
     """Training targets add N(0, sigma_eps^2) dB to the true map values."""
     sigma = 0.7
     world = _draw_training(ExperimentConfig(free_space, n_train=10_000, seed=21), sigma, 0)
-    truth = propagation.simulate_powers(free_space, world.train_points).true_power
+    truth = simulate_points(free_space, world.train_points).true_power
     draws = world.targets
     sample_var = np.var(draws - truth, ddof=1)
     std_err = sigma**2 * math.sqrt(2.0 / (len(draws) - 1))
