@@ -157,19 +157,23 @@ class PrecomputedGrid:
     noise_std: float          # power-measurement noise sigma_eps (dB)
     xs: np.ndarray
     ys: np.ndarray
-    # LocationTable of the scenario's anchors: every locb fit and predict
-    # on this grid localizes through it.
-    locations: localization.LocationTable
 
     @property
     def channels(self):
         """(n, L, K) noiseless query channels, synthesized on first read."""
         return self.tables.channels
 
+    @cached_property
+    def anchors(self):
+        """AnchorSet of the scenario's transmitters, made on first read
+        (ConfigurationError where they cannot localize): every locb fit and
+        predict on this grid localizes through it."""
+        return localization.AnchorSet.from_scenario(self.tables.scenario)
+
 
 def precompute_grid(scenario, step=1.0):
-    """The PrecomputedGrid of one trace of the grid points, with an empty
-    location table; its channel taps are synthesized on first read."""
+    """The PrecomputedGrid of one trace of the grid points; its channel
+    taps and its AnchorSet are made on first read."""
     points, shape, flat_index, xs, ys = evaluation_grid(scenario, step)
     tables = simulate_points(scenario, points)
     p_bar = float(np.mean(tables.true_power))
@@ -184,7 +188,6 @@ def precompute_grid(scenario, step=1.0):
         noise_std=measurement_noise_std(p_bar),
         xs=xs,
         ys=ys,
-        locations=localization.LocationTable(scenario.tx_positions()),
     )
 
 
@@ -292,19 +295,18 @@ class Model:
     located: localization.LocBFitReport = None
 
 
-def fit_estimator(config, world, run_idx=0, *, table=None):
+def fit_estimator(config, world, run_idx=0, *, grid=None):
     """Fit ``config.estimator`` on a run's training draw; a locb fit
-    localizes through the LocationTable ``table`` if given.
+    localizes through the AnchorSet of ``grid`` if given, else a fresh one.
 
     Returns (Model, columns): the (M, N) training features, or for locb the
     (2, N) location estimates, NaN where a point failed to localize.
     """
     if config.estimator == "locb":
         fitted, report = localization.locb_fit(
-            localization.AnchorSet.from_scenario(config.scenario), world.train.pilots,
-            world.targets, config.scenario.sample_period,
-            kernels.GaussianKernel(config.sigma_loc), config.lam_loc,
-            center_targets=config.center_targets, table=table,
+            _anchors(config, grid), world.train.pilots, world.targets,
+            config.scenario.sample_period, kernels.GaussianKernel(config.sigma_loc),
+            config.lam_loc, center_targets=config.center_targets,
         )
         if report.n_dropped:
             log.warning("dropped %d unlocalizable measurements", report.n_dropped)
@@ -364,16 +366,20 @@ def _complete(config, world, train_f, run_idx):
     }
 
 
-def predict_estimator(config, model, queries, query_powers, *, table=None):
+def _anchors(config, grid):
+    """The AnchorSet a locb fit or predict localizes through."""
+    return localization.AnchorSet.from_scenario(config.scenario) if grid is None else grid.anchors
+
+
+def predict_estimator(config, model, queries, query_powers, *, grid=None):
     """Map values at the PilotSet ``queries``, whose (n, L) pilot powers in
     dBW mask the completion features.  Returns (n,) values, NaN where no
     input column can be formed: an unlocalized locb query, or a completion
     query with nothing observed (a NaN column predicts NaN).  A locb
-    predict localizes through the LocationTable ``table`` if given."""
+    predict localizes through the AnchorSet of ``grid`` if given."""
     if config.estimator == "locb":
         columns = localization.localize_batch(
-            localization.AnchorSet.from_scenario(config.scenario), queries.pilots,
-            config.scenario.sample_period, table=table,
+            _anchors(config, grid), queries.pilots, config.scenario.sample_period
         )[0].T
     else:
         columns = queries.com
@@ -388,13 +394,11 @@ def predict_estimator(config, model, queries, query_powers, *, table=None):
 def fit_and_predict(config, grid, run_idx):
     """Draw run ``run_idx``, fit, and predict the grid map; query points
     without a prediction get the training average.  A locb fit and predict
-    localize through the grid's location table.  Returns (world, model,
+    localize through the grid's AnchorSet.  Returns (world, model,
     predictions)."""
     world = _draw_world(config, grid, run_idx)
-    model, _ = fit_estimator(config, world, run_idx, table=grid.locations)
-    predictions = predict_estimator(
-        config, model, world.queries, grid.pilot_powers, table=grid.locations
-    )
+    model, _ = fit_estimator(config, world, run_idx, grid=grid)
+    predictions = predict_estimator(config, model, world.queries, grid.pilot_powers, grid=grid)
     fallback = np.isnan(predictions)
     if np.any(fallback):
         log.warning("run %d: substituted the training average at %d query points "
@@ -422,7 +426,7 @@ def _run_index(configs, grid, run_idx):
 
 
 # The grid of a run_experiments pool's worker process, shipped once by the
-# pool initializer; the worker's runs fill its location table.
+# pool initializer; the worker's locb runs add their rows to its AnchorSet.
 _worker_grid = None
 
 
@@ -467,9 +471,9 @@ def run_experiments(configs, grid, jobs=1):
     outer one, so the configs of one run index that draw the same world
     (same scenario, seed + run index, N and noise options) read it drawn
     once.  ``grid`` is the configs' PrecomputedGrid; sharing it amortizes
-    the scenario tables, and its location table, across configs.  With
-    ``jobs`` > 1 one pool serves the call: each worker gets the grid once,
-    and a task is one run index of every config.
+    the scenario tables, and the rows its AnchorSet solves, across configs.
+    With ``jobs`` > 1 one pool serves the call: each worker gets the grid
+    once, and a task is one run index of every config.
     """
     configs = list(configs)
     indices = range(max(config.runs for config in configs))

@@ -99,9 +99,9 @@ def _run_sweep(entries, out_dir, jobs, grids=None):
 
     Consecutive entries of one scenario share its grid and one
     run_experiments call, so they draw each of their common worlds once
-    and, with ``jobs`` > 1, share their workers' location tables.  A
-    group's grid is taken from ``grids`` (keyed by id(scenario)) or
-    computed, and is dropped when the group ends."""
+    and, with ``jobs`` > 1, share the rows their workers' AnchorSets
+    solve.  A group's grid is taken from ``grids`` (keyed by id(scenario))
+    or computed, and is dropped when the group ends."""
     os.makedirs(out_dir, exist_ok=True)
     rows = []
     summary = {}

@@ -24,12 +24,12 @@ Batches are solved per pattern of usable range differences, and the
 rows of a batch are independent: a point's estimate never depends on
 which other points share its batch.  Range differences are integer lags
 times c T, so rows repeat, within a batch and even more across the runs
-of a sweep.  A LocationTable keeps the distinct rows (NaN pattern
-included) it has solved for one anchor set with their answers; each call
-solves only the rows the table has not seen, which row independence
-makes exact.  Without a table a call uses a fresh one, so its equal rows
-are still solved once.  The evaluation grid owns the table of its
-scenario, so every locb fit and predict on that grid shares it.
+of a sweep.  An AnchorSet keeps the distinct rows (NaN pattern included)
+solved against its positions with their answers; each call solves only
+the rows it has not seen, which row independence makes exact.  A fresh
+AnchorSet still solves a call's equal rows once.  The evaluation grid
+owns the AnchorSet of its scenario, so every locb fit and predict on that
+grid shares its rows.
 """
 
 import logging
@@ -57,20 +57,33 @@ _BLOCK_ROWS = 1200
 _TRIAL_ROWS = 512
 
 
-@dataclass(frozen=True)
 class AnchorSet:
-    """Pilot transmitter positions; index 0 is the reference anchor."""
+    """Pilot transmitter positions, and every distinct range-difference row
+    solved against them so far, with its answer.
 
-    positions: np.ndarray
+    positions -- (L, 2), index 0 the reference anchor; at least 3 anchors,
+                 not collinear
+    keys      -- (m, L-1) distinct rows, sorted as np.unique sorts them;
+                 unusable (non-finite) entries are keyed as inf, so equal
+                 values in different patterns stay distinct
+    estimates -- (m, 2) estimates and residuals (m,) data costs, NaN where
+                 localization fails
 
-    def __post_init__(self):
-        pos = np.atleast_2d(np.asarray(self.positions, dtype=float))
+    Rows are independent, so a row solved before gets the bits a fresh
+    solve would give it.  The rows only grow; the set's owner (the
+    evaluation grid) bounds their life.
+    """
+
+    def __init__(self, positions):
+        pos = np.atleast_2d(np.asarray(positions, dtype=float))
         if pos.shape[0] < 3 or pos.shape[1] != 2:
             raise ConfigurationError("2-D localization needs at least 3 anchors")
-        centered = pos - pos.mean(axis=0)
-        if np.linalg.matrix_rank(centered, tol=1e-9) < 2:
+        if np.linalg.matrix_rank(pos - pos.mean(axis=0), tol=1e-9) < 2:
             raise ConfigurationError("anchors must not be collinear")
-        object.__setattr__(self, "positions", pos)
+        self.positions = pos
+        self.keys = np.empty((0, pos.shape[0] - 1))
+        self.estimates = np.empty((0, 2))
+        self.residuals = np.empty(0)
 
     @classmethod
     def from_scenario(cls, scenario):
@@ -78,6 +91,43 @@ class AnchorSet:
 
     def __len__(self):
         return self.positions.shape[0]
+
+    def localize(self, diffs):
+        """Estimates (n, 2) and data costs (n,) from (n, L-1) range
+        differences.  NaN rows where localization fails, among them rows
+        with fewer usable differences than the 3 unknowns (x, y, d_0).
+
+        The call's rows are merged into the solved ones by one np.unique: a
+        row is known when its first occurrence is a solved row.  The
+        distinct rows not yet solved are solved with one _srdls_batch call
+        per pattern of finite differences, on that pattern's anchors, and
+        the merged rows become the solved ones.
+        """
+        if diffs.shape[1] != len(self) - 1:
+            raise ValueError(f"{len(self)} anchors take {len(self) - 1} range differences "
+                             f"per row, one per non-reference anchor; got {diffs.shape[1]}")
+        keys = np.where(np.isfinite(diffs), diffs, np.inf)
+        solved = self.keys.shape[0]
+        merged, first, inverse = np.unique(
+            np.concatenate([self.keys, keys]), axis=0, return_index=True, return_inverse=True
+        )
+        known = first < solved
+        estimates = np.full((merged.shape[0], 2), np.nan)
+        residuals = np.full(merged.shape[0], np.nan)
+        estimates[known], residuals[known] = self.estimates[first[known]], self.residuals[first[known]]
+        new = (~known).nonzero()[0]
+        patterns, pattern_of = np.unique(np.isfinite(merged[new]), axis=0, return_inverse=True)
+        for k, usable in enumerate(patterns):
+            if usable.sum() < 3:
+                continue
+            solve = new[pattern_of.reshape(-1) == k]
+            sub = np.vstack([self.positions[0], self.positions[1:][usable]])
+            estimates[solve], residuals[solve] = _srdls_batch(sub, merged[solve][:, usable])
+        inverse = inverse.reshape(-1)[solved:]
+        self.keys, self.estimates, self.residuals = merged, estimates, residuals
+        log.debug("%d distinct of %d rows, %d patterns solved", len(np.unique(inverse)),
+                  len(diffs), np.count_nonzero(patterns.sum(axis=1) >= 3))
+        return estimates[inverse], residuals[inverse]
 
 
 @dataclass(frozen=True)
@@ -318,65 +368,6 @@ def _srdls_batch(pos, diffs):
     return best_x, data_cost
 
 
-class LocationTable:
-    """Every distinct range-difference row solved so far for one set of
-    anchor positions (index 0 the reference), with its answer.
-
-    keys      -- (m, L-1) distinct rows, sorted as np.unique sorts them;
-                 unusable (non-finite) entries are keyed as inf, so equal
-                 values in different patterns stay distinct
-    estimates -- (m, 2) estimates and residuals (m,) data costs, NaN where
-                 localization fails
-
-    Rows are independent, so a row found in the table gets the bits a
-    fresh solve would give it.  The table only grows; its owner (the
-    evaluation grid) bounds its life.
-    """
-
-    def __init__(self, positions):
-        self.positions = np.array(positions, dtype=float)
-        self.keys = np.empty((0, self.positions.shape[0] - 1))
-        self.estimates = np.empty((0, 2))
-        self.residuals = np.empty(0)
-
-    def __len__(self):
-        return self.keys.shape[0]
-
-    def localize(self, diffs):
-        """Estimates (n, 2) and data costs (n,) from (n, L-1) range
-        differences.  NaN rows where localization fails, among them rows
-        with fewer usable differences than the 3 unknowns (x, y, d_0).
-
-        The call's rows are merged into the table's by one np.unique: a
-        row is known when its first occurrence is a table row.  The distinct
-        rows it lacks are solved with one _srdls_batch call per pattern of
-        finite differences, on that pattern's anchors, and the merged rows
-        become the table.
-        """
-        keys = np.where(np.isfinite(diffs), diffs, np.inf)
-        merged, first, inverse = np.unique(
-            np.concatenate([self.keys, keys]), axis=0, return_index=True, return_inverse=True
-        )
-        known = first < len(self)
-        estimates = np.full((merged.shape[0], 2), np.nan)
-        residuals = np.full(merged.shape[0], np.nan)
-        estimates[known], residuals[known] = self.estimates[first[known]], self.residuals[first[known]]
-        new = (~known).nonzero()[0]
-        patterns, pattern_of = np.unique(np.isfinite(merged[new]), axis=0, return_inverse=True)
-        for k, usable in enumerate(patterns):
-            if usable.sum() < 3:
-                continue
-            solve = new[pattern_of.reshape(-1) == k]
-            sub = np.vstack([self.positions[0], self.positions[1:][usable]])
-            estimates[solve], residuals[solve] = _srdls_batch(sub, merged[solve][:, usable])
-        inverse = inverse.reshape(-1)[len(self):]
-        self.keys, self.estimates, self.residuals = merged, estimates, residuals
-        solved = np.count_nonzero(patterns.sum(axis=1) >= 3)
-        log.debug("%d distinct of %d rows, %d patterns solved",
-                  len(np.unique(inverse)), len(diffs), solved)
-        return estimates[inverse], residuals[inverse]
-
-
 def srdls_localize(anchors, range_diffs):
     """Iteratively reweighted range-difference least squares.
 
@@ -390,10 +381,7 @@ def srdls_localize(anchors, range_diffs):
     remain or the linear system is rank-deficient (collinear usable
     anchors).
     """
-    diffs = np.asarray(range_diffs, dtype=float)
-    if diffs.shape[0] != len(anchors) - 1:
-        raise ValueError("expected one range difference per non-reference anchor")
-    xy, cost = LocationTable(anchors.positions).localize(diffs[None, :])
+    xy, cost = anchors.localize(np.asarray(range_diffs, dtype=float)[None, :])
     if not np.isfinite(xy[0, 0]):
         return None
     return LocationEstimate(x=float(xy[0, 0]), y=float(xy[0, 1]), residual=float(cost[0]))
@@ -420,35 +408,29 @@ class LocBFitReport:
         return int(np.sum(~self.used))
 
 
-def localize_batch(anchors, pilots, sample_period, *, table=None):
+def localize_batch(anchors, pilots, sample_period):
     """Localize every pilot matrix in an (N, L, K) stack.
 
     Returns estimates (N, 2) and residuals (N,), NaN rows where
     localization fails.  Rows are independent: points that share a
     pattern of missing range differences are solved together, and each
     row equals its own srdls_localize call.  So equal rows of range
-    differences are solved once and share their answer, and ``table``, a
-    LocationTable of these anchors, answers the rows it has seen before
-    and keeps the new ones; without it a fresh table is used.
+    differences are solved once and share their answer, and the AnchorSet
+    ``anchors`` answers the rows it has solved before and keeps the new
+    ones.
     """
-    if table is None:
-        table = LocationTable(anchors.positions)
-    elif not np.array_equal(table.positions, anchors.positions):
-        raise ConfigurationError("a location table serves only the anchors it was made for")
-    return table.localize(tdoa_range_differences(pilots, sample_period))
+    return anchors.localize(tdoa_range_differences(pilots, sample_period))
 
 
-def locb_fit(anchors, pilots, targets, sample_period, kernel, lam, center_targets=False, *,
-             table=None):
+def locb_fit(anchors, pilots, targets, sample_period, kernel, lam, center_targets=False):
     """Localization-based map fit: estimate coordinates, then ridge-regress.
 
     Measurements whose localization fails are dropped (reported in the
     LocBFitReport).  The regression is the same closed-form kernel ridge
-    solver used by the feature-based estimator.  ``table`` is passed to
-    localize_batch.
+    solver used by the feature-based estimator.
     """
     targets = np.asarray(targets, dtype=float)
-    report = LocBFitReport(*localize_batch(anchors, pilots, sample_period, table=table))
+    report = LocBFitReport(*localize_batch(anchors, pilots, sample_period))
     used = report.used
     if used.sum() < 2:
         raise ConfigurationError("too few localizable measurements to fit a map")

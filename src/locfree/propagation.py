@@ -93,10 +93,8 @@ class PointTables:
 
     @cached_property
     def channels(self):
-        out = np.zeros(self.pilot_powers.shape + (self.scenario.num_samples,), dtype=complex)
-        for l, (amps, delays) in enumerate(self.rays):
-            out[:, l, :] = _batch_channels(self.scenario, amps, delays)
-        return out
+        # The warning's frames: _batch_channels, this, cached_property, caller.
+        return _batch_channels(self.scenario, self.rays, stacklevel=4)
 
 
 def _wall_geometry(scenario):
@@ -324,36 +322,40 @@ def discretize_channel(paths, scenario):
     """K complex taps of the band-limited channel for a traced path list.
 
     Implements ``h[k] = sum_p alpha_p exp(-j 2 pi f_c t_p) sinc(k - t_p/T)``
-    with sinc(x) = sin(pi x)/(pi x).  The 1-row case of _batch_channels.
+    with sinc(x) = sin(pi x)/(pi x).  The 1-row, 1-transmitter case of
+    _batch_channels.
     """
     amps = np.array([[p.amplitude for p in paths]], dtype=float)
     delays = np.array([[p.delay for p in paths]], dtype=float)
-    return _batch_channels(scenario, amps, delays)[0]
+    return _batch_channels(scenario, ((amps, delays),), stacklevel=3)[0, 0]
 
 
-def _batch_channels(scenario, amps, delays):
-    """Taps for (n, P) amplitude/delay path tables -> (n, K) complex.
+def _batch_channels(scenario, rays, stacklevel):
+    """Taps (n, L, K) complex of L transmitters' (n, P) amplitude/delay
+    path tables ``rays``.
 
     Paths (nonzero amplitudes) whose delay exceeds the tap window (t/T >
-    K-1) are kept, with a warning: their energy leaks into the sinc tails.
+    K-1) are kept, with one warning attributed ``stacklevel`` frames up:
+    their energy leaks into the sinc tails.
     """
     k_taps = scenario.num_samples
     t_samp = scenario.sample_period
-    if np.any((amps != 0.0) & (delays / t_samp > k_taps - 1)):
+    if any(np.any((amps != 0.0) & (delays / t_samp > k_taps - 1)) for amps, delays in rays):
         warnings.warn(
             "path delays exceed the tap window (t/T > K-1); energy leaks into the "
             "sinc tails, consider increasing num_samples",
-            stacklevel=3,
+            stacklevel=stacklevel,
         )
     k_grid = np.arange(k_taps)
-    out = np.zeros((amps.shape[0], k_taps), dtype=complex)
-    for p in range(amps.shape[1]):
-        a = amps[:, p]
-        if not np.any(a):
-            continue
-        t = delays[:, p]
-        phase = np.exp(-2j * np.pi * scenario.carrier_hz * t)
-        out += (a * phase)[:, None] * np.sinc(k_grid[None, :] - (t / t_samp)[:, None])
+    out = np.zeros((rays[0][0].shape[0], len(rays), k_taps), dtype=complex)
+    for l, (amps, delays) in enumerate(rays):
+        for p in range(amps.shape[1]):
+            a = amps[:, p]
+            if not np.any(a):
+                continue
+            t = delays[:, p]
+            phase = np.exp(-2j * np.pi * scenario.carrier_hz * t)
+            out[:, l] += (a * phase)[:, None] * np.sinc(k_grid[None, :] - (t / t_samp)[:, None])
     return out
 
 

@@ -687,16 +687,16 @@ def test_fit_traces_grid_powers_only_for_measurement_noise(noise, tmp_path, monk
         traced.append(len(points))
         return trace(scenario, points)
 
-    def spy_synthesize(scenario, amps, delays):
-        synthesized.append(amps.shape[0])
-        return synthesize(scenario, amps, delays)
+    def spy_synthesize(scenario, rays, stacklevel):
+        synthesized.append(rays[0][0].shape[0])
+        return synthesize(scenario, rays, stacklevel)
 
     monkeypatch.setattr(evaluation, "simulate_points", spy_trace)
     monkeypatch.setattr(propagation, "_batch_channels", spy_synthesize)
     cfg = _fit_config(tmp_path, **{"lambda": 1e-4, "grid_step": 5.0, "measurement_noise": noise})
     assert run_cli("fit", "--config", str(cfg), "--out", str(tmp_path / "out")) == 0
     assert traced == ([96] if noise else []) + [25]
-    assert synthesized == [25] * preset("freespace").n_transmitters
+    assert synthesized == [25]
 
 
 @pytest.mark.parametrize("noise", [True, False])

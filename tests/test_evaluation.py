@@ -300,39 +300,51 @@ def test_a_grid_synthesizes_its_taps_once(small_world, monkeypatch):
     rows = []
     synthesize = propagation._batch_channels
 
-    def counted(scenario, amps, delays):
-        rows.append(amps.shape[0])
-        return synthesize(scenario, amps, delays)
+    def counted(scenario, rays, stacklevel):
+        rows.append(rays[0][0].shape[0])
+        return synthesize(scenario, rays, stacklevel)
 
     monkeypatch.setattr(propagation, "_batch_channels", counted)
     config = _same_world_configs(scn)[0]
-    n_tx, n = scn.n_transmitters, grid.points.shape[0]
     run_once(config, grid, 0)
-    assert rows == [40] * n_tx + [n] * n_tx
+    assert rows == [40, grid.points.shape[0]]
     rows.clear()
     run_once(config, grid, 1)
-    assert rows == [40] * n_tx
+    assert rows == [40]
 
 
 def test_locb_parallel_matches_serial_with_filled_and_fresh_tables():
     """A locb entry gives the same NmseResult at jobs 1 and 2, whether its
-    grid's location table starts empty or filled by other runs.  Workers
-    fill their own copies of the table, not the caller's."""
+    grid's AnchorSet starts empty or holds other runs' rows.  Workers add
+    rows to their own copies of it, not to the caller's."""
     scn = preset("indoor-fig4")
     grid = precompute_grid(scn, 3.0)
     cfg = experiments._locb_config(scn, runs=3, seed=4)
     fresh_parallel = run_experiment(cfg, grid=grid, jobs=2)
-    assert len(grid.locations) == 0
-    # Seeds 5 and 6: cfg's runs 1 and 2 are in the table, run 0 is not.
+    assert len(grid.anchors.keys) == 0
+    # Seeds 5 and 6: cfg's runs 1 and 2 are solved on the grid, run 0 is not.
     run_experiment(experiments._locb_config(scn, runs=2, seed=5), grid=grid)
-    filled = len(grid.locations)
+    filled = len(grid.anchors.keys)
     assert filled > 0
     filled_parallel = run_experiment(cfg, grid=grid, jobs=2)
-    assert len(grid.locations) == filled
+    assert len(grid.anchors.keys) == filled
     filled_serial = run_experiment(cfg, grid=grid, jobs=1)
-    assert len(grid.locations) > filled
+    assert len(grid.anchors.keys) > filled
     fresh_serial = run_experiment(cfg, grid=precompute_grid(scn, 3.0), jobs=1)
     assert fresh_parallel == filled_parallel == filled_serial == fresh_serial
+
+
+def test_a_grid_that_cannot_localize_still_runs_locf():
+    """A 2-transmitter grid serves locf runs, which never make its
+    AnchorSet; reading the AnchorSet, or running locb, is refused."""
+    scn = preset("indoor-fig4", n_transmitters=2)
+    grid = precompute_grid(scn, 3.0)
+    locf = ExperimentConfig(scenario=scn, n_train=60, grid_step=3.0, seed=0, runs=1)
+    assert run_experiments([locf], grid)[0].mean == pytest.approx(0.8814986005062527, rel=1e-12)
+    with pytest.raises(ConfigurationError, match="at least 3 anchors"):
+        grid.anchors
+    with pytest.raises(ConfigurationError, match="at least 3 anchors"):
+        run_experiments([replace(locf, estimator="locb")], grid)
 
 
 def _same_world_configs(scn):

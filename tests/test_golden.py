@@ -1,23 +1,102 @@
-"""The Monte Carlo sweeps' printed results, pinned.
+"""The printed results of the Monte Carlo sweeps and of the CLI, pinned.
 
-``fig6-nmse-vs-N`` and ``fig11-missing`` at ``--runs 2 --seed 0`` must
-regenerate the files under tests/golden/, which were written at one BLAS
-thread.  Labels, N and run indices match exactly.  NMSE values and the
-fig11 thresholds match to 1e-12 relative, about 25 times the drift seen
-between BLAS thread counts, so the check holds at any thread count.  A
-change that moves a golden value regenerates its file and says why.
+Each case of CASES writes its files into a directory; the test runs it
+and compares them with the files under tests/golden/<case>/, which were
+written at one BLAS thread:
+
+- ``results.csv`` of ``fig6-nmse-vs-N``, ``fig8-nmse-vs-M``,
+  ``fig10-reduced`` and ``fig11-missing`` at ``--runs 2 --seed 0``, with
+  fig11's thresholds;
+- the 200 MHz ``indoor-dense`` locf/locb pair at 0 and 5 walls, 2 runs;
+- ``predictions.csv`` of ``locfree fit`` then ``predict`` for a locf and
+  a locb config on ``indoor-fig4``.  Seed 23 drops a locb training
+  point, and locb queries far from every training estimate get 0 dBW.
+
+Labels, N, run indices and empty fields match exactly, and so does each
+sweep's ``counts.csv`` (``failed``, ``avg_missing``).  Other values match
+to 1e-12 relative, about 25 times the drift seen between BLAS thread
+counts, so the check holds at any thread count.  A change that moves a
+golden value regenerates every file and says why:
+
+    PYTHONPATH=src OPENBLAS_NUM_THREADS=1 python tests/test_golden.py
 """
 
 import csv
 import json
+import os
+import shutil
+import sys
+import tempfile
 from pathlib import Path
 
 import pytest
 
-from locfree import experiments
+from locfree import cli, experiments, io
+from locfree.scenario import preset
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 RTOL = 1e-12
+# Files compared field by field with no tolerance.
+EXACT = {"counts.csv"}
+
+
+def _write_counts(summary, out):
+    """counts.csv: each label's failed runs and average missing count."""
+    rows = [
+        (label, result["failed"], result["avg_missing"])
+        for label, result in summary.items()
+        if isinstance(result, dict)
+    ]
+    io._write_rows(out / "counts.csv", ["estimator", "failed", "avg_missing"], rows)
+
+
+def _sweep(name):
+    def write(out):
+        summary = experiments.run_preset(name, out, runs=2, seed=0)
+        _write_counts(summary, out)
+        files = ["results.csv", "counts.csv"]
+        if name == "fig11-missing":
+            io._write_rows(out / "gamma_sweep.csv", ["index", "gamma_dbw"],
+                           enumerate(summary["gamma_sweep_dbw"]))
+            files.append("gamma_sweep.csv")
+        return files
+    return write
+
+
+def _walls200(out):
+    """fig7's locf/locb pair at 0 and 5 walls."""
+    entries = []
+    for walls in (0, 5):
+        scenario = preset("indoor-dense", bandwidth_hz=200e6, wall_count=walls, seed=0)
+        common = dict(n_train=300, runs=2, seed=0)
+        entries.append((f"locf_w{walls}", experiments._locf_config(scenario, **common)))
+        entries.append((f"locb_w{walls}", experiments._locb_config(scenario, **common)))
+    _write_counts(experiments._run_sweep(entries, out, 1), out)
+    return ["results.csv", "counts.csv"]
+
+
+def _serve(estimator):
+    def write(out):
+        config = out / "config.json"
+        config.write_text(json.dumps({"scenario": "indoor-fig4", "estimator": estimator,
+                                      "n_train": 120, "grid_step": 2, "seed": 23}))
+        model = out / "model"
+        assert cli.main(["fit", "--config", str(config), "--out", str(model)]) == 0
+        assert cli.main(["predict", "--config", str(config), "--model",
+                         str(model / "model.json"), "--out", str(out)]) == 0
+        return ["predictions.csv"]
+    return write
+
+
+CASES = {
+    "fig6-nmse-vs-N": _sweep("fig6-nmse-vs-N"),
+    "fig8-nmse-vs-M": _sweep("fig8-nmse-vs-M"),
+    "fig10-reduced": _sweep("fig10-reduced"),
+    "fig11-missing": _sweep("fig11-missing"),
+    "walls200-pair": _walls200,
+    "serve-locf": _serve("locf"),
+    "serve-locb": _serve("locb"),
+}
 
 
 def _csv_rows(path):
@@ -25,32 +104,67 @@ def _csv_rows(path):
         return list(csv.reader(fh))
 
 
-def _changes(want, got):
-    """One line per row of ``want`` and ``got`` ([key, ..., value] lists)
-    whose keys differ, or whose values differ by more than RTOL relative."""
+def _same(want, got, rtol):
+    if want == got:
+        return True
+    try:
+        a, b = float(want), float(got)
+    except ValueError:  # labels and empty fields match exactly
+        return False
+    return abs(b - a) <= rtol * abs(a)
+
+
+def _relative(want, got):
+    try:
+        a, b = float(want), float(got)
+        return f", relative change {(b - a) / a:+.3g}" if a else ""
+    except ValueError:
+        return ""
+
+
+def _changes(want, got, rtol):
+    """One line per row of ``want`` and ``got`` (lists of fields) that
+    differ: a field off by more than ``rtol`` relative, or any other."""
     lines = []
     for i in range(max(len(want), len(got))):
         w, g = (rows[i] if i < len(rows) else None for rows in (want, got))
-        if w is None or g is None or w[:-1] != g[:-1]:
+        if w is None or g is None or len(w) != len(g):
             lines.append(f"row {i}: {w} -> {g}")
             continue
-        a, b = float(w[-1]), float(g[-1])
-        if abs(b - a) > RTOL * abs(a):
-            lines.append(f"row {i} {w[:-1]}: {a!r} -> {b!r}, relative change {(b - a) / a:+.3g}")
+        lines += [
+            f"row {i} {w}: field {j} {a!r} -> {b!r}{_relative(a, b)}"
+            for j, (a, b) in enumerate(zip(w, g))
+            if not _same(a, b, rtol)
+        ]
     return lines
 
 
-@pytest.mark.parametrize("name", ["fig6-nmse-vs-N", "fig11-missing"])
+@pytest.mark.parametrize("name", list(CASES))
 def test_sweep_results_match_golden(name, tmp_path):
-    summary = experiments.run_preset(name, tmp_path, runs=2, seed=0)
-    header, *want = _csv_rows(GOLDEN / name / "results.csv")
-    got_header, *got = _csv_rows(tmp_path / "results.csv")
-    assert got_header == header
-    changes = _changes(want, got)
-    if name == "fig11-missing":
-        thresholds = json.loads((GOLDEN / name / "gamma_sweep_dbw.json").read_text())
-        changes += _changes(
-            [["gamma_sweep_dbw", i, v] for i, v in enumerate(thresholds)],
-            [["gamma_sweep_dbw", i, v] for i, v in enumerate(summary["gamma_sweep_dbw"])],
-        )
+    files = CASES[name](tmp_path)
+    assert sorted(files) == sorted(p.name for p in (GOLDEN / name).iterdir())
+    changes = []
+    for file in files:
+        rtol = 0.0 if file in EXACT else RTOL
+        changes += [f"{file} {line}" for line in _changes(
+            _csv_rows(GOLDEN / name / file), _csv_rows(tmp_path / file), rtol
+        )]
     assert not changes, "\n".join(changes)
+
+
+def regenerate():
+    """Rewrite every golden file from the current source."""
+    if os.environ.get("OPENBLAS_NUM_THREADS") != "1":
+        sys.exit("golden files are written at one BLAS thread: set OPENBLAS_NUM_THREADS=1")
+    for name, write in CASES.items():
+        with tempfile.TemporaryDirectory() as tmp:
+            files = write(Path(tmp))
+            shutil.rmtree(GOLDEN / name, ignore_errors=True)
+            (GOLDEN / name).mkdir(parents=True)
+            for file in files:
+                shutil.copyfile(Path(tmp) / file, GOLDEN / name / file)
+        print(f"wrote {', '.join(files)} in {GOLDEN / name}")
+
+
+if __name__ == "__main__":
+    regenerate()

@@ -17,7 +17,6 @@ from locfree.features import tdoa_range_differences
 from locfree.kernels import GaussianKernel, fit, predict
 from locfree.localization import (
     AnchorSet,
-    LocationTable,
     locb_fit,
     localize_batch,
     srdls_localize,
@@ -482,7 +481,7 @@ def test_localize_batch_rows_equal_their_own_calls(walls):
 def _reference_localize_diffs(pos, diffs):
     """One _srdls_batch call per pattern of finite differences over every
     row, copies included.  The oracle for the distinct-row path of
-    LocationTable.localize, which must reproduce it bit for bit."""
+    AnchorSet.localize, which must reproduce it bit for bit."""
     estimates = np.full((diffs.shape[0], 2), np.nan)
     residuals = np.full(diffs.shape[0], np.nan)
     patterns, inverse = np.unique(np.isfinite(diffs), axis=0, return_inverse=True)
@@ -516,12 +515,12 @@ def _count_srdls_rows(monkeypatch):
 
 
 def _assert_matches_reference(pos, diffs, monkeypatch):
-    """A fresh table's localize equals the per-pattern reference, and _srdls_batch
+    """A fresh AnchorSet's localize equals the per-pattern reference, and _srdls_batch
     receives each distinct row with at least 3 usable differences exactly
     once.  Returns the estimates and residuals."""
     xy_ref, cost_ref = _reference_localize_diffs(pos, diffs)
     received = _count_srdls_rows(monkeypatch)
-    xy, cost = LocationTable(pos).localize(diffs)
+    xy, cost = AnchorSet(pos).localize(diffs)
     assert xy.shape == (diffs.shape[0], 2) and cost.shape == (diffs.shape[0],)
     assert np.array_equal(xy, xy_ref, equal_nan=True)
     assert np.array_equal(cost, cost_ref, equal_nan=True)
@@ -604,7 +603,7 @@ def test_signed_zeros_give_identical_answers():
     xy_ref, cost_ref = _reference_localize_diffs(pos, diffs)
     assert xy_ref[0].tobytes() == xy_ref[1].tobytes()
     assert cost_ref[0].tobytes() == cost_ref[1].tobytes()
-    xy, cost = LocationTable(pos).localize(diffs)
+    xy, cost = AnchorSet(pos).localize(diffs)
     assert xy.tobytes() == xy_ref.tobytes() and cost.tobytes() == cost_ref.tobytes()
 
 
@@ -613,12 +612,11 @@ def test_signed_zeros_give_identical_answers():
 )
 def test_filled_table_answers_with_the_bytes_of_a_fresh_call(name, bandwidth, walls):
     """Runs 0-4 localize their training and query pilots, with dead pilots,
-    through the grid's table, which earlier runs and the run's fit filled:
-    every estimate and residual is byte-equal to a fresh localize_batch."""
+    through the grid's AnchorSet, whose rows earlier runs and the run's fit
+    solved: every estimate and residual is byte-equal to a fresh AnchorSet's."""
     scn = preset(name, bandwidth_hz=bandwidth, wall_count=walls)
     grid = precompute_grid(scn)
     config = experiments._locb_config(scn)
-    anchors = AnchorSet.from_scenario(scn)
     seen = 0
     for run_idx in range(5):
         world = _draw_world(config, grid, run_idx)
@@ -627,20 +625,21 @@ def test_filled_table_answers_with_the_bytes_of_a_fresh_call(name, bandwidth, wa
         for pilots in (world.train.pilots.copy(), world.queries.pilots.copy()):
             dead = rng.choice(pilots.shape[0], size=pilots.shape[0] // 10, replace=False)
             pilots[dead, rng.integers(0, scn.n_transmitters, size=dead.size)] = 0.0
-            filled = localize_batch(anchors, pilots, scn.sample_period, table=grid.locations)
-            fresh = localize_batch(anchors, pilots, scn.sample_period)
+            filled = localize_batch(grid.anchors, pilots, scn.sample_period)
+            fresh = localize_batch(AnchorSet.from_scenario(scn), pilots, scn.sample_period)
             assert filled[0].tobytes() == fresh[0].tobytes()
             assert filled[1].tobytes() == fresh[1].tobytes()
             diffs = tdoa_range_differences(pilots, scn.sample_period)
             seen += len(np.unique(np.where(np.isfinite(diffs), diffs, np.inf), axis=0))
-    # The table answered rows that earlier calls had solved.
-    assert len(grid.locations) < seen
+    # The grid's AnchorSet answered rows that earlier calls had solved.
+    assert len(grid.anchors.keys) < seen
 
 
 def test_each_distinct_row_is_solved_once_per_grid(monkeypatch):
     """Across three runs, and across each run's fit and predict,
     _srdls_batch receives each distinct solvable row exactly once, and the
-    grid's table holds every distinct row, sorted as np.unique sorts."""
+    grid's AnchorSet holds every distinct row, sorted as np.unique sorts,
+    with its estimate and residual."""
     scn = preset("indoor-fig4")
     grid = precompute_grid(scn)
     config = experiments._locb_config(scn)
@@ -659,32 +658,31 @@ def test_each_distinct_row_is_solved_once_per_grid(monkeypatch):
     assert sum(block.shape[0] for block in received) == np.count_nonzero(solvable)
     for block in received:
         assert len(np.unique(block, axis=0)) == block.shape[0]
-    assert np.array_equal(grid.locations.keys, distinct)
-    assert np.isnan(grid.locations.residuals[~solvable]).all()
+    anchors = grid.anchors
+    assert np.array_equal(anchors.keys, distinct)
+    assert np.isnan(anchors.residuals[~solvable]).all()
     assert len(distinct) < calls
+    assert anchors.keys.shape == (len(distinct), scn.n_transmitters - 1)
+    assert anchors.estimates.shape == (len(distinct), 2)
+    assert anchors.residuals.shape == (len(distinct),)
+    assert all(a.dtype == np.float64 for a in (anchors.keys, anchors.estimates, anchors.residuals))
 
 
-def test_a_table_refuses_other_anchors():
+def test_rows_of_the_wrong_width_are_refused():
+    """Range differences are one per non-reference anchor: pilots of 5
+    transmitters on 4 anchors, and a short srdls_localize row, raise a
+    ValueError that names both widths, and solve nothing."""
     scn = preset("indoor-fig4")
-    grid = precompute_grid(scn, 3.0)
-    pilots = grid.channels[:20]
-    moved = AnchorSet(scn.tx_positions() + np.array([0.0, 1e-9]))
+    pilots = precompute_grid(scn, 3.0).channels[:20]
     fewer = AnchorSet(scn.tx_positions()[:4])
-    for anchors in (moved, fewer):
-        with pytest.raises(ConfigurationError, match="location table"):
-            localize_batch(anchors, pilots, scn.sample_period, table=grid.locations)
-        with pytest.raises(ConfigurationError, match="location table"):
-            locb_fit(anchors, pilots, grid.truth[:20], scn.sample_period, GaussianKernel(1.0),
-                     1e-3, table=grid.locations)
-    assert len(grid.locations) == 0
-    own = AnchorSet.from_scenario(scn)
-    localize_batch(own, pilots, scn.sample_period, table=grid.locations)
-    assert len(grid.locations) > 0
-    table = grid.locations
-    assert table.keys.shape == (len(table), scn.n_transmitters - 1)
-    assert table.estimates.shape == (len(table), 2)
-    assert table.residuals.shape == (len(table),)
-    assert all(a.dtype == np.float64 for a in (table.keys, table.estimates, table.residuals))
+    with pytest.raises(ValueError, match="4 anchors take 3 range differences .* got 4"):
+        localize_batch(fewer, pilots, scn.sample_period)
+    with pytest.raises(ValueError, match="4 anchors take 3 range differences .* got 4"):
+        locb_fit(fewer, pilots, np.zeros(20), scn.sample_period, GaussianKernel(1.0), 1e-3)
+    anchors = AnchorSet.from_scenario(scn)
+    with pytest.raises(ValueError, match="5 anchors take 4 range differences .* got 3"):
+        srdls_localize(anchors, [1.0, 2.0, 3.0])
+    assert len(fewer.keys) == len(anchors.keys) == 0
 
 
 def _awkward_rows(rng, n, p):

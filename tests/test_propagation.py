@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 from dataclasses import replace
 
@@ -386,8 +387,8 @@ def test_taps_are_synthesized_on_first_read(name, monkeypatch):
     eager = np.zeros((500, scn.n_transmitters, scn.num_samples), dtype=complex)
     for l, tx in enumerate(scn.tx_positions()):
         eager[:, l, :] = propagation._batch_channels(
-            scn, *propagation._trace_tx(scn, tx, pts, geom)[:2]
-        )
+            scn, (propagation._trace_tx(scn, tx, pts, geom)[:2],), stacklevel=1
+        )[:, 0]
     assert tables.channels.tobytes() == eager.tobytes()
     assert tables.channels is tables.channels
     assert [true_power(scn, p) for p in pts[:20]] == tables.true_power[:20].tolist()
@@ -518,6 +519,20 @@ def test_traced_overflow_warns_from_both_channel_paths():
         warnings.simplefilter("error")
         simulate_points(scn, near[None, :]).channels
         discretize_channel(trace_paths(scn, tx, near), scn)
+
+
+def test_tap_window_warning_names_the_caller_once():
+    """One channels read past the tap window warns once, not once per
+    transmitter, and names the reading line, as discretize_channel does."""
+    scn = replace(preset("indoor-fig4"), num_samples=2)
+    tables = simulate_points(scn, np.array([[20.0, 20.0]]))
+    paths = trace_paths(scn, scn.tx_positions()[0], (20.0, 20.0))
+    for read in (lambda: tables.channels, lambda: discretize_channel(paths, scn)):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            read()
+        assert [w.filename for w in caught] == [__file__]
+        assert re.search(TAP_WINDOW, str(caught[0].message))
 
 
 def test_tap_magnitudes_invariant_to_carrier_on_grid_delays():
