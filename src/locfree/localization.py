@@ -70,8 +70,8 @@ class AnchorSet:
                  localization fails
 
     Rows are independent, so a row solved before gets the bits a fresh
-    solve would give it.  The rows only grow; the set's owner (the
-    evaluation grid) bounds their life.
+    solve would give it.  The rows only grow: every row localize_batch or
+    locb_fit gives the set stays, and each call re-sorts them all.
     """
 
     def __init__(self, positions):
@@ -376,12 +376,12 @@ def srdls_localize(anchors, range_diffs):
     ``_REWEIGHT_ROUNDS`` rounds of residual-reweighted Gauss-Newton
     refinement (multi-started to avoid the squared system's occasional
     blowups and near-anchor ghost valleys).  The n=1 case of
-    localize_batch.
+    localize_batch, solved on a fresh AnchorSet: ``anchors`` keeps no row.
     Returns a LocationEstimate, or None when fewer than three usable rows
     remain or the linear system is rank-deficient (collinear usable
     anchors).
     """
-    xy, cost = anchors.localize(np.asarray(range_diffs, dtype=float)[None, :])
+    xy, cost = AnchorSet(anchors.positions).localize(np.asarray(range_diffs, float)[None])
     if not np.isfinite(xy[0, 0]):
         return None
     return LocationEstimate(x=float(xy[0, 0]), y=float(xy[0, 1]), residual=float(cost[0]))
@@ -417,7 +417,7 @@ def localize_batch(anchors, pilots, sample_period):
     row equals its own srdls_localize call.  So equal rows of range
     differences are solved once and share their answer, and the AnchorSet
     ``anchors`` answers the rows it has solved before and keeps the new
-    ones.
+    ones for as long as it lives.
     """
     return anchors.localize(tdoa_range_differences(pilots, sample_period))
 

@@ -42,6 +42,7 @@ first read, so callers that read only powers synthesize none.
 """
 
 import itertools
+import sys
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -93,8 +94,7 @@ class PointTables:
 
     @cached_property
     def channels(self):
-        # The warning's frames: _batch_channels, this, cached_property, caller.
-        return _batch_channels(self.scenario, self.rays, stacklevel=4)
+        return _batch_channels(self.scenario, self.rays)
 
 
 def _wall_geometry(scenario):
@@ -327,24 +327,27 @@ def discretize_channel(paths, scenario):
     """
     amps = np.array([[p.amplitude for p in paths]], dtype=float)
     delays = np.array([[p.delay for p in paths]], dtype=float)
-    return _batch_channels(scenario, ((amps, delays),), stacklevel=3)[0, 0]
+    return _batch_channels(scenario, ((amps, delays),))[0, 0]
 
 
-def _batch_channels(scenario, rays, stacklevel):
+def _batch_channels(scenario, rays):
     """Taps (n, L, K) complex of L transmitters' (n, P) amplitude/delay
     path tables ``rays``.
 
     Paths (nonzero amplitudes) whose delay exceeds the tap window (t/T >
-    K-1) are kept, with one warning attributed ``stacklevel`` frames up:
-    their energy leaks into the sinc tails.
+    K-1) are kept, with one warning at the first line outside this package
+    and functools (cached_property): their energy leaks into the sinc tails.
     """
     k_taps = scenario.num_samples
     t_samp = scenario.sample_period
     if any(np.any((amps != 0.0) & (delays / t_samp > k_taps - 1)) for amps, delays in rays):
+        internal, frame, level = (__package__ + ".", "functools"), sys._getframe(1), 2
+        while frame.f_back and frame.f_globals.get("__name__", "").startswith(internal):
+            frame, level = frame.f_back, level + 1
         warnings.warn(
             "path delays exceed the tap window (t/T > K-1); energy leaks into the "
             "sinc tails, consider increasing num_samples",
-            stacklevel=stacklevel,
+            stacklevel=level,
         )
     k_grid = np.arange(k_taps)
     out = np.zeros((rays[0][0].shape[0], len(rays), k_taps), dtype=complex)

@@ -687,9 +687,9 @@ def test_fit_traces_grid_powers_only_for_measurement_noise(noise, tmp_path, monk
         traced.append(len(points))
         return trace(scenario, points)
 
-    def spy_synthesize(scenario, rays, stacklevel):
+    def spy_synthesize(scenario, rays):
         synthesized.append(rays[0][0].shape[0])
-        return synthesize(scenario, rays, stacklevel)
+        return synthesize(scenario, rays)
 
     monkeypatch.setattr(evaluation, "simulate_points", spy_trace)
     monkeypatch.setattr(propagation, "_batch_channels", spy_synthesize)

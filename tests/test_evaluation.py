@@ -300,9 +300,9 @@ def test_a_grid_synthesizes_its_taps_once(small_world, monkeypatch):
     rows = []
     synthesize = propagation._batch_channels
 
-    def counted(scenario, rays, stacklevel):
+    def counted(scenario, rays):
         rows.append(rays[0][0].shape[0])
-        return synthesize(scenario, rays, stacklevel)
+        return synthesize(scenario, rays)
 
     monkeypatch.setattr(propagation, "_batch_channels", counted)
     config = _same_world_configs(scn)[0]

@@ -15,13 +15,23 @@ written at one BLAS thread:
 Labels, N, run indices and empty fields match exactly, and so does each
 sweep's ``counts.csv`` (``failed``, ``avg_missing``).  Other values match
 to 1e-12 relative, about 25 times the drift seen between BLAS thread
-counts, so the check holds at any thread count.  A change that moves a
-golden value regenerates every file and says why:
+counts, so the check holds at any thread count.
+
+Locb rows hold only under the OpenBLAS core type the files were written
+with (``openblas-core.txt``).  The localizer's linear start goes through
+LAPACK, whose last bits differ between OpenBLAS kernel sets, and the
+reweighted descent carries them on: under another core type locb NMSE
+moved by up to 1.5e-9 relative and locb predictions by up to 2.5e-6.
+There, or where the core type cannot be read, the locb rows are left out
+and the case is reported skipped after its other rows pass.
+
+A change that moves a golden value regenerates every file and says why:
 
     PYTHONPATH=src OPENBLAS_NUM_THREADS=1 python tests/test_golden.py
 """
 
 import csv
+import ctypes
 import json
 import os
 import shutil
@@ -29,12 +39,14 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from locfree import cli, experiments, io
 from locfree.scenario import preset
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+CORE = GOLDEN / "openblas-core.txt"
 RTOL = 1e-12
 # Files compared field by field with no tolerance.
 EXACT = {"counts.csv"}
@@ -99,6 +111,26 @@ CASES = {
 }
 
 
+def _openblas_core():
+    """The kernel set (e.g. ``SkylakeX``) of the OpenBLAS bundled with
+    numpy's wheel, or None where there is none to ask."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("*openblas*")):
+        lib = ctypes.CDLL(str(path))
+        for symbol in ("scipy_openblas_get_corename64_", "scipy_openblas_get_corename",
+                       "openblas_get_corename64_", "openblas_get_corename"):
+            if hasattr(lib, symbol):
+                corename = getattr(lib, symbol)
+                corename.restype = ctypes.c_char_p
+                return corename().decode()
+    return None
+
+
+def _is_locb(name, row):
+    """Whether a row of case ``name`` holds values of the locb estimator."""
+    return name == "serve-locb" or row[0].startswith("locb")
+
+
 def _csv_rows(path):
     with open(path, newline="", encoding="utf-8") as fh:
         return list(csv.reader(fh))
@@ -143,19 +175,27 @@ def _changes(want, got, rtol):
 def test_sweep_results_match_golden(name, tmp_path):
     files = CASES[name](tmp_path)
     assert sorted(files) == sorted(p.name for p in (GOLDEN / name).iterdir())
-    changes = []
+    core, golden_core = _openblas_core(), CORE.read_text().strip()
+    changes, left_out = [], 0
     for file in files:
+        want, got = _csv_rows(GOLDEN / name / file), _csv_rows(tmp_path / file)
+        if core != golden_core:
+            left_out += sum(_is_locb(name, row) for row in want)
+            want, got = ([row for row in rows if not _is_locb(name, row)] for rows in (want, got))
         rtol = 0.0 if file in EXACT else RTOL
-        changes += [f"{file} {line}" for line in _changes(
-            _csv_rows(GOLDEN / name / file), _csv_rows(tmp_path / file), rtol
-        )]
+        changes += [f"{file} {line}" for line in _changes(want, got, rtol)]
     assert not changes, "\n".join(changes)
+    if left_out:
+        pytest.skip(f"{left_out} locb rows not compared: OpenBLAS core type {core}, "
+                    f"golden files written under {golden_core}")
 
 
 def regenerate():
     """Rewrite every golden file from the current source."""
     if os.environ.get("OPENBLAS_NUM_THREADS") != "1":
         sys.exit("golden files are written at one BLAS thread: set OPENBLAS_NUM_THREADS=1")
+    if _openblas_core() is None:
+        sys.exit("golden locb rows name their OpenBLAS core type, and none was found")
     for name, write in CASES.items():
         with tempfile.TemporaryDirectory() as tmp:
             files = write(Path(tmp))
@@ -164,6 +204,8 @@ def regenerate():
             for file in files:
                 shutil.copyfile(Path(tmp) / file, GOLDEN / name / file)
         print(f"wrote {', '.join(files)} in {GOLDEN / name}")
+    CORE.write_text(f"{_openblas_core()}\n")
+    print(f"wrote the OpenBLAS core type {CORE.read_text().strip()} in {CORE}")
 
 
 if __name__ == "__main__":

@@ -87,6 +87,8 @@ def test_srdls_exact_recovery_on_noiseless_geometry():
     est = srdls_localize(anchors, range_diffs_for(anchors, target))
     assert est is not None
     assert np.hypot(est.x - target[0], est.y - target[1]) < 1e-6
+    # The row was solved on a fresh AnchorSet; the caller's keeps none.
+    assert len(anchors.keys) == 0
 
 
 def test_srdls_unique_recovery_with_five_anchors():
@@ -342,13 +344,13 @@ def test_stacked_starts_match_per_start_reference(name, bandwidth, walls, dead, 
     pilots = grid.channels + pilot_noise(scn, grid.channels.shape, rng)
     rows = rng.choice(pilots.shape[0], size=dead, replace=False)
     pilots[rows, rng.integers(0, scn.n_transmitters, size=dead)] = 0.0
-    anchors = AnchorSet.from_scenario(scn)
     if dead:
         diffs = tdoa_range_differences(pilots, scn.sample_period)
         assert len(np.unique(np.isfinite(diffs), axis=0)) >= 4
-    xy, cost = localize_batch(anchors, pilots, scn.sample_period)
+    # A fresh AnchorSet each, so that the reference call solves every row.
+    xy, cost = localize_batch(AnchorSet.from_scenario(scn), pilots, scn.sample_period)
     monkeypatch.setattr(localization, "_srdls_batch", _reference_srdls_batch)
-    xy_ref, cost_ref = localize_batch(anchors, pilots, scn.sample_period)
+    xy_ref, cost_ref = localize_batch(AnchorSet.from_scenario(scn), pilots, scn.sample_period)
     assert np.array_equal(xy, xy_ref, equal_nan=True)
     assert np.array_equal(cost, cost_ref, equal_nan=True)
 
@@ -467,12 +469,12 @@ def test_localize_batch_rows_equal_their_own_calls(walls):
     pilots = grid.channels[rows] + pilot_noise(scn, grid.channels[rows].shape, rng)
     for i, tx in enumerate(rng.integers(0, scn.n_transmitters, size=30)):
         pilots[i, tx] = 0.0
-    anchors = AnchorSet.from_scenario(scn)
-    estimates, residuals = localize_batch(anchors, pilots, scn.sample_period)
+    estimates, residuals = localize_batch(AnchorSet.from_scenario(scn), pilots, scn.sample_period)
     diffs = tdoa_range_differences(pilots, scn.sample_period)
     assert len(np.unique(np.isfinite(diffs), axis=0)) >= 4
     for i in range(pilots.shape[0]):
-        est = srdls_localize(anchors, diffs[i])
+        # A fresh AnchorSet, so that the row is solved on its own.
+        est = srdls_localize(AnchorSet.from_scenario(scn), diffs[i])
         alone = [np.nan] * 3 if est is None else [est.x, est.y, est.residual]
         row = [estimates[i, 0], estimates[i, 1], residuals[i]]
         assert np.array_equal(row, alone, equal_nan=True), i

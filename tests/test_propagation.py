@@ -8,7 +8,7 @@ import pytest
 
 from locfree import propagation
 from locfree.errors import ConfigurationError, DomainError
-from locfree.evaluation import ExperimentConfig, _draw_training
+from locfree.evaluation import ExperimentConfig, _draw_training, precompute_grid
 from locfree.propagation import (
     PathComponent,
     discretize_channel,
@@ -387,7 +387,7 @@ def test_taps_are_synthesized_on_first_read(name, monkeypatch):
     eager = np.zeros((500, scn.n_transmitters, scn.num_samples), dtype=complex)
     for l, tx in enumerate(scn.tx_positions()):
         eager[:, l, :] = propagation._batch_channels(
-            scn, (propagation._trace_tx(scn, tx, pts, geom)[:2],), stacklevel=1
+            scn, (propagation._trace_tx(scn, tx, pts, geom)[:2],)
         )[:, 0]
     assert tables.channels.tobytes() == eager.tobytes()
     assert tables.channels is tables.channels
@@ -523,11 +523,20 @@ def test_traced_overflow_warns_from_both_channel_paths():
 
 def test_tap_window_warning_names_the_caller_once():
     """One channels read past the tap window warns once, not once per
-    transmitter, and names the reading line, as discretize_channel does."""
+    transmitter, and names the first line outside the package that asked
+    for the taps: a direct read, a read through a grid, a training draw and
+    discretize_channel alike."""
     scn = replace(preset("indoor-fig4"), num_samples=2)
     tables = simulate_points(scn, np.array([[20.0, 20.0]]))
+    grid = precompute_grid(scn, 20.0)
+    config = ExperimentConfig(scenario=scn, n_train=5, seed=0)
     paths = trace_paths(scn, scn.tx_positions()[0], (20.0, 20.0))
-    for read in (lambda: tables.channels, lambda: discretize_channel(paths, scn)):
+    for read in (
+        lambda: tables.channels,
+        lambda: grid.channels,
+        lambda: _draw_training(config, 0.0, 0),
+        lambda: discretize_channel(paths, scn),
+    ):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             read()
