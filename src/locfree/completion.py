@@ -23,6 +23,7 @@ average of the measured powers.
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import lapack
 
 from .errors import ConfigurationError, SolverError
 
@@ -105,18 +106,33 @@ class CompletionResult:
         return float(self.residuals[-1]) if self.residuals.size else 0.0
 
 
+def _eigenvectors(gram):
+    """Eigenvectors of the symmetric ``gram`` in ascending eigenvalue order,
+    from one LAPACK dsyevd call on its lower triangle; LinAlgError where
+    LAPACK reports failure (info != 0), as numpy's eigh raises."""
+    vectors, info = lapack.dsyevd(gram, lower=1)[1:]
+    if info != 0:
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    return vectors
+
+
 def _rank_truncate(matrix, rank):
     """Projection of ``matrix`` onto its top-``rank`` singular subspace,
     through the eigenvectors of the smaller Gram matrix.
+
+    The eigenvectors come from one dsyevd call through scipy
+    (_eigenvectors): the routine and triangle numpy's eigh uses, so the
+    bits are eigh's.  numpy's wrapper around that call cost a quarter of an
+    SVP iteration on a 10x10 Gram matrix.
 
     Squaring the singular values limits the accuracy: the projection
     matches the truncated SVD to about eps * s_1^2 / (s_r^2 - s_{r+1}^2)
     relative, so it needs s_r^2 - s_{r+1}^2 >> eps * s_1^2.
     """
     if matrix.shape[0] <= matrix.shape[1]:
-        u = np.linalg.eigh(matrix @ matrix.T)[1][:, -rank:]
+        u = _eigenvectors(matrix @ matrix.T)[:, -rank:]
         return u @ (u.T @ matrix)
-    v = np.linalg.eigh(matrix.T @ matrix)[1][:, -rank:]
+    v = _eigenvectors(matrix.T @ matrix)[:, -rank:]
     return (matrix @ v) @ v.T
 
 
@@ -220,6 +236,22 @@ def gram_schmidt_basis(matrix, rank):
     )
 
 
+def row_patterns(mask):
+    """Distinct rows of the (n, M) boolean ``mask`` and the (n,) index of
+    each row among them, in the order np.unique gives over axis 0, but
+    sorted as one packed-bits byte key per row rather than as an M-field
+    structured row.  np.packbits puts the first column in the top bit and
+    void keys compare bytewise, so the keys sort as the rows do.
+    """
+    packed = np.ascontiguousarray(np.packbits(mask, axis=1))
+    width = packed.shape[1]
+    keys, inverse = np.unique(packed.view(np.dtype((np.void, width))).reshape(-1),
+                              return_inverse=True)
+    patterns = np.unpackbits(keys.view(np.uint8).reshape(-1, width), axis=1,
+                             count=mask.shape[1])
+    return patterns.astype(bool), inverse
+
+
 @dataclass(frozen=True)
 class QueryRecoveryContext:
     """Everything needed to lift incomplete query features to reduced ones.
@@ -287,7 +319,8 @@ def rls_recover_queries(ctx, incomplete):
 
     via the closed form
     z = (U^T S^T S U + mu cov^-1)^-1 (U^T S^T S phi + mu cov^-1 mean),
-    with one solve per distinct observation pattern.  Returns (r, n)
+    with one solve per distinct observation pattern (row_patterns of the
+    mask's columns).  Returns (r, n)
     reduced columns, NaN where nothing is observed.
     """
     values, observed = incomplete.values, incomplete.observed
@@ -295,11 +328,11 @@ def rls_recover_queries(ctx, incomplete):
         raise ValueError("query vector length must match the basis row count")
     reduced = np.full((ctx.basis.shape[1], values.shape[1]), np.nan)
     prior = ctx.mu * ctx.cov_inv
-    patterns, inverse = np.unique(observed.T, axis=0, return_inverse=True)
+    patterns, inverse = row_patterns(observed.T)
     for k, rows in enumerate(patterns):
         if not rows.any():
             continue
-        cols = inverse.reshape(-1) == k
+        cols = inverse == k
         u_obs = ctx.basis[rows]
         lhs = u_obs.T @ u_obs + prior
         rhs = u_obs.T @ values[rows][:, cols] + (prior @ ctx.mean)[:, None]

@@ -473,8 +473,10 @@ def run_experiments(configs, grid, jobs=1):
     once.  ``grid`` is the configs' PrecomputedGrid; sharing it amortizes
     the scenario tables, and the rows its AnchorSet solves, across configs.
     With ``jobs`` > 1 one pool serves the call: each worker gets the grid
-    once, and a task is one run index of every config.
+    once, and a task is one run index of every config.  A serial call
+    releases the held world on return, so a finished sweep keeps no world.
     """
+    global _held
     configs = list(configs)
     indices = range(max(config.runs for config in configs))
     if jobs > 1:
@@ -484,6 +486,7 @@ def run_experiments(configs, grid, jobs=1):
             by_run = list(pool.map(_run_in_worker, [(configs, i) for i in indices]))
     else:
         by_run = [_run_index(configs, grid, i) for i in indices]
+        _held = None
     return [
         _summarize(outcomes[:config.runs])
         for config, outcomes in zip(configs, zip(*by_run))

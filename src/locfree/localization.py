@@ -37,6 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .completion import row_patterns
 from .errors import ConfigurationError
 from .features import tdoa_range_differences
 from .kernels import fit
@@ -100,8 +101,8 @@ class AnchorSet:
         The call's rows are merged into the solved ones by one np.unique: a
         row is known when its first occurrence is a solved row.  The
         distinct rows not yet solved are solved with one _srdls_batch call
-        per pattern of finite differences, on that pattern's anchors, and
-        the merged rows become the solved ones.
+        per pattern of finite differences (completion.row_patterns), on that
+        pattern's anchors, and the merged rows become the solved ones.
         """
         if diffs.shape[1] != len(self) - 1:
             raise ValueError(f"{len(self)} anchors take {len(self) - 1} range differences "
@@ -116,17 +117,18 @@ class AnchorSet:
         residuals = np.full(merged.shape[0], np.nan)
         estimates[known], residuals[known] = self.estimates[first[known]], self.residuals[first[known]]
         new = (~known).nonzero()[0]
-        patterns, pattern_of = np.unique(np.isfinite(merged[new]), axis=0, return_inverse=True)
+        patterns, pattern_of = row_patterns(np.isfinite(merged[new]))
         for k, usable in enumerate(patterns):
             if usable.sum() < 3:
                 continue
-            solve = new[pattern_of.reshape(-1) == k]
+            solve = new[pattern_of == k]
             sub = np.vstack([self.positions[0], self.positions[1:][usable]])
             estimates[solve], residuals[solve] = _srdls_batch(sub, merged[solve][:, usable])
         inverse = inverse.reshape(-1)[solved:]
         self.keys, self.estimates, self.residuals = merged, estimates, residuals
-        log.debug("%d distinct of %d rows, %d patterns solved", len(np.unique(inverse)),
-                  len(diffs), np.count_nonzero(patterns.sum(axis=1) >= 3))
+        if log.isEnabledFor(logging.DEBUG):
+            log.debug("%d distinct of %d rows, %d patterns solved", len(np.unique(inverse)),
+                      len(diffs), np.count_nonzero(patterns.sum(axis=1) >= 3))
         return estimates[inverse], residuals[inverse]
 
 

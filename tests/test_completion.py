@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 
 from conftest import sample_identifiable_mask
-from locfree import completion
+from locfree import completion, evaluation, experiments
 from locfree.completion import (
     CompletionConfig,
     IncompleteFeatureMatrix,
+    _eigenvectors,
     _rank_truncate,
     build_recovery_context,
     gram_schmidt_basis,
+    row_patterns,
     rls_recover_queries,
     rls_recover_query,
     svp_complete,
@@ -19,6 +21,7 @@ from locfree.errors import ConfigurationError, SolverError
 from locfree.io import write_iteration_log
 from test_reduction import free_space_scenario, tdoa_matrix
 from locfree.propagation import sample_sensor_locations
+from locfree.scenario import preset
 
 
 def low_rank(rng, m, n, rank):
@@ -301,6 +304,83 @@ def test_overflowing_iterate_raises_solver_error():
         with pytest.raises(SolverError, match="smaller step") as caught:
             svp_complete(inc, config)
     assert isinstance(caught.value.__cause__, np.linalg.LinAlgError)
+
+
+def _masked_fig4_features():
+    """The masked training features of an indoor-fig4 completion run at
+    the middle threshold of the default sweep."""
+    scn = preset("indoor-fig4", seed=0)
+    grid = evaluation.precompute_grid(scn, 3.0)
+    gamma = experiments.default_gamma_sweep(grid)[2]
+    config = experiments._locf_config(scn, estimator="locf_completion", rank=4,
+                                      gamma_dbw=gamma, n_train=300)
+    world = evaluation._draw_world(config, grid, 0)
+    return evaluation.mask_features(world.train.com, world.train_powers, gamma)
+
+
+def test_eigenvectors_equal_numpy_eigh_bit_for_bit(monkeypatch):
+    """SVP takes its eigenvectors from one scipy dsyevd call because that
+    gives np.linalg.eigh's bits without numpy's wrapper.  Checked on the
+    Gram matrices of 200 SVP iterates of masked indoor-fig4 features and
+    on one tall-matrix Gram; a numpy or scipy whose LAPACK differs fails
+    here before the golden outputs move."""
+    grams = []
+
+    def recording(gram):
+        grams.append(gram.copy())
+        return _eigenvectors(gram)
+
+    monkeypatch.setattr(completion, "_eigenvectors", recording)
+    incomplete = _masked_fig4_features()
+    assert not incomplete.observed.all()
+    svp_complete(incomplete, CompletionConfig(rank=4, max_iters=200, adaptive_step=False))
+    tall = incomplete.values[:, :6]
+    _rank_truncate(tall, 4)
+    assert len(grams) == 201 and grams[-1].shape == (6, 6)
+    for gram in grams:
+        assert np.array_equal(_eigenvectors(gram), np.linalg.eigh(gram)[1])
+
+
+def test_eigenvectors_raise_exactly_when_numpy_eigh_raises():
+    """A NaN Gram, or the Gram of an overflowed iterate, raises
+    LinAlgError, which svp_complete reports as a SolverError; an inf on
+    the diagonal alone raises in neither, and then the bits agree."""
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=(10, 30))
+    gram = x @ x.T
+    with_nan = gram.copy()
+    with_nan[2, 5] = with_nan[5, 2] = np.nan
+    overflowed = np.where(np.arange(30) == 3, np.inf, x)
+    with np.errstate(invalid="ignore"):
+        overflowed_gram = overflowed @ overflowed.T
+    for bad in (with_nan, overflowed_gram):
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.eigh(bad)
+        with pytest.raises(np.linalg.LinAlgError):
+            _eigenvectors(bad)
+    inf_diagonal = gram + np.diag([np.inf] + [0.0] * 9)
+    assert np.array_equal(_eigenvectors(inf_diagonal), np.linalg.eigh(inf_diagonal)[1],
+                          equal_nan=True)
+
+
+@pytest.mark.parametrize("columns", [1, 7, 8, 9, 10, 66])
+def test_row_patterns_match_numpy_unique_rows(columns):
+    """The packed-key grouping gives np.unique's distinct rows and inverse
+    over axis 0, in the same order, for masks narrower than a byte, at
+    byte edges, and past 64 bits (66 is the pair count of 12 anchors);
+    with all-False and all-True rows, a single row and no rows, and on a
+    transposed mask as query recovery passes it."""
+    rng = np.random.default_rng(columns)
+    mask = rng.random((300, columns)) < 0.5
+    mask[:40] = mask[rng.integers(40, 300, size=40)]
+    mask[0] = False
+    mask[1] = mask[2] = True
+    for rows in (mask, mask.T.copy().T, mask[:1], mask[:0]):
+        patterns, inverse = row_patterns(rows)
+        expected, expected_inverse = np.unique(rows, axis=0, return_inverse=True)
+        assert patterns.dtype == bool and np.array_equal(patterns, expected)
+        assert np.array_equal(inverse, expected_inverse.reshape(-1))
+        assert inverse.shape == (rows.shape[0],)
 
 
 @pytest.mark.parametrize("max_iters", [0, 1, 2000])

@@ -442,6 +442,15 @@ def test_a_held_world_does_not_keep_its_grid_alive(small_world):
     assert ref() is None
 
 
+def test_run_experiments_releases_the_held_world(small_world):
+    """A finished serial sweep keeps no world alive.  run_once calls still
+    share theirs (test_runs_of_one_world_draw_trace_and_extract_it_once)."""
+    scn, _ = small_world
+    grid = precompute_grid(scn)
+    run_experiments(_same_world_configs(scn)[:2], grid)
+    assert evaluation._held is None
+
+
 def test_held_world_arrays_are_read_only(small_world):
     scn, grid = small_world
     world = evaluation._draw_world(_same_world_configs(scn)[0], grid, 0)
