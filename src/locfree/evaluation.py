@@ -122,6 +122,8 @@ class ExperimentConfig:
             raise ConfigurationError("n_train must be >= 2")
         if not 0.0 < self.eta <= 1.0:
             raise ConfigurationError(f"eta must lie in (0, 1], got {self.eta}")
+        if not self.gamma_dbw < np.inf:  # NaN or +inf would mask every feature
+            raise ConfigurationError(f"gamma_dbw must be finite or -inf, got {self.gamma_dbw}")
         for name in ("grid_step", "mu"):
             if not getattr(self, name) > 0.0:
                 raise ConfigurationError(f"{name} must be > 0, got {getattr(self, name)}")

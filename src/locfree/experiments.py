@@ -164,62 +164,45 @@ def run_fig5_featuremaps(out_dir, seed=0):
     }
 
 
-def run_fig6_nmse_vs_n(out_dir, runs, seed=0, jobs=1):
+def _nmse_vs_n(runs, seed):
     """Feature-based vs location-based NMSE over the measurement count."""
     scenario = scenario_preset("indoor-fig4", seed=seed)
     entries = []
     for n in (100, 150, 200, 300):
         entries.append((f"locf_n{n}", _locf_config(scenario, n_train=n, runs=runs, seed=seed)))
         entries.append((f"locb_n{n}", _locb_config(scenario, n_train=n, runs=runs, seed=seed)))
-    return _run_sweep(entries, out_dir, jobs)
+    return entries
 
 
-def run_fig7_nmse_vs_walls(out_dir, runs, seed=0, jobs=1):
+def _nmse_vs_walls(runs, seed):
     """NMSE as the wall count grows, at 200 MHz pilot bandwidth."""
+    common = dict(n_train=300, runs=runs, seed=seed)
     entries = []
     for walls in range(6):
-        scenario = scenario_preset(
-            "indoor-dense", bandwidth_hz=200e6, wall_count=walls, seed=seed
-        )
-        entries.append(
-            (f"locf_w{walls}", _locf_config(scenario, n_train=300, runs=runs, seed=seed))
-        )
-        entries.append(
-            (f"locb_w{walls}", _locb_config(scenario, n_train=300, runs=runs, seed=seed))
-        )
-    return _run_sweep(entries, out_dir, jobs)
+        scenario = scenario_preset("indoor-dense", bandwidth_hz=200e6, wall_count=walls, seed=seed)
+        entries.append((f"locf_w{walls}", _locf_config(scenario, **common)))
+        entries.append((f"locb_w{walls}", _locb_config(scenario, **common)))
+    return entries
 
 
-def run_fig8_nmse_vs_m(out_dir, runs, seed=0, jobs=1):
+def _nmse_vs_m(runs, seed):
     """NMSE over the number of raw features used (random subsets per run)."""
     scenario = scenario_preset("indoor-fig4", seed=seed)
-    entries = []
-    for n in (150, 300):
-        for m in (2, 4, 6, 8, 10):
-            entries.append(
-                (
-                    f"locf_m{m}_n{n}",
-                    _locf_config(
-                        scenario, n_train=n, runs=runs, seed=seed, n_features=m
-                    ),
-                )
-            )
-    return _run_sweep(entries, out_dir, jobs)
+    return [
+        (f"locf_m{m}_n{n}", _locf_config(scenario, n_train=n, runs=runs, seed=seed, n_features=m))
+        for n in (150, 300)
+        for m in (2, 4, 6, 8, 10)
+    ]
 
 
-def run_fig10_reduced(out_dir, runs, seed=0, jobs=1):
+def _reduced(runs, seed):
     """Full features vs rank-reduced features on the denser indoor scenario."""
     scenario = scenario_preset("indoor-dense", seed=seed)
     common = dict(n_train=300, runs=runs, seed=seed)
-    entries = [("locf_full", _locf_config(scenario, **common))]
-    for rank in (2, 3, 4):
-        entries.append(
-            (
-                f"locf_r{rank}",
-                _locf_config(scenario, estimator="locf_reduced", rank=rank, **common),
-            )
-        )
-    return _run_sweep(entries, out_dir, jobs)
+    return [("locf_full", _locf_config(scenario, **common))] + [
+        (f"locf_r{rank}", _locf_config(scenario, estimator="locf_reduced", rank=rank, **common))
+        for rank in (2, 3, 4)
+    ]
 
 
 def default_gamma_sweep(grid):
@@ -233,71 +216,77 @@ def default_gamma_sweep(grid):
     return [lo] + [float(np.quantile(pair_min, q)) for q in _GAMMA_QUANTILES]
 
 
-def run_fig11_missing(out_dir, runs, seed=0, jobs=1, gamma_sweep=None,
-                      diagnostics_dir=None):
-    """Missing-feature handling: NMSE and miss counts over the threshold."""
+def _missing(runs, seed, gamma_sweep=None, diagnostics_dir=None, grids=None):
+    """Missing-feature handling: NMSE and miss counts over the threshold.
+
+    The grid is traced here, once: it sets the default ``gamma_sweep``, and
+    a ``grids`` dict given receives it under id(scenario) for _run_sweep.
+    """
+    if gamma_sweep is not None and not np.all(np.isfinite(gamma_sweep)):
+        raise ConfigurationError(f"gamma_sweep thresholds must be finite, got {list(gamma_sweep)}")
     scenario = scenario_preset("indoor-fig4", seed=seed)
     grid = precompute_grid(scenario)
+    if grids is not None:
+        grids[id(scenario)] = grid
     if gamma_sweep is None:
         gamma_sweep = default_gamma_sweep(grid)
     common = dict(n_train=300, runs=runs, seed=seed)
-    entries = [("locf_baseline", _locf_config(scenario, **common))]
-    rank = scenario.n_transmitters - 1
-    for idx, gamma in enumerate(gamma_sweep):
-        entries.append(
-            (
-                f"completion_g{idx}",
-                _locf_config(
-                    scenario,
-                    estimator="locf_completion",
-                    rank=rank,
-                    gamma_dbw=gamma,
-                    diagnostics_dir=diagnostics_dir,
-                    **common,
-                ),
-            )
-        )
-    summary = _run_sweep(entries, out_dir, jobs, grids={id(scenario): grid})
-    summary["gamma_sweep_dbw"] = list(gamma_sweep)
-    return summary
+    completion = dict(estimator="locf_completion", rank=scenario.n_transmitters - 1,
+                      diagnostics_dir=diagnostics_dir, **common)
+    return [("locf_baseline", _locf_config(scenario, **common))] + [
+        (f"completion_g{idx}", _locf_config(scenario, gamma_dbw=gamma, **completion))
+        for idx, gamma in enumerate(gamma_sweep)
+    ]
 
 
-PRESETS = {
+MAPS = {
     "fig4-maps": run_fig4_maps,
     "fig5-featuremaps": run_fig5_featuremaps,
-    "fig6-nmse-vs-N": run_fig6_nmse_vs_n,
-    "fig7-nmse-vs-walls": run_fig7_nmse_vs_walls,
-    "fig8-nmse-vs-M": run_fig8_nmse_vs_m,
-    "fig10-reduced": run_fig10_reduced,
-    "fig11-missing": run_fig11_missing,
 }
+# The (label, config) entries each Monte Carlo preset runs: SWEEPS[name](runs, seed).
+SWEEPS = {
+    "fig6-nmse-vs-N": _nmse_vs_n,
+    "fig7-nmse-vs-walls": _nmse_vs_walls,
+    "fig8-nmse-vs-M": _nmse_vs_m,
+    "fig10-reduced": _reduced,
+    "fig11-missing": _missing,
+}
+PRESETS = (*MAPS, *SWEEPS)
 
 
 def run_preset(name, out_dir, runs=None, seed=0, jobs=None, gamma_sweep=None,
                verbose=False):
     """Run a named experiment preset and write its artifacts into out_dir.
 
-    Only the missing-feature preset takes ``gamma_sweep``; with ``verbose``
-    it also dumps per-run SVP iteration logs (iter,residual CSVs) into
-    out_dir.  The map presets fit once, so they take no ``runs`` or ``jobs``.
+    A Monte Carlo preset runs the entries of SWEEPS[name] through
+    _run_sweep.  Only the missing-feature preset takes ``gamma_sweep``;
+    with ``verbose`` it also dumps per-run SVP iteration logs
+    (iter,residual CSVs) into out_dir.  The map presets fit once, so they
+    take no ``runs`` or ``jobs``.
     """
     if name not in PRESETS:
         raise ConfigurationError(
             f"unknown experiment preset {name!r}; available: {', '.join(sorted(PRESETS))}"
         )
-    kwargs = dict(seed=seed)
-    if name == "fig11-missing":
-        kwargs["gamma_sweep"] = gamma_sweep
-        kwargs["diagnostics_dir"] = out_dir if verbose else None
-    elif gamma_sweep is not None:
+    fig11 = name == "fig11-missing"
+    if gamma_sweep is not None and not fig11:
         raise ConfigurationError(f"gamma_sweep applies only to fig11-missing, not {name}")
-    if name in ("fig4-maps", "fig5-featuremaps"):
+    if name in SWEEPS:
+        grids, options = {}, {}
+        if fig11:
+            options = dict(gamma_sweep=gamma_sweep, grids=grids,
+                           diagnostics_dir=out_dir if verbose else None)
+        entries = SWEEPS[name](DEFAULT_RUNS if runs is None else runs, seed, **options)
+        # _run_sweep makes out_dir once its configs are checked
+        summary = _run_sweep(entries, out_dir, jobs or 1, grids)
+        if fig11:
+            summary["gamma_sweep_dbw"] = [config.gamma_dbw for _, config in entries
+                                          if config.estimator == "locf_completion"]
+    else:
         for option, value in (("runs", runs), ("jobs", jobs)):
             if value is not None:
                 raise ConfigurationError(f"{option} applies only to Monte Carlo presets, not {name}")
         os.makedirs(out_dir, exist_ok=True)
-    else:  # _run_sweep makes out_dir once its configs are checked
-        kwargs.update(runs=DEFAULT_RUNS if runs is None else runs, jobs=jobs or 1)
-    summary = PRESETS[name](out_dir, **kwargs)
+        summary = MAPS[name](out_dir, seed)
     io.write_summary_json(summary, os.path.join(out_dir, "summary.json"))
     return summary

@@ -1,18 +1,18 @@
 """Acceptance suite: one test per release criterion.
 
 Exact numerical properties run at fixed tolerances; the Monte Carlo
-criteria reproduce the benchmark trends at desk scale (20 runs) using the
-shipped experiment presets.  Every test prints a single PASS/FAIL line
-(visible with ``pytest -s`` or on failure).
+criteria reproduce the benchmark trends at desk scale (20 runs) with the
+shipped experiment presets: criteria 5, 6 and 8 run a whole preset, and
+criterion 7 runs two entries of ``fig10-reduced``, picked by label.  Every
+test prints a single PASS/FAIL line (visible with ``pytest -s`` or on
+failure).
 
-The heavy indoor sweeps share session-scoped fixtures, so the full module
-runs in roughly 10 minutes.
+The full module runs in about 110 seconds at two BLAS threads on two cores.
 """
 
 import time
 
 import numpy as np
-import pytest
 
 from conftest import sample_identifiable_mask
 from locfree import experiments
@@ -24,12 +24,12 @@ from locfree.completion import (
     rls_recover_query,
     svp_complete,
 )
-from locfree.evaluation import ExperimentConfig, pooled_std, precompute_grid, run_experiments
+from locfree.evaluation import NmseResult, pooled_std, precompute_grid, run_experiments
 from locfree.features import com_impulse, estimate_toa, pair_indices
 from locfree.kernels import GaussianKernel, fit, gram_matrix, predict
 from locfree.localization import AnchorSet, srdls_localize
 from locfree.propagation import sample_sensor_locations, trace_paths
-from locfree.scenario import Scenario, Transmitter, preset
+from locfree.scenario import Scenario, Transmitter
 
 
 def _report(name, passed, detail):
@@ -38,29 +38,17 @@ def _report(name, passed, detail):
 
 
 # ---------------------------------------------------------------------------
-# shared Monte Carlo results (criteria 5 and 8 compare against each other)
+# the Monte Carlo criteria's runs, seed and workers
 # ---------------------------------------------------------------------------
 
 RUNS = 20
 SEED = 1
 
 
-@pytest.fixture(scope="session")
-def indoor20():
-    scenario = preset("indoor-fig4", seed=SEED)
-    grid = precompute_grid(scenario)
-    return scenario, grid
-
-
-@pytest.fixture(scope="session")
-def fig6_results(indoor20):
-    scenario, grid = indoor20
-    configs = {}
-    for n in (100, 150, 200, 300):
-        configs[("locf", n)] = experiments._locf_config(scenario, n_train=n, runs=RUNS, seed=SEED)
-        configs[("locb", n)] = experiments._locb_config(scenario, n_train=n, runs=RUNS, seed=SEED)
-    results = run_experiments(configs.values(), grid, jobs=2)
-    return dict(zip(configs, results))
+def _run_preset(name, out):
+    """The summary of the shipped preset ``name`` at RUNS runs of seed SEED,
+    on two workers, with its artifacts written into ``out``."""
+    return experiments.run_preset(name, out, runs=RUNS, seed=SEED, jobs=2)
 
 
 # ---------------------------------------------------------------------------
@@ -224,13 +212,14 @@ def test_criterion_4_rls_consistency():
 # ---------------------------------------------------------------------------
 
 
-def test_criterion_5_nmse_vs_n_trend(fig6_results):
+def test_criterion_5_nmse_vs_n_trend(tmp_path):
+    summary = _run_preset("fig6-nmse-vs-N", tmp_path)
     start = time.time()
     lines = []
     passed = True
     for n in (150, 200, 300):
-        locf = fig6_results[("locf", n)]
-        locb = fig6_results[("locb", n)]
+        locf = NmseResult(**summary[f"locf_n{n}"])
+        locb = NmseResult(**summary[f"locb_n{n}"])
         gap = locb.mean - locf.mean
         pooled = pooled_std(locf, locb)
         ok = locf.mean < locb.mean and gap > pooled
@@ -249,22 +238,11 @@ def test_criterion_5_nmse_vs_n_trend(fig6_results):
 # ---------------------------------------------------------------------------
 
 
-def test_criterion_6_wall_sweep_crossover():
+def test_criterion_6_wall_sweep_crossover(tmp_path):
     start = time.time()
-    locf, locb = {}, {}
-    for walls in range(6):
-        scenario = preset(
-            "indoor-dense", bandwidth_hz=200e6, wall_count=walls, seed=SEED
-        )
-        grid = precompute_grid(scenario)
-        result_f, result_b = run_experiments(
-            [
-                experiments._locf_config(scenario, n_train=300, runs=RUNS, seed=SEED),
-                experiments._locb_config(scenario, n_train=300, runs=RUNS, seed=SEED),
-            ],
-            grid, jobs=2,
-        )
-        locf[walls], locb[walls] = result_f.mean, result_b.mean
+    summary = _run_preset("fig7-nmse-vs-walls", tmp_path)
+    locf = {walls: summary[f"locf_w{walls}"]["mean"] for walls in range(6)}
+    locb = {walls: summary[f"locb_w{walls}"]["mean"] for walls in range(6)}
     crossover = locb[0] < locf[0]
     locf_vals = np.array([locf[w] for w in range(6)])
     variation = (locf_vals.max() - locf_vals.min()) / locf_vals.min()
@@ -286,22 +264,9 @@ def test_criterion_6_wall_sweep_crossover():
 
 def test_criterion_7_reduced_feature_parity():
     start = time.time()
-    scenario = preset("indoor-dense", seed=SEED)
-    sigma, lam = experiments.LOCF_TUNED[20e6]
-    grid = precompute_grid(scenario)
-    full, reduced = run_experiments(
-        [
-            ExperimentConfig(
-                scenario=scenario, estimator="locf", n_train=300, runs=RUNS,
-                seed=SEED, sigma=sigma, lam=lam,
-            ),
-            ExperimentConfig(
-                scenario=scenario, estimator="locf_reduced", rank=4, n_train=300,
-                runs=RUNS, seed=SEED, sigma=sigma, lam=lam,
-            ),
-        ],
-        grid, jobs=2,
-    )
+    entries = dict(experiments.SWEEPS["fig10-reduced"](RUNS, SEED))
+    configs = [entries["locf_full"], entries["locf_r4"]]
+    full, reduced = run_experiments(configs, precompute_grid(configs[0].scenario), jobs=2)
     gap = abs(reduced.mean - full.mean) / full.mean
     elapsed = time.time() - start
     _report(
@@ -317,26 +282,14 @@ def test_criterion_7_reduced_feature_parity():
 # ---------------------------------------------------------------------------
 
 
-def test_criterion_8_missing_feature_degradation(indoor20, fig6_results):
+def test_criterion_8_missing_feature_degradation(tmp_path):
     start = time.time()
-    scenario, grid = indoor20
-    sweep = experiments.default_gamma_sweep(grid)
-    sigma, lam = experiments.LOCF_TUNED[20e6]
-    results = run_experiments(
-        [
-            ExperimentConfig(
-                scenario=scenario, estimator="locf_completion", rank=4,
-                mu=5.42, gamma_dbw=gamma, n_train=300, runs=RUNS,
-                seed=SEED, sigma=sigma, lam=lam,
-            )
-            for gamma in sweep
-        ],
-        grid, jobs=2,
-    )
-    means = [result.mean for result in results]
-    missing = [result.avg_missing for result in results]
+    summary = _run_preset("fig11-missing", tmp_path)
+    results = [summary[f"completion_g{idx}"] for idx in range(len(summary["gamma_sweep_dbw"]))]
+    means = [result["mean"] for result in results]
+    missing = [result["avg_missing"] for result in results]
     nondecreasing = all(a <= b + 1e-12 for a, b in zip(means, means[1:]))
-    baseline = fig6_results[("locf", 300)].mean
+    baseline = summary["locf_baseline"]["mean"]
     parity = abs(means[0] - baseline) / baseline
     elapsed = time.time() - start
     _report(

@@ -105,13 +105,14 @@ _INLINE = scenario_to_dict(preset("indoor-fig4"))
         ({"scenario": "indoor-fig4", "estimator": "locf_reduced", "rank": 0}, "rank"),
         ({"scenario": "indoor-fig4", "n_features": 11}, "n_features must lie in 1..M"),
         ({"scenario": "indoor-fig4", "mu": 0}, "mu"),
+        ({"scenario": "indoor-fig4", "gamma_dbw": float("inf")}, "gamma_dbw"),
     ],
     ids=[
         "string-count", "null-eta", "misspelled-preset-key", "string-bool", "fractional-int",
         "freespace-walls", "inline-misspelled-key", "misspelled-wall-key",
         "fractional-num-samples", "string-carrier", "bool-noise", "list-region",
         "seed-next-to-path", "missing-path-file", "zero-eta", "eta-above-one",
-        "zero-grid-step", "zero-rank", "n-features-above-m", "zero-mu",
+        "zero-grid-step", "zero-rank", "n-features-above-m", "zero-mu", "infinite-gamma",
     ],
 )
 def test_bad_config_value_exits_2_before_any_work(doc, field, tmp_path, capsys, monkeypatch):
@@ -163,6 +164,23 @@ def test_gamma_sweep_rejected_for_config_experiment(tmp_path, capsys):
     assert run_cli("experiment", str(cfg), "--gamma-sweep=-90", "--out", str(out)) == 2
     assert "fig11-missing" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("gamma", ["-inf", "nan", "inf"])
+def test_non_finite_gamma_sweep_rejected_before_tracing(gamma, tmp_path, capsys, monkeypatch):
+    """A non-finite threshold exits 2 before fig11-missing traces its grid,
+    so no run happens and neither results.csv nor summary.json is written."""
+    from locfree import experiments
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("fig11-missing traced its grid")
+
+    monkeypatch.setattr(experiments, "precompute_grid", refuse)
+    out = tmp_path / "fig11"
+    argv = ("experiment", "fig11-missing", "--runs", "1", f"--gamma-sweep=-90,{gamma}")
+    assert run_cli(*argv, "--out", str(out)) == 2
+    assert "gamma_sweep thresholds must be finite" in capsys.readouterr().err
+    assert not (out / "results.csv").exists() and not (out / "summary.json").exists()
 
 
 @pytest.mark.parametrize("runs", ["0", "-2"])

@@ -223,6 +223,15 @@ def test_unknown_estimator_rejected(small_world):
         ExperimentConfig(scenario=scn, estimator="magic")
 
 
+@pytest.mark.parametrize("gamma", [np.nan, np.inf])
+def test_gamma_nan_or_plus_inf_rejected(gamma, small_world):
+    """NaN and +inf would mask every feature; -inf, the default, masks none."""
+    scn, _ = small_world
+    with pytest.raises(ConfigurationError, match="gamma_dbw must be finite or -inf"):
+        ExperimentConfig(scenario=scn, gamma_dbw=gamma)
+    assert ExperimentConfig(scenario=scn, gamma_dbw=-np.inf).gamma_dbw == -np.inf
+
+
 def test_pooled_std():
     a = NmseResult(mean=1.0, std=0.3, per_run=(1.0,))
     b = NmseResult(mean=2.0, std=0.4, per_run=(2.0,))

@@ -16,7 +16,6 @@ from locfree.experiments import (
 )
 from locfree.io import write_map_csv, write_pgm, write_results_csv
 from locfree.evaluation import precompute_grid
-from locfree.scenario import preset
 
 
 def test_parameter_tables_cover_all_bandwidths():
@@ -125,14 +124,8 @@ def test_sweep_artifacts_match_entries_run_alone(tmp_path):
                         for name in ("results.csv", "summary.json")])
     assert outputs[0] == outputs[1]
     summary = json.loads(outputs[0][1])
-    scenario = preset("indoor-fig4", seed=3)
-    gammas = summary["gamma_sweep_dbw"]
-    configs = {"locf_baseline": experiments._locf_config(scenario, n_train=300, runs=2, seed=3)}
-    for idx, gamma in enumerate(gammas):
-        configs[f"completion_g{idx}"] = experiments._locf_config(
-            scenario, estimator="locf_completion", rank=4, gamma_dbw=gamma,
-            n_train=300, runs=2, seed=3,
-        )
-    for label, config in configs.items():
-        alone = run_experiment(config, grid=precompute_grid(scenario))
+    entries = experiments.SWEEPS["fig11-missing"](2, 3)
+    assert [label for label, _ in entries] == [key for key in summary if key != "gamma_sweep_dbw"]
+    for label, config in entries:
+        alone = run_experiment(config, grid=precompute_grid(config.scenario))
         assert tuple(summary[label]["per_run"]) == alone.per_run, label

@@ -7,7 +7,10 @@ written at one BLAS thread:
 - ``results.csv`` of ``fig6-nmse-vs-N``, ``fig8-nmse-vs-M``,
   ``fig10-reduced`` and ``fig11-missing`` at ``--runs 2 --seed 0``, with
   fig11's thresholds;
-- the 200 MHz ``indoor-dense`` locf/locb pair at 0 and 5 walls, 2 runs;
+- ``results.csv`` of ``fig7-nmse-vs-walls``' entries ``locf_w0``,
+  ``locb_w0``, ``locf_w5`` and ``locb_w5`` (the 200 MHz ``indoor-dense``
+  locf/locb pair at 0 and 5 walls), picked by label from the preset's
+  entries in ``experiments.SWEEPS``, at 2 runs and seed 0;
 - ``predictions.csv`` of ``locfree fit`` then ``predict`` for a locf and
   a locb config on ``indoor-fig4``.  Seed 23 drops a locb training
   point, and locb queries far from every training estimate get 0 dBW.
@@ -43,7 +46,6 @@ import numpy as np
 import pytest
 
 from locfree import cli, experiments, io
-from locfree.scenario import preset
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 CORE = GOLDEN / "openblas-core.txt"
@@ -77,13 +79,9 @@ def _sweep(name):
 
 def _walls200(out):
     """fig7's locf/locb pair at 0 and 5 walls."""
-    entries = []
-    for walls in (0, 5):
-        scenario = preset("indoor-dense", bandwidth_hz=200e6, wall_count=walls, seed=0)
-        common = dict(n_train=300, runs=2, seed=0)
-        entries.append((f"locf_w{walls}", experiments._locf_config(scenario, **common)))
-        entries.append((f"locb_w{walls}", experiments._locb_config(scenario, **common)))
-    _write_counts(experiments._run_sweep(entries, out, 1), out)
+    entries = dict(experiments.SWEEPS["fig7-nmse-vs-walls"](2, 0))
+    pairs = [(label, entries[label]) for label in ("locf_w0", "locb_w0", "locf_w5", "locb_w5")]
+    _write_counts(experiments._run_sweep(pairs, out, 1), out)
     return ["results.csv", "counts.csv"]
 
 
