@@ -14,6 +14,7 @@ import json
 import logging
 import os
 import sys
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -147,9 +148,13 @@ def cmd_predict(args):
         try:  # skip the x,y header the CLI's own CSV writers put first
             with open(args.points, encoding="utf-8") as fh:
                 header = fh.readline().rstrip("\r\n") == "x,y"
-            pts = np.loadtxt(args.points, delimiter=",", ndmin=2, skiprows=int(header))
+            with warnings.catch_warnings():  # a file without rows is named below
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                pts = np.loadtxt(args.points, delimiter=",", ndmin=2, skiprows=int(header))
         except (OSError, ValueError) as exc:
             raise ConfigurationError(f"cannot read --points file {args.points}: {exc}") from exc
+        if pts.size == 0:
+            raise ConfigurationError(f"cannot read --points file {args.points}: no x,y rows")
     else:
         pts = evaluation_grid(scenario, config.grid_step)[0]
     tables = simulate_points(scenario, pts)

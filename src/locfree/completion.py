@@ -20,6 +20,7 @@ observed entries at all the caller is told to fall back to the spatial
 average of the measured powers.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -145,24 +146,39 @@ def svp_complete(incomplete, config):
     halving, and the descent restarts from the iterate of least residual
     (the zero start included); if halving bottoms out, or the iterate
     overflows before it can act, a SolverError suggests a smaller step.
+
+    Each step does the arithmetic of X - step * G in one workspace reused
+    across steps, projects it with _rank_truncate, zeroes the unobserved
+    entries of X - Phi in place (+0.0, as np.where gives, and an overflowed
+    entry stays inf) and takes the residual norm as one dot product, which
+    is what np.linalg.norm computes.  The iterate and the masked residual
+    are fresh arrays each step, since the best and previous ones are kept.
     """
     m, n = incomplete.shape
     if config.rank > min(m, n):
         raise ConfigurationError("target rank cannot exceed min(M, N)")
-    mask = incomplete.observed
     target = incomplete.values
+    unobserved = np.flatnonzero(~incomplete.observed)
     norm_obs = np.linalg.norm(target)
     scale = norm_obs if norm_obs > 0 else 1.0
+
+    def masked_residual(x):
+        # The masked residual of an iterate is both its observed residual
+        # and the next gradient.
+        gradient = x - target
+        flat = gradient.reshape(-1)
+        flat[unobserved] = 0.0
+        return gradient, math.sqrt(flat.dot(flat)) / scale
+
     base = config.step
     step = base
     x = np.zeros((m, n))
-    # The masked residual of each iterate is both its observed residual and
-    # the next gradient.
-    gradient = np.where(mask, x - target, 0.0)
-    best_res, best_x, best_grad = np.linalg.norm(gradient) / scale, x, gradient
+    y = np.empty((m, n))  # the pre-projection iterate X - step * G
+    gradient, best_res = masked_residual(x)
+    best_x, best_grad = x, gradient
     prev_x = None
     prev_grad = None
-    residuals = []
+    residuals = np.empty(max(config.max_iters, 0))
     prev = np.inf
     grow_streak = 0
     converged = False
@@ -175,15 +191,16 @@ def svp_complete(incomplete, config):
             step = np.sum(dx * dx) / dot if dot > 1e-300 else base
             step = min(max(step, 0.5 * base), 1e4 * base)
         prev_x, prev_grad = x, gradient
+        np.multiply(gradient, step, out=y)
+        np.subtract(x, y, out=y)
         try:
-            x = _rank_truncate(x - step * gradient, config.rank)
+            x = _rank_truncate(y, config.rank)
         except np.linalg.LinAlgError as exc:  # the iterate overflowed
             raise SolverError(
                 f"SVP iterate overflowed at iteration {iterations}; retry with a smaller step"
             ) from exc
-        gradient = np.where(mask, x - target, 0.0)
-        res = np.linalg.norm(gradient) / scale
-        residuals.append(res)
+        gradient, res = masked_residual(x)
+        residuals[iterations - 1] = res
         if res < best_res:
             best_res, best_x, best_grad = res, x, gradient
         if res > prev:
@@ -207,7 +224,7 @@ def svp_complete(incomplete, config):
         prev = res
     return CompletionResult(
         matrix=x,
-        residuals=np.array(residuals, dtype=float),
+        residuals=residuals[:iterations].copy(),
         iterations=iterations,
         converged=converged,
     )

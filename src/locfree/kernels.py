@@ -157,9 +157,9 @@ def save_model(fitted, path):
             "singular_values": fitted.basis.singular_values.tolist(),
         },
     }
+    # json.dumps runs the C encoder; json.dump the pure-Python one, to the same bytes.
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
+        fh.write(json.dumps(doc) + "\n")
 
 
 # Model document key -> (FittedMap argument, type); every key is required.

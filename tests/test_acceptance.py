@@ -213,8 +213,8 @@ def test_criterion_4_rls_consistency():
 
 
 def test_criterion_5_nmse_vs_n_trend(tmp_path):
-    summary = _run_preset("fig6-nmse-vs-N", tmp_path)
     start = time.time()
+    summary = _run_preset("fig6-nmse-vs-N", tmp_path)
     lines = []
     passed = True
     for n in (150, 200, 300):

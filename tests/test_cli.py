@@ -1,5 +1,6 @@
 import json
 import shlex
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -426,18 +427,21 @@ _BASIS = {"mean": [0.0] * 10, "vectors": [[1.0, 0.0], [0.0, 1.0]] + [[0.0, 0.0]]
         (_MODEL, ("points.csv", "10.0,10.0\n100.0,10.0\n"), "inside the region"),
         (_MODEL, ("points.csv", "10.0,10.0\n3.5,20.0\n"), "wavelengths from every transmitter"),
         (_MODEL, ("points.csv", "lon,lat\n10.0,10.0\n"), "--points file points.csv"),
+        (_MODEL, ("points.csv", ""), "--points file points.csv: no x,y rows"),
+        (_MODEL, ("points.csv", "x,y\n"), "--points file points.csv: no x,y rows"),
     ],
     ids=["missing-model-file", "model-without-alpha", "list-model", "missing-points-file",
          "alpha-short-of-features", "ragged-features", "basis-vectors-off-features",
          "one-column-points", "three-column-points", "point-outside-the-region",
-         "point-in-a-far-field-disc", "foreign-header-points"],
+         "point-in-a-far-field-disc", "foreign-header-points", "empty-points",
+         "header-only-points"],
 )
 def test_bad_predict_input_exits_2_before_any_work(model, points, named, tmp_path, capsys, monkeypatch):
     """A model or points file that predict cannot read is named, before the
-    output directory is made.  Paths are relative to tmp_path.  Points are
-    x,y rows inside the region and outside the far-field discs (3
-    wavelengths, 1.12 m, around each transmitter, one at (3, 20)); a points
-    file of None rows is not written."""
+    output directory is made and without a warning.  Paths are relative to
+    tmp_path.  Points are at least one x,y row inside the region and outside
+    the far-field discs (3 wavelengths, 1.12 m, around each transmitter, one
+    at (3, 20)); a points file of None rows is not written."""
     monkeypatch.chdir(tmp_path)
     argv = ["predict", "--config", str(_fit_config(tmp_path)), "--out", "out"]
     if model is None:
@@ -450,7 +454,10 @@ def test_bad_predict_input_exits_2_before_any_work(model, points, named, tmp_pat
         if rows is not None:
             (tmp_path / name).write_text(rows)
         argv += ["--points", name]
-    assert run_cli(*argv) == 2
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run_cli(*argv) == 2
+    assert [str(w.message) for w in caught] == []
     assert named in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 

@@ -245,24 +245,34 @@ def _reference_svp_complete(incomplete, config):
     return x, tuple(residuals), iterations, converged, halvings
 
 
-@pytest.mark.parametrize(
-    "step, adaptive, max_iters, halves",
-    [(1.0, True, 500, False), (1.0, False, 400, False), (4.0, False, 60, True),
-     (50.0, True, 80, True)],
-)
-def test_svp_loop_matches_reference_under_svd_projection(
-    monkeypatch, step, adaptive, max_iters, halves
-):
-    """With the SVD projection patched in, svp_complete gives the reference
-    loop's matrix and residuals bit for bit, converged or not and through
-    step halving: sharing the masked residual changes no digit, so only the
-    Gram projection does."""
-    monkeypatch.setattr(completion, "_rank_truncate", _svd_rank_truncate)
+def _toy_masked_features():
+    """A noisy rank-3 8x40 matrix, about 70% observed."""
     rng = np.random.default_rng(5)
     truth = low_rank(rng, 8, 40, 3) + 0.01 * rng.normal(size=(8, 40))
     mask = rng.random(truth.shape) < 0.7
-    inc = IncompleteFeatureMatrix(np.where(mask, truth, 0.0), mask)
-    config = CompletionConfig(rank=3, step=step, max_iters=max_iters, adaptive_step=adaptive)
+    return IncompleteFeatureMatrix(np.where(mask, truth, 0.0), mask)
+
+
+@pytest.mark.parametrize(
+    "features, rank, step, adaptive, max_iters, halves",
+    [("toy", 3, 1.0, True, 500, False), ("toy", 3, 1.0, False, 400, False),
+     ("toy", 3, 4.0, False, 60, True), ("toy", 3, 50.0, True, 80, True),
+     ("fig4", 4, 1.0, True, 2000, False), ("fig4", 4, 1.0, False, 2000, False)],
+    ids=["1.0-True-500-False", "1.0-False-400-False", "4.0-False-60-True", "50.0-True-80-True",
+         "fig4-adaptive", "fig4-constant"],
+)
+def test_svp_loop_matches_reference_under_svd_projection(
+    monkeypatch, features, rank, step, adaptive, max_iters, halves
+):
+    """With the SVD projection patched in, svp_complete gives the reference
+    loop's matrix and residuals bit for bit, converged or not and through
+    step halving: sharing the masked residual, zeroing it in place, taking
+    its norm as one dot and forming the iterate in a workspace change no
+    digit, so only the Gram projection does.  On the 8x40 toy and on the
+    masked indoor-fig4 features of a completion run (10x300, rank 4)."""
+    monkeypatch.setattr(completion, "_rank_truncate", _svd_rank_truncate)
+    inc = {"toy": _toy_masked_features, "fig4": _masked_fig4_features}[features]()
+    config = CompletionConfig(rank=rank, step=step, max_iters=max_iters, adaptive_step=adaptive)
     result = svp_complete(inc, config)
     matrix, residuals, iterations, converged, halvings = _reference_svp_complete(inc, config)
     assert (halvings > 0) == halves

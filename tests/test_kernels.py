@@ -283,3 +283,35 @@ def test_model_round_trip_with_reduction_basis(tmp_path):
     loaded = load_model(path)
     queries = rng.normal(size=(6, 9))
     assert np.array_equal(predict(loaded, queries), predict(fitted, queries))
+
+
+@pytest.mark.parametrize("estimator", ["locf", "locf_reduced", "locb"])
+def test_saved_model_is_the_json_dump_document(estimator, tmp_path):
+    """save_model writes the bytes json.dump writes for the model document,
+    plus a newline, for a feature model, a reduced one with its basis and a
+    location model; loading it back gives every array bit for bit."""
+    import io
+    import json
+
+    from locfree import experiments
+    from locfree.evaluation import _draw_training, fit_estimator
+    from locfree.scenario import preset
+
+    scn = preset("indoor-fig4", seed=2)
+    make = experiments._locb_config if estimator == "locb" else experiments._locf_config
+    config = make(scn, estimator=estimator, n_train=60, seed=2,
+                  **({"rank": 4} if estimator == "locf_reduced" else {}))
+    fitted = fit_estimator(config, _draw_training(config, 0.0, 0))[0].fitted
+    path = tmp_path / "model.json"
+    save_model(fitted, path)
+    reference = io.StringIO()
+    json.dump(json.loads(path.read_text(encoding="utf-8")), reference)
+    assert path.read_bytes() == (reference.getvalue() + "\n").encode("utf-8")
+    loaded = load_model(path)
+    assert (loaded.basis is None) == (estimator != "locf_reduced")
+    for name in ("features", "alpha", "target_mean", "lam"):
+        assert np.array_equal(getattr(loaded, name), getattr(fitted, name))
+    assert loaded.kernel.sigma == fitted.kernel.sigma
+    if loaded.basis is not None:
+        for name in ("mean", "vectors", "singular_values"):
+            assert np.array_equal(getattr(loaded.basis, name), getattr(fitted.basis, name))
