@@ -173,7 +173,8 @@ def svp_complete(incomplete, config):
     base = config.step
     step = base
     x = np.zeros((m, n))
-    y = np.empty((m, n))  # the pre-projection iterate X - step * G
+    # The pre-projection iterate X - step * G; _rank_truncate returns a new array.
+    y = np.empty((m, n))
     gradient, best_res = masked_residual(x)
     best_x, best_grad = x, gradient
     prev_x = None
