@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lapack
+from numpy.linalg import _umath_linalg
 
 from .errors import ConfigurationError, SolverError
 
@@ -87,6 +87,9 @@ class CompletionConfig:
             raise ConfigurationError("target rank must be >= 1")
         if self.step <= 0:
             raise ConfigurationError("step size must be > 0")
+        if (isinstance(self.max_iters, bool) or not isinstance(self.max_iters, (int, np.integer))
+                or self.max_iters < 0):
+            raise ConfigurationError(f"max_iters must be an integer >= 0, got {self.max_iters!r}")
 
 
 @dataclass(frozen=True)
@@ -107,33 +110,46 @@ class CompletionResult:
         return float(self.residuals[-1]) if self.residuals.size else 0.0
 
 
-def _eigenvectors(gram):
+def _eigenvectors(gram, finite=False):
     """Eigenvectors of the symmetric ``gram`` in ascending eigenvalue order,
-    from one LAPACK dsyevd call on its lower triangle; LinAlgError where
-    LAPACK reports failure (info != 0), as numpy's eigh raises."""
-    vectors, info = lapack.dsyevd(gram, lower=1)[1:]
-    if info != 0:
-        raise np.linalg.LinAlgError("Eigenvalues did not converge")
-    return vectors
+    with np.linalg.eigh's bits and its LinAlgError.
+
+    eigh runs dsyevd on the lower triangle through the gufunc eigh_lo
+    inside an errstate that turns a LAPACK failure (NaN outputs, the
+    invalid flag) into LinAlgError; that errstate costs a fifteenth of an
+    SVP iteration.  So a gram known to be ``finite``, or whose squares sum
+    to a finite value, goes to the gufunc bare, and eigh itself takes any
+    other gram, or one on which LAPACK failed.  Where dsyevd fails on a
+    finite gram, the bare call also emits numpy's "invalid value
+    encountered in eigh_lo" RuntimeWarning before eigh raises; under
+    warnings-as-errors that warning is the exception.  eigh_lo is private
+    to numpy: test_eigenvectors_equal_numpy_eigh_bit_for_bit guards it.
+    """
+    if finite or math.isfinite(np.vdot(gram, gram)):
+        vectors = _umath_linalg.eigh_lo(gram)[1]
+        if vectors[0, 0] == vectors[0, 0]:  # not the NaN fill of a failure
+            return vectors
+    return np.linalg.eigh(gram)[1]
 
 
-def _rank_truncate(matrix, rank):
+def _rank_truncate(matrix, rank, finite=False):
     """Projection of ``matrix`` onto its top-``rank`` singular subspace,
     through the eigenvectors of the smaller Gram matrix.
 
-    The eigenvectors come from one dsyevd call through scipy
-    (_eigenvectors): the routine and triangle numpy's eigh uses, so the
-    bits are eigh's.  numpy's wrapper around that call cost a quarter of an
-    SVP iteration on a 10x10 Gram matrix.
+    The eigenvectors come from one dsyevd call (_eigenvectors): the
+    routine and triangle numpy's eigh uses, so the bits are eigh's.
+    numpy's wrapper around that call cost a quarter of an SVP iteration on
+    a 10x10 Gram matrix.
 
     Squaring the singular values limits the accuracy: the projection
     matches the truncated SVD to about eps * s_1^2 / (s_r^2 - s_{r+1}^2)
-    relative, so it needs s_r^2 - s_{r+1}^2 >> eps * s_1^2.
+    relative, so it needs s_r^2 - s_{r+1}^2 >> eps * s_1^2.  ``finite``
+    tells _eigenvectors that the Gram matrix is finite.
     """
     if matrix.shape[0] <= matrix.shape[1]:
-        u = _eigenvectors(matrix @ matrix.T)[:, -rank:]
+        u = _eigenvectors(matrix @ matrix.T, finite)[:, -rank:]
         return u @ (u.T @ matrix)
-    v = _eigenvectors(matrix.T @ matrix)[:, -rank:]
+    v = _eigenvectors(matrix.T @ matrix, finite)[:, -rank:]
     return (matrix @ v) @ v.T
 
 
@@ -160,7 +176,7 @@ def svp_complete(incomplete, config):
     target = incomplete.values
     unobserved = np.flatnonzero(~incomplete.observed)
     norm_obs = np.linalg.norm(target)
-    scale = norm_obs if norm_obs > 0 else 1.0
+    scale = float(norm_obs) if norm_obs > 0 else 1.0
 
     def masked_residual(x):
         # The masked residual of an iterate is both its observed residual
@@ -175,11 +191,18 @@ def svp_complete(incomplete, config):
     x = np.zeros((m, n))
     # The pre-projection iterate X - step * G; _rank_truncate returns a new array.
     y = np.empty((m, n))
-    gradient, best_res = masked_residual(x)
-    best_x, best_grad = x, gradient
+    gradient, res = masked_residual(x)
+    best_x, best_grad, best_res = x, gradient, res
+    # reach bounds ||X - step * G||_F, as a Python float: a projection does
+    # not lengthen its matrix, so each step adds at most step * ||G||, and
+    # reach never falls, so it also bounds a restart from the best iterate.
+    # No entry of a Gram matrix exceeds the squared norm, so below 1e150,
+    # 1e4 under the square root of the largest double, the Gram matrix is
+    # finite and _eigenvectors need not check it.
+    reach = 0.0
     prev_x = None
     prev_grad = None
-    residuals = np.empty(max(config.max_iters, 0))
+    residuals = np.empty(config.max_iters)
     prev = np.inf
     grow_streak = 0
     converged = False
@@ -194,8 +217,9 @@ def svp_complete(incomplete, config):
         prev_x, prev_grad = x, gradient
         np.multiply(gradient, step, out=y)
         np.subtract(x, y, out=y)
+        reach += float(step) * res * scale
         try:
-            x = _rank_truncate(y, config.rank)
+            x = _rank_truncate(y, config.rank, finite=reach < 1e150)
         except np.linalg.LinAlgError as exc:  # the iterate overflowed
             raise SolverError(
                 f"SVP iterate overflowed at iteration {iterations}; retry with a smaller step"

@@ -8,18 +8,53 @@ least-squares problem
 
 in closed form, alpha = (K + lambda N I)^-1 p, and predictions follow the
 kernel expansion d(phi) = sum_n alpha_n kappa(phi, phi_n).
+
+Squared distances are summed one coordinate at a time from the coordinate
+differences, in the order scipy's cdist sums them, and to its bits: equal
+columns are exactly 0 apart however far out they lie (a failed
+localization's estimates reach 1e17 m), and kernel(a, b) is kernel(b, a)
+transposed.
 """
 
 import json
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
-from scipy.spatial.distance import cdist
 
 from .errors import ConfigurationError, SolverError
 from .reduction import ReducedBasis, project
 from .scenario import keyword_args, read_json
+
+# Coordinate differences per block of the distance accumulation; a block
+# of 2**16 doubles (512 kB) stays in cache between its square and its sum.
+_BLOCK_PAIRS = 1 << 16
+
+
+def _sqdist(a, b):
+    """(na, nb) squared distances of the columns of a and b: the sum over
+    coordinates k of (a_k - b_k)^2, from k = 0 up.
+
+    The differences of a block of rows come from one product
+    [a_k 1] [1; -b_k] per coordinate.  Its products are exact and its sum
+    rounds once, so it gives the bits of a_k - b_k, faster than numpy's
+    broadcast subtraction.
+    """
+    (m, na), nb = a.shape, b.shape[1]
+    if b.shape[0] != m:
+        raise ValueError(f"columns of {m} and {b.shape[0]} coordinates")
+    rows = max(1, _BLOCK_PAIRS // max(nb, 1))
+    sq = np.zeros((na, nb))
+    right = np.ones((m, 2, nb))
+    np.negative(b, out=right[:, 1])
+    left = np.ones((m, min(rows, na), 2))
+    diff = np.empty((min(rows, na), nb))
+    for lo in range(0, na, rows):
+        block = sq[lo:lo + rows]
+        left[:, :len(block), 0] = a[:, lo:lo + rows]
+        for k in range(m):
+            d = np.matmul(left[k, :len(block)], right[k], out=diff[:len(block)])
+            block += np.square(d, out=d)
+    return sq
 
 
 @dataclass(frozen=True)
@@ -36,7 +71,7 @@ class GaussianKernel:
         """Pairwise kernel values for stacked feature columns: (na, nb)."""
         a = np.atleast_2d(np.asarray(cols_a, dtype=float))
         b = np.atleast_2d(np.asarray(cols_b, dtype=float))
-        sq = cdist(a.T, b.T, "sqeuclidean")
+        sq = _sqdist(a, b)
         # In place on the (na, nb) block; sq / -c has the bits of -sq / c.
         return np.exp(np.divide(sq, -(2.0 * self.sigma**2), out=sq), out=sq)
 
@@ -94,7 +129,7 @@ def fit(features, targets, kernel, lam, center_targets=False):
     system = gram + lam * n * np.eye(n)
     tol = 1e-8 * max(np.linalg.norm(rhs), 1.0)
     try:
-        alpha = cho_solve(cho_factor(system), rhs)
+        alpha = np.linalg.solve(system, rhs)
     except np.linalg.LinAlgError as exc:
         if lam == 0:
             raise SolverError(

@@ -108,6 +108,16 @@ def com_crosscorr(corr):
     return float(energy @ corr.lags / total)
 
 
+def difference_sqdist(cols_a, cols_b):
+    """Squared distances of every pair of columns, (na, nb): the squared
+    coordinate differences summed from the first coordinate up, the order
+    in which scipy's cdist sums them."""
+    sq = np.zeros((cols_a.shape[1], cols_b.shape[1]))
+    for row_a, row_b in zip(cols_a, cols_b):
+        sq += (row_a[:, None] - row_b[None, :]) ** 2
+    return sq
+
+
 def objective_value(fitted, features, targets):
     """Ridge objective (1/N)||p - K alpha||^2 + lambda alpha^T K alpha."""
     targets = np.asarray(targets, dtype=float) - fitted.target_mean

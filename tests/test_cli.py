@@ -1,5 +1,8 @@
 import json
+import os
 import shlex
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -729,3 +732,17 @@ def test_fit_on_an_empty_grid_exits_2(noise, tmp_path, capsys):
     cfg = _fit_config(tmp_path, grid_step=1000.0, measurement_noise=noise)
     assert run_cli("fit", "--config", str(cfg), "--out", str(tmp_path / "out")) == 2
     assert "evaluation grid is empty" in capsys.readouterr().err
+
+
+def test_locfree_loads_no_scipy():
+    """locfree runs on numpy alone: in a fresh interpreter, importing the
+    package, its CLI and every other module of it loads no scipy module."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = ("import importlib, pkgutil, sys, locfree, locfree.cli\n"
+            "for module in pkgutil.iter_modules(locfree.__path__):\n"
+            "    importlib.import_module('locfree.' + module.name)\n"
+            "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

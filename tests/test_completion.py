@@ -48,6 +48,21 @@ def test_completion_config_validation():
         CompletionConfig(rank=1, step=0.0)
 
 
+@pytest.mark.parametrize("max_iters", [-5, -1, 20.0, 2.5, True, "20", None])
+def test_max_iters_must_be_a_nonnegative_integer(max_iters):
+    """A negative or non-integer iteration limit is a ConfigurationError,
+    not a silent zero matrix (-5) or a numpy TypeError (20.0)."""
+    with pytest.raises(ConfigurationError, match="max_iters"):
+        CompletionConfig(rank=1, max_iters=max_iters)
+
+
+@pytest.mark.parametrize("max_iters", [0, 3, np.int64(3)])
+def test_max_iters_takes_zero_and_integers(max_iters):
+    inc = IncompleteFeatureMatrix(np.ones((3, 5)), np.ones((3, 5), bool))
+    result = svp_complete(inc, CompletionConfig(rank=1, max_iters=max_iters))
+    assert result.iterations <= max_iters
+
+
 def test_fully_observed_rank_one_recovered_immediately():
     rng = np.random.default_rng(0)
     truth = low_rank(rng, 6, 15, 1)
@@ -140,8 +155,9 @@ def test_observed_residual_monotone_with_unit_step():
     assert np.all(np.diff(res) <= 1e-12)
 
 
-def _svd_rank_truncate(matrix, rank):
-    """The truncated SVD, which the Gram projection replaces: the oracle."""
+def _svd_rank_truncate(matrix, rank, finite=False):
+    """The truncated SVD, which the Gram projection replaces: the oracle.
+    It takes _rank_truncate's arguments and needs no finiteness hint."""
     u, s, vt = np.linalg.svd(matrix, full_matrices=False)
     return (u[:, :rank] * s[:rank]) @ vt[:rank]
 
@@ -316,6 +332,29 @@ def test_overflowing_iterate_raises_solver_error():
     assert isinstance(caught.value.__cause__, np.linalg.LinAlgError)
 
 
+def test_gram_check_is_skipped_only_while_the_norm_bound_holds(monkeypatch):
+    """svp_complete tells _eigenvectors a Gram matrix is finite only while
+    its bound on ||X - step * G|| proves it: every Gram passed as finite
+    is finite, the early ones are passed so, and the overflowed one of
+    test_overflowing_iterate_raises_solver_error is checked."""
+    calls = []
+
+    def recording(gram, finite=False):
+        calls.append((finite, bool(np.all(np.isfinite(gram)))))
+        return _eigenvectors(gram, finite)
+
+    monkeypatch.setattr(completion, "_eigenvectors", recording)
+    rng = np.random.default_rng(5)
+    truth = low_rank(rng, 8, 40, 3) + 0.01 * rng.normal(size=(8, 40))
+    mask = rng.random(truth.shape) < 0.7
+    inc = IncompleteFeatureMatrix(np.where(mask, truth, 0.0), mask)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(SolverError, match="smaller step"):
+            svp_complete(inc, CompletionConfig(rank=3, step=1e40, adaptive_step=False))
+    assert all(is_finite for finite, is_finite in calls if finite)
+    assert calls[0] == (True, True) and calls[-1] == (False, False)
+
+
 def _masked_fig4_features():
     """The masked training features of an indoor-fig4 completion run at
     the middle threshold of the default sweep."""
@@ -329,16 +368,16 @@ def _masked_fig4_features():
 
 
 def test_eigenvectors_equal_numpy_eigh_bit_for_bit(monkeypatch):
-    """SVP takes its eigenvectors from one scipy dsyevd call because that
-    gives np.linalg.eigh's bits without numpy's wrapper.  Checked on the
-    Gram matrices of 200 SVP iterates of masked indoor-fig4 features and
-    on one tall-matrix Gram; a numpy or scipy whose LAPACK differs fails
-    here before the golden outputs move."""
+    """SVP takes its eigenvectors from numpy's gufunc eigh_lo, the dsyevd
+    call np.linalg.eigh wraps, because that gives eigh's bits without
+    eigh's wrapper.  Checked on the Gram matrices of 200 SVP iterates of
+    masked indoor-fig4 features and on one tall-matrix Gram; a numpy whose
+    gufunc departs from eigh fails here before the golden outputs move."""
     grams = []
 
-    def recording(gram):
+    def recording(gram, finite=False):
         grams.append(gram.copy())
-        return _eigenvectors(gram)
+        return _eigenvectors(gram, finite)
 
     monkeypatch.setattr(completion, "_eigenvectors", recording)
     incomplete = _masked_fig4_features()
@@ -349,6 +388,7 @@ def test_eigenvectors_equal_numpy_eigh_bit_for_bit(monkeypatch):
     assert len(grams) == 201 and grams[-1].shape == (6, 6)
     for gram in grams:
         assert np.array_equal(_eigenvectors(gram), np.linalg.eigh(gram)[1])
+        assert np.array_equal(_eigenvectors(gram, finite=True), np.linalg.eigh(gram)[1])
 
 
 def test_eigenvectors_raise_exactly_when_numpy_eigh_raises():

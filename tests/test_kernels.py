@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import objective_value
+from conftest import difference_sqdist, objective_value
 from locfree import kernels
 from locfree.errors import SolverError
 from locfree.kernels import (
@@ -53,10 +53,63 @@ def test_gram_symmetric_psd_matches_elementwise():
     k = gram_matrix(f, kernel)
     assert np.allclose(k, k.T, atol=1e-15)
     assert np.linalg.eigvalsh(k).min() >= -1e-10
-    for i in range(5):
-        for j in range(5):
-            d2 = np.sum((f[:, i] - f[:, j]) ** 2)
-            assert k[i, j] == pytest.approx(np.exp(-d2 / (2 * 1.2**2)), rel=1e-12)
+    assert np.allclose(k, np.exp(-difference_sqdist(f, f) / (2 * 1.2**2)), rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("m,sigma", [(2, 0.5), (2, 9.0), (4, 85.0), (10, 37.0)])
+def test_kernel_matches_difference_distances_in_region(m, sigma):
+    """In-region columns (0-20 m coordinates) at the kernel widths of the
+    presets, over blocks of the distance accumulation and a part block:
+    the kernel has the difference oracle's bits."""
+    rng = np.random.default_rng(m)
+    a = rng.uniform(0.0, 20.0, size=(m, 300))
+    b = rng.uniform(0.0, 20.0, size=(m, 400))
+    b[:, :10] = a[:, :10]
+    k = GaussianKernel(sigma)(a, b)
+    assert np.array_equal(k, np.exp(np.divide(difference_sqdist(a, b), -2 * sigma**2)))
+    assert np.all(k[np.arange(10), np.arange(10)] == 1.0)
+    assert np.count_nonzero(k > 1e-3) > 100
+
+
+@pytest.mark.parametrize("shape", [(1, 1, 300), (2, 300, 1), (4, 1, 300), (10, 300, 2375),
+                                   (45, 30, 40)])
+def test_distances_equal_cdist_bit_for_bit(shape):
+    """The kernel's squared distances are scipy's sqeuclidean cdist, bit
+    for bit, at the feature counts of the presets and across blocks, with
+    far-out and NaN columns; unequal coordinate counts are a ValueError,
+    as in cdist."""
+    distance = pytest.importorskip("scipy.spatial.distance")
+    m, na, nb = shape
+    rng = np.random.default_rng(na + nb)
+    a = rng.uniform(-40.0, 40.0, size=(m, na)) * 10.0 ** rng.integers(-3, 17, size=na)
+    b = rng.uniform(-40.0, 40.0, size=(m, nb))
+    b[:, -1] = np.nan
+    assert np.array_equal(kernels._sqdist(a, b), distance.cdist(a.T, b.T, "sqeuclidean"),
+                          equal_nan=True)
+    with pytest.raises(ValueError):
+        GaussianKernel(1.0)(a, b[:-1] if m > 1 else np.ones((2, nb)))
+
+
+@pytest.mark.parametrize("order", ["far-in-a", "far-in-b"])
+def test_far_out_columns_take_difference_distances(order):
+    """Location estimates of a failed localization lie 1e8-1e17 m out.
+    Equal far-out columns keep kernel exactly 1, distinct ones 0, and one
+    0.3 m from another at 1e8 m its difference distance; a NaN column in
+    the same call stays NaN and leaves the others alone."""
+    far = np.array([[1e16, 1e16, -1e16, 1e8, 1e8 + 0.3, 5.0, np.nan],
+                    [1e16, 1e16, 1e16, 2e8, 2e8, 5.0, 0.0]])
+    inside = np.array([[1e16, 1e8, 5.0, 3.0], [1e16, 2e8, 5.0, 4.0]])
+    kernel = GaussianKernel(0.5)
+    a, b = (far, inside) if order == "far-in-a" else (inside, far)
+    k = kernel(a, b)
+    oracle = np.exp(np.divide(difference_sqdist(a, b), -0.5))
+    assert np.array_equal(k, oracle, equal_nan=True)
+    k = k if order == "far-in-a" else k.T
+    assert np.all(k[:2, 0] == 1.0) and k[2, 0] == 0.0
+    assert np.all(k[:3, 1:] == 0.0) and np.all(k[3:6, 0] == 0.0)
+    assert k[3, 1] == 1.0 and k[4, 1] == pytest.approx(np.exp(-0.09 / 0.5), rel=1e-7)
+    assert np.all(np.isnan(k[6]))
+    assert np.array_equal(gram_matrix(far[:, :6], kernel)[:2, :2], np.ones((2, 2)))
 
 
 def test_gram_rejects_nonfinite_features():
@@ -88,15 +141,15 @@ def test_fit_lambda_zero_singular_advises_regularization():
         fit(features, np.array([1.0, 2.0]), GaussianKernel(1.0), lam=0.0)
 
 
-def _failing_cho_factor(*args, **kwargs):
-    raise np.linalg.LinAlgError("not positive definite")
+def _failing_solve(*args, **kwargs):
+    raise np.linalg.LinAlgError("Singular matrix")
 
 
-def test_fit_falls_back_to_lstsq_when_cholesky_fails(monkeypatch):
+def test_fit_falls_back_to_lstsq_when_solve_fails(monkeypatch):
     rng = np.random.default_rng(4)
     features, targets, kernel = _random_instance(rng, n=60, m=3)
     lam = 1e-3
-    monkeypatch.setattr(kernels, "cho_factor", _failing_cho_factor)
+    monkeypatch.setattr(kernels.np.linalg, "solve", _failing_solve)
     fitted = fit(features, targets, kernel, lam)
     system = gram_matrix(features, kernel) + lam * targets.size * np.eye(targets.size)
     expected, *_ = np.linalg.lstsq(system, targets, rcond=None)
@@ -112,7 +165,7 @@ def test_fit_fallback_runs_lstsq_once_before_raising(monkeypatch):
         calls.append(1)
         return np.zeros_like(b), None, None, None
 
-    monkeypatch.setattr(kernels, "cho_factor", _failing_cho_factor)
+    monkeypatch.setattr(kernels.np.linalg, "solve", _failing_solve)
     monkeypatch.setattr(kernels.np.linalg, "lstsq", poor_lstsq)
     with pytest.raises(SolverError, match="did not reach the required residual"):
         fit(features, targets, kernel, lam=1e-3)
