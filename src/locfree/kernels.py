@@ -77,14 +77,12 @@ class GaussianKernel:
 
 
 def gram_matrix(features, kernel):
-    """Symmetric positive semidefinite N x N kernel matrix (unit diagonal)."""
+    """Symmetric positive semidefinite N x N kernel matrix (unit diagonal),
+    exactly so: _sqdist rounds a_j - a_i to -(a_i - a_j)."""
     features = np.asarray(features, dtype=float)
     if not np.all(np.isfinite(features)):
         raise ValueError("features must be finite")
-    gram = kernel(features, features)
-    gram = 0.5 * (gram + gram.T)
-    np.fill_diagonal(gram, 1.0)
-    return gram
+    return kernel(features, features)
 
 
 @dataclass(frozen=True)

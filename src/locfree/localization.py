@@ -8,10 +8,12 @@ d_1 = ||x - a_1||,
 
     2 (a_l - a_1)^T x - 2 r_l d_1 = ||a_l||^2 - ||a_1||^2 - r_l^2 ,
 
-a linear system solved by least squares.  The squared system amplifies
-measurement error and ignores the coupling d_1 = ||x - a_1||, so the
-linear solution only initializes an iteratively reweighted Gauss-Newton
-descent on the raw range-difference residuals
+a linear system whose 3 x 3 normal equations are solved by Cramer's rule,
+so its bits, which the descent below carries on, do not depend on the
+host's BLAS kernels.  The squared system amplifies measurement error and
+ignores the coupling d_1 = ||x - a_1||, so the linear solution only
+initializes an iteratively reweighted Gauss-Newton descent on the raw
+range-difference residuals
 
     g_l(x) = ||x - a_1|| - ||x - a_l|| - r_l ,
 
@@ -309,6 +311,32 @@ def _batch_gauss_newton(xy, a0, others, r, weights, center, tau, steps=12):
     return np.stack([out_x, out_y], axis=1), out_cost
 
 
+def _linear_start(pos, diffs):
+    """The linear start (n, 2), NaN where the svd finds the system
+    rank-deficient, and the rows (n,) where it does not.
+
+    Cramer's rule in elementwise operations (einsum uses numpy's own
+    loops, not BLAS) on the Gram's upper triangle: x_i = sum_j rhs_j C_ij
+    / det, C the symmetric cofactor matrix.
+    """
+    a0, others = pos[0], pos[1:]
+    n = diffs.shape[0]
+    a_cols = np.broadcast_to(2.0 * (others - a0), (n,) + others.shape)
+    a = np.concatenate([a_cols, -2.0 * diffs[:, :, None]], axis=2)
+    b = (np.sum(others**2, axis=1) - np.sum(a0**2))[None, :] - diffs**2
+    s = np.linalg.svd(a, compute_uv=False)
+    solvable = s[:, -1] > 1e-9 * s[:, 0]
+    gram = np.moveaxis(np.einsum("npi,npj->nij", a, a), 0, -1)
+    g00, g01, g02, g11, g12, g22 = gram[np.triu_indices(3)]
+    r0, r1, r2 = np.einsum("npi,np->ni", a, b).T
+    c00, c01, c02 = g11 * g22 - g12 * g12, g02 * g12 - g01 * g22, g01 * g12 - g02 * g11
+    c11, c12 = g00 * g22 - g02 * g02, g01 * g02 - g00 * g12
+    det = np.where(solvable, g00 * c00 + g01 * c01 + g02 * c02, np.nan)
+    x = (r0 * c00 + r1 * c01 + r2 * c02) / det
+    y = (r0 * c01 + r1 * c11 + r2 * c12) / det
+    return np.stack([x, y], axis=1), solvable
+
+
 def _srdls_batch(pos, diffs):
     """Vectorized iteratively reweighted range-difference localization.
 
@@ -317,10 +345,12 @@ def _srdls_batch(pos, diffs):
     Returns estimates (n, 2) with NaN rows for rank-deficient systems, and
     the final data costs (n,).
 
-    The 2 + L starts (linear solve, anchor centroid, each anchor + 0.5) are
-    stacked as rows of one batch, one _batch_gauss_newton call per round, in
-    blocks of _BLOCK_ROWS points.  Per point the start of least cost wins,
-    the earliest on a tie; a NaN cost never wins.
+    The 2 + L starts (the linear start, a 3 x 3 normal-equation solve by
+    Cramer's rule whose bits do not depend on the host; the anchor
+    centroid; each anchor + 0.5) are stacked as rows of one batch, one
+    _batch_gauss_newton call per round, in blocks of _BLOCK_ROWS points.
+    Per point the start of least cost wins, the earliest on a tie; a NaN
+    cost never wins.
     """
     n = diffs.shape[0]
     if n > _BLOCK_ROWS:
@@ -328,18 +358,9 @@ def _srdls_batch(pos, diffs):
         return tuple(np.concatenate(part) for part in zip(*blocks))
     a0 = pos[0]
     others = pos[1:]
-    # Linear squared-range-difference init.
-    a_cols = np.broadcast_to(2.0 * (others - a0), (n,) + others.shape)
-    a = np.concatenate([a_cols, -2.0 * diffs[:, :, None]], axis=2)
-    b = (np.sum(others**2, axis=1) - np.sum(a0**2))[None, :] - diffs**2
-    s = np.linalg.svd(a, compute_uv=False)
-    solvable = s[:, -1] > 1e-9 * s[:, 0]
+    linear, solvable = _linear_start(pos, diffs)
     if not np.any(solvable):
         return np.full((n, 2), np.nan), np.full(n, np.nan)
-    gram = np.einsum("npi,npj->nij", a, a)
-    gram[~solvable] = np.eye(3)
-    rhs = np.einsum("npi,np->ni", a, b)
-    linear = np.linalg.solve(gram, rhs[:, :, None])[:, :2, 0]
     centroid = pos.mean(axis=0)
     starts = [linear, np.broadcast_to(centroid, (n, 2))]
     starts += [np.broadcast_to(p + 0.5, (n, 2)) for p in pos]

@@ -56,6 +56,23 @@ def test_gram_symmetric_psd_matches_elementwise():
     assert np.allclose(k, np.exp(-difference_sqdist(f, f) / (2 * 1.2**2)), rtol=1e-12, atol=0)
 
 
+@pytest.mark.parametrize("scale", [1.0, 30.0, 1e8])
+@pytest.mark.parametrize("m", [2, 4, 10])
+def test_gram_is_the_kernel_exactly_symmetric_with_unit_diagonal(m, scale):
+    """gram_matrix returns kernel(f, f) as it is: that matrix is already
+    exactly symmetric with an exact unit diagonal, duplicate columns
+    included, at in-region and far-out scales."""
+    rng = np.random.default_rng(m)
+    f = rng.normal(scale=scale, size=(m, 300))
+    f[:, 150:160] = f[:, :10]
+    kernel = GaussianKernel(1.2 * scale)
+    k = gram_matrix(f, kernel)
+    assert np.array_equal(k, kernel(f, f))
+    assert np.array_equal(k, k.T)
+    assert np.all(np.diag(k) == 1.0)
+    assert np.all(k[np.arange(10), np.arange(150, 160)] == 1.0)
+
+
 @pytest.mark.parametrize("m,sigma", [(2, 0.5), (2, 9.0), (4, 85.0), (10, 37.0)])
 def test_kernel_matches_difference_distances_in_region(m, sigma):
     """In-region columns (0-20 m coordinates) at the kernel widths of the

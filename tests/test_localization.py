@@ -1,3 +1,9 @@
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -152,6 +158,37 @@ def test_srdls_two_usable_rows_are_rank_deficient():
     assert srdls_localize(anchors, diffs) is None
 
 
+def test_linear_start_matches_lapack_solve():
+    """The closed-form start equals a LAPACK solve of the same normal
+    equations to 1e-9 relative on well-conditioned rows, and rows the svd
+    test marks rank-deficient (range differences that are a linear map of
+    the anchor offsets) start at NaN."""
+    rng = np.random.default_rng(17)
+    for count in (4, 5, 7):
+        pos = random_anchors(rng, count).positions
+        a0, others = pos[0], pos[1:]
+        truth = rng.uniform((2.0, 2.0), (58.0, 38.0), (200, 2))
+        d = np.linalg.norm(truth[:, None, :] - pos[None], axis=2)
+        diffs = d[:, :1] - d[:, 1:] + rng.normal(0.0, 0.5, (200, count - 1))
+        diffs[::10] = rng.normal(size=(20, 2)) @ (others - a0).T
+        start, solvable = localization._linear_start(pos, diffs)
+        a = np.concatenate([np.broadcast_to(2.0 * (others - a0), (200, count - 1, 2)),
+                            -2.0 * diffs[:, :, None]], axis=2)
+        s = np.linalg.svd(a, compute_uv=False)
+        assert np.array_equal(solvable, s[:, -1] > 1e-9 * s[:, 0])
+        assert not solvable[::10].any() and solvable.sum() == 180
+        assert np.all(np.isnan(start[~solvable]))
+        b = (np.sum(others**2, axis=1) - np.sum(a0**2)) - diffs**2
+        gram = np.einsum("npi,npj->nij", a, a)
+        rhs = np.einsum("npi,np->ni", a, b)
+        well = solvable.copy()
+        well[solvable] = np.linalg.cond(gram[solvable]) < 1e6
+        assert well.sum() >= 150
+        want = np.linalg.solve(gram[well], rhs[well][:, :, None])[:, :2, 0]
+        err = np.linalg.norm(start[well] - want, axis=1)
+        assert np.all(err <= 1e-9 * np.linalg.norm(want, axis=1))
+
+
 def test_multipath_corrupted_tdoas_stay_finite(indoor):
     rng = np.random.default_rng(6)
     anchors = AnchorSet.from_scenario(indoor)
@@ -279,20 +316,13 @@ def _reference_srdls_batch(pos, diffs):
     """SRD-LS with one Gauss-Newton batch per start, the starts taken in
     turn, and residuals from np.linalg.norm over (x, y) pairs.  The oracle
     for the stacked starts of _srdls_batch, which must reproduce it bit for
-    bit."""
+    bit.  It takes the linear start from _linear_start, as _srdls_batch
+    does; test_linear_start_matches_lapack_solve checks that one alone."""
     a0, others = pos[0], pos[1:]
     n = diffs.shape[0]
-    a_cols = np.broadcast_to(2.0 * (others - a0), (n,) + others.shape)
-    a = np.concatenate([a_cols, -2.0 * diffs[:, :, None]], axis=2)
-    b = (np.sum(others**2, axis=1) - np.sum(a0**2))[None, :] - diffs**2
-    s = np.linalg.svd(a, compute_uv=False)
-    solvable = s[:, -1] > 1e-9 * s[:, 0]
+    linear, solvable = localization._linear_start(pos, diffs)
     if not np.any(solvable):
         return np.full((n, 2), np.nan), np.full(n, np.nan)
-    gram = np.einsum("npi,npj->nij", a, a)
-    gram[~solvable] = np.eye(3)
-    rhs = np.einsum("npi,np->ni", a, b)
-    linear = np.linalg.solve(gram, rhs[:, :, None])[:, :2, 0]
     centroid = pos.mean(axis=0)
     starts = [linear, np.broadcast_to(centroid, (n, 2))]
     starts += [np.broadcast_to(p + 0.5, (n, 2)) for p in pos]
@@ -353,6 +383,49 @@ def test_stacked_starts_match_per_start_reference(name, bandwidth, walls, dead, 
     xy_ref, cost_ref = localize_batch(AnchorSet.from_scenario(scn), pilots, scn.sample_period)
     assert np.array_equal(xy, xy_ref, equal_nan=True)
     assert np.array_equal(cost, cost_ref, equal_nan=True)
+
+
+_CHILD_LOCALIZE = """
+import sys
+import numpy as np
+from locfree.localization import AnchorSet, localize_batch
+from locfree.scenario import preset
+stacks = np.load(sys.argv[1])
+out = {}
+for walls in (0, 5):
+    scn = preset("indoor-dense", bandwidth_hz=200e6, wall_count=walls)
+    out[f"xy{walls}"], out[f"cost{walls}"] = localize_batch(
+        AnchorSet.from_scenario(scn), stacks[f"pilots{walls}"], scn.sample_period)
+np.savez(sys.argv[2], **out)
+"""
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                    reason="OPENBLAS_CORETYPE=Nehalem names an x86-64 kernel set")
+def test_localize_batch_bits_do_not_depend_on_the_blas_kernels(tmp_path):
+    """A child process whose OpenBLAS runs its Nehalem kernels localizes
+    noisy 200 MHz rows at 0 and 5 walls to the bits of this process's
+    kernels: estimates and residuals, NaN rows included."""
+    stacks, want = {}, {}
+    for walls in (0, 5):
+        scn = preset("indoor-dense", bandwidth_hz=200e6, wall_count=walls)
+        rng = np.random.default_rng(40 + walls)
+        tables = simulate_points(scn, sample_sensor_locations(scn, 400, rng))
+        pilots = tables.channels + pilot_noise(scn, tables.channels.shape, rng)
+        stacks[f"pilots{walls}"] = pilots
+        want[f"xy{walls}"], want[f"cost{walls}"] = localize_batch(
+            AnchorSet.from_scenario(scn), pilots, scn.sample_period)
+    np.savez(tmp_path / "pilots.npz", **stacks)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_CORETYPE="Nehalem", OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-c", _CHILD_LOCALIZE, str(tmp_path / "pilots.npz"), str(tmp_path / "got.npz")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    got = np.load(tmp_path / "got.npz")
+    for key, value in want.items():
+        assert np.array_equal(got[key], value, equal_nan=True), key
 
 
 def test_earliest_start_wins_a_tie_and_nan_never_wins(monkeypatch):
