@@ -33,7 +33,7 @@ for k, tap in enumerate(taps):
     bar = "#" * int(60 * abs(tap) / np.abs(taps).max())
     print(f"  k={k:2d}  {abs(tap):.3e}  {bar}")
 
-rng = np.random.default_rng(scenario.seed)
+rng = np.random.default_rng(0)
 pilot = synthesize_pilot_matrix(scenario, rx, rng)
 print(f"\nreceived pilot matrix: {pilot.shape[0]} x {pilot.shape[1]} "
       f"(rows are per-transmitter noisy impulse responses)")

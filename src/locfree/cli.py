@@ -84,11 +84,9 @@ def _experiment_config(doc, **overrides):
 
 def cmd_scenario(args):
     if args.preset is not None:
-        scn = preset(args.preset, seed=args.seed or 0)
+        scn = preset(args.preset)
         name = args.preset
     else:
-        if args.seed is not None:
-            raise ConfigurationError("--seed applies only to --preset, not to --config")
         scn = _scenario_from_config(read_json(args.config))
         name = os.path.splitext(os.path.basename(args.config))[0]
     out = args.out or "."
@@ -227,9 +225,10 @@ def _build_parser():
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", help="output directory")
-    common.add_argument("--seed", type=int, default=None, help="RNG seed override")
     common.add_argument("--verbose", action="store_true")
-    configured = argparse.ArgumentParser(add_help=False, parents=[common])
+    seeded = argparse.ArgumentParser(add_help=False, parents=[common])
+    seeded.add_argument("--seed", type=int, default=None, help="RNG seed override")
+    configured = argparse.ArgumentParser(add_help=False, parents=[seeded])
     configured.add_argument("--config", required=True, help="JSON config path")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -247,7 +246,7 @@ def _build_parser():
     p.add_argument("--points", help="CSV of x,y query points (default: whole grid)")
     p.set_defaults(func=cmd_predict)
 
-    p = sub.add_parser("experiment", parents=[common], help="run a named preset or config")
+    p = sub.add_parser("experiment", parents=[seeded], help="run a named preset or config")
     p.add_argument("name", help="preset name or config path")
     p.add_argument("--runs", type=int, default=None, help="Monte Carlo run count")
     p.add_argument("--jobs", type=int, default=None, help="parallel workers (Monte Carlo only)")

@@ -124,9 +124,11 @@ class ExperimentConfig:
             raise ConfigurationError(f"eta must lie in (0, 1], got {self.eta}")
         if not self.gamma_dbw < np.inf:  # NaN or +inf would mask every feature
             raise ConfigurationError(f"gamma_dbw must be finite or -inf, got {self.gamma_dbw}")
-        for name in ("grid_step", "mu"):
-            if not getattr(self, name) > 0.0:
-                raise ConfigurationError(f"{name} must be > 0, got {getattr(self, name)}")
+        for name in ("grid_step", "sigma", "sigma_loc", "mu", "lam", "lam_loc"):
+            value, ridge = getattr(self, name), name.startswith("lam")
+            if not (0.0 <= value < np.inf and (ridge or value > 0.0)):  # NaN fails too
+                raise ConfigurationError(
+                    f"{name} must be finite and {'>=' if ridge else '>'} 0, got {value}")
         n_pairs = len(features.pair_indices(self.scenario.n_transmitters))
         for name in ("rank", "n_features"):
             value = getattr(self, name)
@@ -474,16 +476,17 @@ def run_experiments(configs, grid, jobs=1):
     (same scenario, seed + run index, N and noise options) read it drawn
     once.  ``grid`` is the configs' PrecomputedGrid; sharing it amortizes
     the scenario tables, and the rows its AnchorSet solves, across configs.
-    With ``jobs`` > 1 one pool serves the call: each worker gets the grid
-    once, and a task is one run index of every config.  A serial call
-    releases the held world on return, so a finished sweep keeps no world.
+    With ``jobs`` > 1 one pool of at most one worker per run index serves
+    the call: each worker gets the grid once, and a task is one run index
+    of every config.  A serial call releases the held world on return, so
+    a finished sweep keeps no world.
     """
     global _held
     configs = list(configs)
     indices = range(max(config.runs for config in configs))
     if jobs > 1:
         with ProcessPoolExecutor(
-            max_workers=jobs, initializer=_set_worker_grid, initargs=(grid,)
+            max_workers=min(jobs, len(indices)), initializer=_set_worker_grid, initargs=(grid,)
         ) as pool:
             by_run = list(pool.map(_run_in_worker, [(configs, i) for i in indices]))
     else:
@@ -499,8 +502,3 @@ def run_experiment(config, grid, jobs=1):
     """Monte Carlo NMSE of one estimator configuration: run_experiments of
     the one config."""
     return run_experiments([config], grid, jobs)[0]
-
-
-def pooled_std(result_a, result_b):
-    """Pooled spread of two run sets: sqrt((std_a^2 + std_b^2) / 2)."""
-    return float(np.sqrt((result_a.std**2 + result_b.std**2) / 2.0))

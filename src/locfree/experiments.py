@@ -3,15 +3,12 @@
 Each preset reproduces one figure-style study of the toolkit at desk
 scale: maps, feature maps, NMSE sweeps over measurement count, wall
 count, feature count, reduced rank, and the missing-feature threshold.
-Hyperparameters are embedded so presets run without tuning; per-bandwidth
-values live in PARAM tables below.
-
-The location-based baseline ships with two parameter sets: the historical
-defaults (``LOCB_REFERENCE``) and values re-tuned on this simulator
-(``LOCB_TUNED``, used by the NMSE sweeps so the baseline is compared at
-its best; tuned runs regress centered targets so that query points
-isolated in feature space fall back to the training mean instead of an
-arbitrary 0 dBW).
+The Monte Carlo presets take their kernel widths and ridge weights from
+the per-bandwidth ``*_TUNED`` tables below, fitted to this simulator so
+that both estimators are compared at their best; their location-based
+runs regress centered targets, so that query points isolated in feature
+space fall back to the training mean instead of an arbitrary 0 dBW.
+``fig4-maps`` renders with ExperimentConfig's defaults.
 """
 
 import itertools
@@ -33,17 +30,8 @@ from .evaluation import (
 from .propagation import pilot_noise
 from .scenario import preset as scenario_preset
 
-# Per-bandwidth kernel parameters (sigma in meters, lambda dimensionless).
-# REFERENCE tables carry the historical defaults; TUNED tables were
-# re-tuned on this simulator at the nominal indoor scenario, N=300
-# (at 200 MHz the reference feature-map values are already optimal here).
-LOCF_REFERENCE = {
-    20e6: (ExperimentConfig.sigma, ExperimentConfig.lam),
-    50e6: (27.0, 3.81e-4),
-    100e6: (41.0, 6.1e-5),
-    200e6: (53.0, 1.1e-5),
-    700e6: (28.0, 5e-4),
-}
+# Per-bandwidth kernel parameters (sigma in meters, lambda dimensionless),
+# chosen at the nominal indoor scenario, N=300.
 LOCF_TUNED = {
     20e6: (85.0, 6e-5),
     50e6: (70.0, 6e-5),
@@ -51,14 +39,6 @@ LOCF_TUNED = {
     200e6: (53.0, 1.1e-5),
     700e6: (40.0, 1e-4),
 }
-LOCB_REFERENCE = {
-    20e6: (ExperimentConfig.sigma_loc, ExperimentConfig.lam_loc),
-    50e6: (10.1, 1.8e-3),
-    100e6: (8.9, 9.1e-4),
-    200e6: (9.0, 7.1e-4),
-    700e6: (7.0, 2.1e-4),
-}
-# Baseline re-tuned on this simulator (see module docstring).
 LOCB_TUNED = {
     20e6: (5.0, 3e-4),
     50e6: (5.0, 3e-4),
@@ -71,24 +51,17 @@ DEFAULT_RUNS = 20
 _GAMMA_QUANTILES = (0.25, 0.4, 0.55)
 
 
-def _locf_config(scenario, tuned=True, **overrides):
-    table = LOCF_TUNED if tuned else LOCF_REFERENCE
-    sigma, lam = table.get(scenario.bandwidth_hz, table[20e6])
+def _locf_config(scenario, **overrides):
+    sigma, lam = LOCF_TUNED.get(scenario.bandwidth_hz, LOCF_TUNED[20e6])
     base = dict(scenario=scenario, estimator="locf", sigma=sigma, lam=lam)
     base.update(overrides)
     return ExperimentConfig(**base)
 
 
-def _locb_config(scenario, tuned=True, **overrides):
-    table = LOCB_TUNED if tuned else LOCB_REFERENCE
-    sigma_loc, lam_loc = table.get(scenario.bandwidth_hz, table[20e6])
-    base = dict(
-        scenario=scenario,
-        estimator="locb",
-        sigma_loc=sigma_loc,
-        lam_loc=lam_loc,
-        center_targets=tuned,
-    )
+def _locb_config(scenario, **overrides):
+    sigma_loc, lam_loc = LOCB_TUNED.get(scenario.bandwidth_hz, LOCB_TUNED[20e6])
+    base = dict(scenario=scenario, estimator="locb", sigma_loc=sigma_loc, lam_loc=lam_loc,
+                center_targets=True)
     base.update(overrides)
     return ExperimentConfig(**base)
 
@@ -129,15 +102,15 @@ def _render_single_fit(config, grid, out_dir, tag):
 
 def run_fig4_maps(out_dir, seed=0):
     """True map plus feature-based and location-based estimates, N=300."""
-    scenario = scenario_preset("indoor-fig4", seed=seed)
+    scenario = scenario_preset("indoor-fig4")
     grid = precompute_grid(scenario)
     io.write_truth_csv(grid, os.path.join(out_dir, "true_map.csv"))
     io.write_pgm(grid, grid.truth, os.path.join(out_dir, "true_map.pgm"))
     summary = {"scenario": "indoor-fig4", "n_train": 300, "seed": seed}
-    cfg_f = _locf_config(scenario, tuned=False, n_train=300, runs=1, seed=seed)
+    cfg_f = ExperimentConfig(scenario, n_train=300, runs=1, seed=seed)
     _, _, nmse_f = _render_single_fit(cfg_f, grid, out_dir, "locf")
     summary["locf_nmse"] = nmse_f
-    cfg_b = _locb_config(scenario, tuned=False, n_train=300, runs=1, seed=seed)
+    cfg_b = ExperimentConfig(scenario, estimator="locb", n_train=300, runs=1, seed=seed)
     world, model, nmse_b = _render_single_fit(cfg_b, grid, out_dir, "locb")
     summary["locb_nmse"] = nmse_b
     io.write_location_csv(
@@ -149,7 +122,7 @@ def run_fig4_maps(out_dir, seed=0):
 
 def run_fig5_featuremaps(out_dir, seed=0):
     """Maps of the M = L(L-1)/2 pairwise features over the whole region."""
-    scenario = scenario_preset("indoor-fig4", seed=seed)
+    scenario = scenario_preset("indoor-fig4")
     grid = precompute_grid(scenario)
     rng = np.random.default_rng(seed)
     pilots = grid.channels + pilot_noise(scenario, grid.channels.shape, rng)
@@ -166,7 +139,7 @@ def run_fig5_featuremaps(out_dir, seed=0):
 
 def _nmse_vs_n(runs, seed):
     """Feature-based vs location-based NMSE over the measurement count."""
-    scenario = scenario_preset("indoor-fig4", seed=seed)
+    scenario = scenario_preset("indoor-fig4")
     entries = []
     for n in (100, 150, 200, 300):
         entries.append((f"locf_n{n}", _locf_config(scenario, n_train=n, runs=runs, seed=seed)))
@@ -179,7 +152,7 @@ def _nmse_vs_walls(runs, seed):
     common = dict(n_train=300, runs=runs, seed=seed)
     entries = []
     for walls in range(6):
-        scenario = scenario_preset("indoor-dense", bandwidth_hz=200e6, wall_count=walls, seed=seed)
+        scenario = scenario_preset("indoor-dense", bandwidth_hz=200e6, wall_count=walls)
         entries.append((f"locf_w{walls}", _locf_config(scenario, **common)))
         entries.append((f"locb_w{walls}", _locb_config(scenario, **common)))
     return entries
@@ -187,7 +160,7 @@ def _nmse_vs_walls(runs, seed):
 
 def _nmse_vs_m(runs, seed):
     """NMSE over the number of raw features used (random subsets per run)."""
-    scenario = scenario_preset("indoor-fig4", seed=seed)
+    scenario = scenario_preset("indoor-fig4")
     return [
         (f"locf_m{m}_n{n}", _locf_config(scenario, n_train=n, runs=runs, seed=seed, n_features=m))
         for n in (150, 300)
@@ -197,7 +170,7 @@ def _nmse_vs_m(runs, seed):
 
 def _reduced(runs, seed):
     """Full features vs rank-reduced features on the denser indoor scenario."""
-    scenario = scenario_preset("indoor-dense", seed=seed)
+    scenario = scenario_preset("indoor-dense")
     common = dict(n_train=300, runs=runs, seed=seed)
     return [("locf_full", _locf_config(scenario, **common))] + [
         (f"locf_r{rank}", _locf_config(scenario, estimator="locf_reduced", rank=rank, **common))
@@ -224,7 +197,7 @@ def _missing(runs, seed, gamma_sweep=None, diagnostics_dir=None, grids=None):
     """
     if gamma_sweep is not None and not np.all(np.isfinite(gamma_sweep)):
         raise ConfigurationError(f"gamma_sweep thresholds must be finite, got {list(gamma_sweep)}")
-    scenario = scenario_preset("indoor-fig4", seed=seed)
+    scenario = scenario_preset("indoor-fig4")
     grid = precompute_grid(scenario)
     if grids is not None:
         grids[id(scenario)] = grid

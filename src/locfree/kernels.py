@@ -64,8 +64,8 @@ class GaussianKernel:
     sigma: float
 
     def __post_init__(self):
-        if self.sigma <= 0:
-            raise ValueError("kernel bandwidth sigma must be > 0")
+        if not 0.0 < self.sigma < np.inf:
+            raise ValueError(f"kernel bandwidth sigma must be finite and > 0, got {self.sigma}")
 
     def __call__(self, cols_a, cols_b):
         """Pairwise kernel values for stacked feature columns: (na, nb)."""
@@ -118,8 +118,8 @@ def fit(features, targets, kernel, lam, center_targets=False):
         raise ValueError("features must be (M, N) with N matching len(targets)")
     if not (np.all(np.isfinite(features)) and np.all(np.isfinite(targets))):
         raise ValueError("training data must be finite (complete features only)")
-    if lam < 0:
-        raise ValueError("lambda must be >= 0")
+    if not 0.0 <= lam < np.inf:
+        raise ValueError(f"lambda must be finite and >= 0, got {lam}")
     n = targets.shape[0]
     mean = float(np.mean(targets)) if center_targets else 0.0
     rhs = targets - mean
@@ -134,9 +134,10 @@ def fit(features, targets, kernel, lam, center_targets=False):
                 "Gram matrix is numerically singular; use lambda > 0"
             ) from exc
         alpha = None
-    if alpha is None or np.linalg.norm(system @ alpha - rhs) > tol:
+    # "not <=": a NaN residual fails
+    if alpha is None or not np.linalg.norm(system @ alpha - rhs) <= tol:
         alpha, *_ = np.linalg.lstsq(system, rhs, rcond=None)
-        if np.linalg.norm(system @ alpha - rhs) > tol:
+        if not np.linalg.norm(system @ alpha - rhs) <= tol:
             if lam == 0:
                 raise SolverError("Gram matrix is numerically singular; use lambda > 0")
             raise SolverError("ridge system solve did not reach the required residual")

@@ -81,8 +81,6 @@ class Scenario:
     bandwidth_hz -- pilot bandwidth B; the sample period is T = 1/B
     num_samples  -- K, taps per channel / samples per pilot row
     noise_variance -- sigma_w^2, watts per complex pilot sample
-    seed     -- a label saved with the scenario; no draw reads it (runs
-                are seeded by ExperimentConfig.seed)
     """
 
     region: tuple
@@ -92,7 +90,6 @@ class Scenario:
     bandwidth_hz: float = 20e6
     num_samples: int = 10
     noise_variance: float = 1e-10
-    seed: int = 0
 
     def __post_init__(self):
         x_min, y_min, x_max, y_max = self.region
@@ -228,15 +225,16 @@ def scenario_from_dict(doc):
     ``region`` is an object of x_min, y_min, x_max and y_max, ``walls`` and
     ``transmitters`` are lists of WallSegment and Transmitter objects (read
     by their fields), and ``noise_dbm`` (null: noiseless) stands for
-    noise_variance.  Only ``walls``, ``noise_dbm`` and ``seed`` may be omitted.
+    noise_variance.  Only ``walls`` and ``noise_dbm`` may be omitted.  A
+    ``seed`` key, which older scenario files carry, is ignored.
     """
     kinds = {"region": dict, "walls": list, "transmitters": list, "noise_variance": float | None}
     schema = {
         _DOCUMENT_KEYS.get(f.name, f.name): (f.name, kinds.get(f.name, f.type))
         for f in fields(Scenario)
     }
-    optional = ("walls", "noise_dbm", "seed")
-    kwargs = keyword_args(doc, schema, required=[key for key in schema if key not in optional])
+    required = [key for key in schema if key not in ("walls", "noise_dbm")]
+    kwargs = keyword_args(doc, schema, skip="seed", required=required)
     region_schema = {key: (key, float) for key in _REGION_KEYS}
     region = keyword_args(kwargs["region"], region_schema, required=_REGION_KEYS)
     kwargs["region"] = tuple(region[key] for key in _REGION_KEYS)
@@ -322,7 +320,7 @@ SCENARIO_PRESETS = tuple(_PRESET_WALLS)
 
 
 def preset(name, n_transmitters: int = 5, bandwidth_hz: float = 20e6,
-           wall_count: int | None = None, noise_dbm: float | None = -70.0, seed: int = 0):
+           wall_count: int | None = None, noise_dbm: float | None = -70.0):
     """Built-in scenarios: ``indoor-fig4``, ``indoor-dense`` and ``freespace``.
 
     ``indoor-fig4``  -- 42 x 27 m five-plane structure in a 60 x 40 m area.
@@ -356,6 +354,5 @@ def preset(name, n_transmitters: int = 5, bandwidth_hz: float = 20e6,
         bandwidth_hz=bandwidth_hz,
         num_samples=samples_for_bandwidth(bandwidth_hz),
         noise_variance=noise_variance,
-        seed=seed,
     )
 

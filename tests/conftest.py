@@ -1,5 +1,6 @@
 """Shared fixtures, and the scalar oracles the batched kernels are checked
-against: one correlation per pilot pair, and the ridge objective."""
+against: one correlation per pilot pair, and the ridge objective; and
+the pooled spread that criterion 5 compares NMSE gaps with."""
 
 from dataclasses import dataclass
 
@@ -116,6 +117,11 @@ def difference_sqdist(cols_a, cols_b):
     for row_a, row_b in zip(cols_a, cols_b):
         sq += (row_a[:, None] - row_b[None, :]) ** 2
     return sq
+
+
+def pooled_std(result_a, result_b):
+    """Pooled spread of two NmseResult run sets: sqrt((std_a^2 + std_b^2) / 2)."""
+    return float(np.sqrt((result_a.std**2 + result_b.std**2) / 2.0))
 
 
 def objective_value(fitted, features, targets):

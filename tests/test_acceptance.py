@@ -14,7 +14,7 @@ import time
 
 import numpy as np
 
-from conftest import sample_identifiable_mask
+from conftest import pooled_std, sample_identifiable_mask
 from locfree import experiments
 from locfree.completion import (
     CompletionConfig,
@@ -24,7 +24,7 @@ from locfree.completion import (
     rls_recover_query,
     svp_complete,
 )
-from locfree.evaluation import NmseResult, pooled_std, precompute_grid, run_experiments
+from locfree.evaluation import NmseResult, precompute_grid, run_experiments
 from locfree.features import com_impulse, estimate_toa, pair_indices
 from locfree.kernels import GaussianKernel, fit, gram_matrix, predict
 from locfree.localization import AnchorSet, srdls_localize

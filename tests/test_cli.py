@@ -1,5 +1,7 @@
+import inspect
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -102,6 +104,7 @@ _INLINE = scenario_to_dict(preset("indoor-fig4"))
         ({"scenario": {**_INLINE, "noise_dbm": True}}, "noise_dbm"),
         ({"scenario": {**_INLINE, "region": [0, 0, 60, 40]}}, "region"),
         ({"scenario": {"path": "scenario.json", "seed": 4}}, "seed"),
+        ({"scenario": {"preset": "indoor-fig4", "seed": 4}}, "seed"),
         ({"scenario": {"path": "missing.json"}}, "missing.json"),
         ({"scenario": "indoor-fig4", "eta": 0}, "eta"),
         ({"scenario": "indoor-fig4", "eta": 1.5}, "eta"),
@@ -110,13 +113,20 @@ _INLINE = scenario_to_dict(preset("indoor-fig4"))
         ({"scenario": "indoor-fig4", "n_features": 11}, "n_features must lie in 1..M"),
         ({"scenario": "indoor-fig4", "mu": 0}, "mu"),
         ({"scenario": "indoor-fig4", "gamma_dbw": float("inf")}, "gamma_dbw"),
+        ({"scenario": "indoor-fig4", "lambda": float("inf")}, "lam must be finite"),
+        ({"scenario": "indoor-fig4", "mu": float("inf")}, "mu must be finite"),
+        ({"scenario": "indoor-fig4", "sigma": float("-inf")}, "sigma must be finite"),
+        ({"scenario": "indoor-fig4", "lambda_loc": float("-inf")}, "lam_loc must be finite"),
+        ({"scenario": "indoor-fig4", "sigma_loc": float("inf")}, "sigma_loc must be finite"),
     ],
     ids=[
         "string-count", "null-eta", "misspelled-preset-key", "string-bool", "fractional-int",
         "freespace-walls", "inline-misspelled-key", "misspelled-wall-key",
         "fractional-num-samples", "string-carrier", "bool-noise", "list-region",
-        "seed-next-to-path", "missing-path-file", "zero-eta", "eta-above-one",
-        "zero-grid-step", "zero-rank", "n-features-above-m", "zero-mu", "infinite-gamma",
+        "seed-next-to-path", "seed-in-preset-section", "missing-path-file", "zero-eta",
+        "eta-above-one", "zero-grid-step", "zero-rank", "n-features-above-m", "zero-mu",
+        "infinite-gamma", "infinite-lambda", "infinite-mu", "minus-infinite-sigma",
+        "minus-infinite-lambda-loc", "infinite-sigma-loc",
     ],
 )
 def test_bad_config_value_exits_2_before_any_work(doc, field, tmp_path, capsys, monkeypatch):
@@ -139,13 +149,13 @@ def test_config_values_keep_their_meaning():
     """Values their field's conversion keeps equal pass, converted; null
     passes where preset takes None."""
     config = _experiment_config({
-        "scenario": {"preset": "freespace", "noise_dbm": None, "wall_count": None, "seed": 3},
+        "scenario": {"preset": "freespace", "noise_dbm": None, "wall_count": None},
         "n_train": 50.0, "lambda": 1, "noisy_query": False, "estimator": "locb",
     })
     assert type(config.n_train) is int and config.n_train == 50
     assert type(config.lam) is float and config.lam == 1.0
     assert config.noisy_query is False and config.estimator == "locb"
-    assert config.scenario.noise_variance == 0.0 and config.scenario.seed == 3
+    assert config.scenario.noise_variance == 0.0
 
 
 def test_unknown_experiment_preset_lists_options(tmp_path, capsys):
@@ -262,13 +272,17 @@ def test_options_a_command_does_not_read_are_rejected(argv, tmp_path, capsys, mo
 
 
 def test_scenario_config_takes_no_seed(tmp_path, capsys):
-    """A scenario section sets its own seed, so --seed next to --config exits 2."""
+    """No scenario draws from a seed, so scenario takes no --seed, next to
+    --preset or --config: the parser exits 2 before any output directory."""
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"preset": "freespace"}))
     out = tmp_path / "out"
-    assert run_cli("scenario", "--config", str(cfg), "--seed", "3", "--out", str(out)) == 2
-    assert "--seed" in capsys.readouterr().err
-    assert not out.exists()
+    for source in (["--preset", "indoor-fig4"], ["--config", str(cfg)]):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("scenario", *source, "--seed", "3", "--out", str(out))
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_scenario_config_reads_a_scenario_section(tmp_path, monkeypatch):
@@ -299,6 +313,14 @@ def test_readme_command_lines_parse():
     parser = _build_parser()
     for argv in commands:
         parser.parse_args(argv)
+
+
+def test_readme_lists_the_preset_section_keys():
+    """The keys the README lists for a preset section are preset's keyword
+    parameters, in order."""
+    readme = " ".join((Path(__file__).resolve().parents[1] / "README.md").read_text().split())
+    listed = readme.split("`preset`'s keyword arguments (", 1)[1].split(";", 1)[0]
+    assert re.findall(r"`(\w+)`", listed) == list(inspect.signature(preset).parameters)[1:]
 
 
 def _fit_config(tmp_path, **overrides):

@@ -358,7 +358,7 @@ def test_gram_check_is_skipped_only_while_the_norm_bound_holds(monkeypatch):
 def _masked_fig4_features():
     """The masked training features of an indoor-fig4 completion run at
     the middle threshold of the default sweep."""
-    scn = preset("indoor-fig4", seed=0)
+    scn = preset("indoor-fig4")
     grid = evaluation.precompute_grid(scn, 3.0)
     gamma = experiments.default_gamma_sweep(grid)[2]
     config = experiments._locf_config(scn, estimator="locf_completion", rank=4,

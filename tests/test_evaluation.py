@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import pooled_std
 from locfree import evaluation, experiments, features, propagation
 from locfree.errors import ConfigurationError
 from locfree.evaluation import (
@@ -17,7 +18,6 @@ from locfree.evaluation import (
     fit_estimator,
     mask_features,
     nmse,
-    pooled_std,
     precompute_grid,
     predict_estimator,
     run_experiment,
@@ -122,6 +122,38 @@ def test_run_experiment_parallel_matches_serial(small_world):
     serial = run_experiment(cfg, grid=grid, jobs=1)
     parallel = run_experiment(cfg, grid=grid, jobs=2)
     assert serial == parallel
+
+
+def test_run_experiments_starts_at_most_one_worker_per_run(small_world, monkeypatch):
+    """Under fork a pool starts all its max_workers at the first submit, so
+    run_experiments asks for no more workers than run indices.  A recording
+    stand-in for the pool runs the tasks in this process."""
+    scn, grid = small_world
+    started = []
+
+    class RecordingPool:
+        def __init__(self, max_workers, initializer, initargs):
+            started.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(evaluation, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(evaluation, "_worker_grid", None)
+    monkeypatch.setattr(evaluation, "_held", None)
+    cfg = ExperimentConfig(scenario=scn, estimator="locf", n_train=40, runs=2, seed=2,
+                           sigma=20.0, lam=1e-4)
+    pooled = run_experiment(cfg, grid=grid, jobs=8)
+    run_experiment(replace(cfg, runs=3), grid=grid, jobs=2)
+    assert started == [2, 2]
+    assert pooled == run_experiment(cfg, grid=grid)
 
 
 def test_trivial_average_predictor_scores_one(small_world):

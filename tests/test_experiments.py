@@ -6,9 +6,7 @@ import pytest
 from locfree import experiments, localization
 from locfree.errors import ConfigurationError
 from locfree.experiments import (
-    LOCB_REFERENCE,
     LOCB_TUNED,
-    LOCF_REFERENCE,
     LOCF_TUNED,
     PRESETS,
     default_gamma_sweep,
@@ -19,7 +17,7 @@ from locfree.evaluation import precompute_grid
 
 
 def test_parameter_tables_cover_all_bandwidths():
-    for table in (LOCF_REFERENCE, LOCF_TUNED, LOCB_REFERENCE, LOCB_TUNED):
+    for table in (LOCF_TUNED, LOCB_TUNED):
         assert set(table) == {20e6, 50e6, 100e6, 200e6, 700e6}
         for sigma, lam in table.values():
             assert sigma > 0 and lam > 0

@@ -28,6 +28,20 @@ def test_kernel_requires_positive_sigma():
         GaussianKernel(0.0)
 
 
+@pytest.mark.parametrize("sigma", [np.inf, np.nan])
+def test_kernel_rejects_nonfinite_sigma(sigma):
+    with pytest.raises(ValueError, match="sigma must be finite"):
+        GaussianKernel(sigma)
+
+
+@pytest.mark.parametrize("lam", [np.inf, np.nan, -1e-3])
+def test_fit_rejects_nonfinite_or_negative_lambda(lam):
+    """An infinite ridge weight solved to an all-NaN alpha."""
+    features, targets, kernel = _random_instance(np.random.default_rng(4), n=20, m=3)
+    with pytest.raises(ValueError, match="lambda must be finite and >= 0"):
+        fit(features, targets, kernel, lam)
+
+
 def test_kernel_unit_diagonal_and_range():
     rng = np.random.default_rng(0)
     f = rng.normal(size=(3, 6))
@@ -171,6 +185,27 @@ def test_fit_falls_back_to_lstsq_when_solve_fails(monkeypatch):
     system = gram_matrix(features, kernel) + lam * targets.size * np.eye(targets.size)
     expected, *_ = np.linalg.lstsq(system, targets, rcond=None)
     assert np.array_equal(fitted.alpha, expected)
+
+
+def test_fit_falls_back_to_lstsq_on_a_nan_solve(monkeypatch):
+    """A NaN residual fails the residual check, as a large one does."""
+    rng = np.random.default_rng(4)
+    features, targets, kernel = _random_instance(rng, n=60, m=3)
+    monkeypatch.setattr(kernels.np.linalg, "solve", lambda a, b: np.full_like(b, np.nan))
+    fitted = fit(features, targets, kernel, 1e-3)
+    system = gram_matrix(features, kernel) + 1e-3 * targets.size * np.eye(targets.size)
+    expected, *_ = np.linalg.lstsq(system, targets, rcond=None)
+    assert np.array_equal(fitted.alpha, expected)
+
+
+def test_fit_raises_on_a_nan_fallback(monkeypatch):
+    rng = np.random.default_rng(4)
+    features, targets, kernel = _random_instance(rng, n=60, m=3)
+    monkeypatch.setattr(kernels.np.linalg, "solve", _failing_solve)
+    monkeypatch.setattr(kernels.np.linalg, "lstsq",
+                        lambda a, b, rcond=None: (np.full_like(b, np.nan), None, None, None))
+    with pytest.raises(SolverError, match="did not reach the required residual"):
+        fit(features, targets, kernel, lam=1e-3)
 
 
 def test_fit_fallback_runs_lstsq_once_before_raising(monkeypatch):
@@ -367,7 +402,7 @@ def test_saved_model_is_the_json_dump_document(estimator, tmp_path):
     from locfree.evaluation import _draw_training, fit_estimator
     from locfree.scenario import preset
 
-    scn = preset("indoor-fig4", seed=2)
+    scn = preset("indoor-fig4")
     make = experiments._locb_config if estimator == "locb" else experiments._locf_config
     config = make(scn, estimator=estimator, n_train=60, seed=2,
                   **({"rank": 4} if estimator == "locf_reduced" else {}))

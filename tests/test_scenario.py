@@ -77,7 +77,7 @@ def test_json_round_trip(tmp_path):
     for name, bandwidth, noise_dbm in itertools.product(
         SCENARIO_PRESETS, (20e6, 200e6), (-70.0, None)
     ):
-        scn = preset(name, bandwidth_hz=bandwidth, noise_dbm=noise_dbm, seed=7)
+        scn = preset(name, bandwidth_hz=bandwidth, noise_dbm=noise_dbm)
         save_scenario(scn, path)
         assert load_scenario(path) == scn
 
@@ -93,15 +93,25 @@ _WALL = {"x1": 30, "y1": 6.5, "x2": 30, "y2": 33.5}
 
 
 def test_omitted_optional_keys_keep_their_meaning():
-    """No walls, the dataclass defaults of loss_db, max_reflection, power_w
-    and seed, and noiseless pilots without noise_dbm."""
+    """No walls, the dataclass defaults of loss_db, max_reflection and
+    power_w, and noiseless pilots without noise_dbm."""
     expected = Scenario(
         region=(0.0, 0.0, 60.0, 40.0), transmitters=(Transmitter(3.0, 20.0, 1.0),),
-        carrier_hz=8e8, bandwidth_hz=2e7, num_samples=10, noise_variance=0.0, seed=0,
+        carrier_hz=8e8, bandwidth_hz=2e7, num_samples=10, noise_variance=0.0,
     )
     assert scenario_from_dict(_MINIMAL) == expected
     walled = scenario_from_dict({**_MINIMAL, "walls": [_WALL]})
     assert walled.walls == (WallSegment(30.0, 6.5, 30.0, 33.5, loss_db=6.0, max_reflection=0.7),)
+
+
+def test_a_saved_seed_key_is_ignored(tmp_path):
+    """Scenario files written while a scenario carried a seed label still
+    load, equal to the same document without it."""
+    path = tmp_path / "scn.json"
+    path.write_text(json.dumps({**scenario_to_dict(preset("indoor-fig4")), "seed": 4}))
+    assert load_scenario(path) == preset("indoor-fig4")
+    assert scenario_from_dict({**_MINIMAL, "seed": 4}) == scenario_from_dict(_MINIMAL)
+    assert "seed" not in scenario_to_dict(preset("indoor-fig4"))
 
 
 @pytest.mark.parametrize(
