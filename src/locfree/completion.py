@@ -110,47 +110,41 @@ class CompletionResult:
         return float(self.residuals[-1]) if self.residuals.size else 0.0
 
 
-def _eigenvectors(gram, finite=False):
-    """Eigenvectors of the symmetric ``gram`` in ascending eigenvalue order,
-    with np.linalg.eigh's bits and its LinAlgError.
+def _raise_invalid(err, flag):
+    raise np.linalg.LinAlgError(f"{err} in an SVP step")
 
-    eigh runs dsyevd on the lower triangle through the gufunc eigh_lo
-    inside an errstate that turns a LAPACK failure (NaN outputs, the
-    invalid flag) into LinAlgError; that errstate costs a fifteenth of an
-    SVP iteration.  So a gram known to be ``finite``, or whose squares sum
-    to a finite value, goes to the gufunc bare, and eigh itself takes any
-    other gram, or one on which LAPACK failed.  Where dsyevd fails on a
-    finite gram, the bare call also emits numpy's "invalid value
-    encountered in eigh_lo" RuntimeWarning before eigh raises; under
-    warnings-as-errors that warning is the exception.  eigh_lo is private
-    to numpy: test_eigenvectors_equal_numpy_eigh_bit_for_bit guards it.
+
+def _eigh_errstate():
+    """The errstate np.linalg.eigh enters around its gufunc: the invalid
+    flag (a LAPACK failure, which fills its outputs with NaN) raises
+    LinAlgError, and overflow, division and underflow pass silently.  An
+    np.errstate can be entered only once, so each solve builds a fresh one.
     """
-    if finite or math.isfinite(np.vdot(gram, gram)):
-        vectors = _umath_linalg.eigh_lo(gram)[1]
-        if vectors[0, 0] == vectors[0, 0]:  # not the NaN fill of a failure
-            return vectors
-    return np.linalg.eigh(gram)[1]
+    return np.errstate(call=_raise_invalid, invalid="call", over="ignore",
+                       divide="ignore", under="ignore")
 
 
-def _rank_truncate(matrix, rank, finite=False):
+def _rank_truncate(matrix, rank):
     """Projection of ``matrix`` onto its top-``rank`` singular subspace,
     through the eigenvectors of the smaller Gram matrix.
 
-    The eigenvectors come from one dsyevd call (_eigenvectors): the
-    routine and triangle numpy's eigh uses, so the bits are eigh's.
-    numpy's wrapper around that call cost a quarter of an SVP iteration on
-    a 10x10 Gram matrix.
+    The eigenvectors come from numpy's gufunc eigh_lo, the one dsyevd call
+    on the lower triangle that np.linalg.eigh wraps, so the bits are eigh's.
+    Under _eigh_errstate, which svp_complete holds for its whole loop, the
+    bare call also raises LinAlgError where eigh would.  eigh_lo is private
+    to numpy, so tests/test_completion.py checks its projections against
+    eigh's bit for bit on SVP iterates.
 
     Squaring the singular values limits the accuracy: the projection
     matches the truncated SVD to about eps * s_1^2 / (s_r^2 - s_{r+1}^2)
-    relative, so it needs s_r^2 - s_{r+1}^2 >> eps * s_1^2.  ``finite``
-    tells _eigenvectors that the Gram matrix is finite.
+    relative, so it needs s_r^2 - s_{r+1}^2 >> eps * s_1^2.
     """
-    if matrix.shape[0] <= matrix.shape[1]:
-        u = _eigenvectors(matrix @ matrix.T, finite)[:, -rank:]
-        return u @ (u.T @ matrix)
-    v = _eigenvectors(matrix.T @ matrix, finite)[:, -rank:]
-    return (matrix @ v) @ v.T
+    wide = matrix.shape[0] <= matrix.shape[1]
+    gram = matrix @ matrix.T if wide else matrix.T @ matrix
+    basis = _umath_linalg.eigh_lo(gram)[1][:, -rank:]
+    if wide:
+        return basis @ (basis.T @ matrix)
+    return (matrix @ basis) @ basis.T
 
 
 def svp_complete(incomplete, config):
@@ -169,6 +163,12 @@ def svp_complete(incomplete, config):
     entry stays inf) and takes the residual norm as one dot product, which
     is what np.linalg.norm computes.  The iterate and the masked residual
     are fresh arrays each step, since the best and previous ones are kept.
+
+    The loop runs under _eigh_errstate, entered once per solve: entering it
+    around each projection, as np.linalg.eigh does, costs 4 to 7% of a
+    step.  Any invalid value in the loop, a LAPACK failure on an
+    overflowed Gram or an inf - inf elsewhere, raises LinAlgError, reported
+    as the SolverError; overflow itself passes silently until then.
     """
     m, n = incomplete.shape
     if config.rank > min(m, n):
@@ -193,13 +193,6 @@ def svp_complete(incomplete, config):
     y = np.empty((m, n))
     gradient, res = masked_residual(x)
     best_x, best_grad, best_res = x, gradient, res
-    # reach bounds ||X - step * G||_F, as a Python float: a projection does
-    # not lengthen its matrix, so each step adds at most step * ||G||, and
-    # reach never falls, so it also bounds a restart from the best iterate.
-    # No entry of a Gram matrix exceeds the squared norm, so below 1e150,
-    # 1e4 under the square root of the largest double, the Gram matrix is
-    # finite and _eigenvectors need not check it.
-    reach = 0.0
     prev_x = None
     prev_grad = None
     residuals = np.empty(config.max_iters)
@@ -207,46 +200,46 @@ def svp_complete(incomplete, config):
     grow_streak = 0
     converged = False
     iterations = 0
-    for iterations in range(1, config.max_iters + 1):
-        if config.adaptive_step and prev_grad is not None:
-            dx = x - prev_x
-            dg = gradient - prev_grad
-            dot = np.sum(dx * dg)
-            step = np.sum(dx * dx) / dot if dot > 1e-300 else base
-            step = min(max(step, 0.5 * base), 1e4 * base)
-        prev_x, prev_grad = x, gradient
-        np.multiply(gradient, step, out=y)
-        np.subtract(x, y, out=y)
-        reach += float(step) * res * scale
-        try:
-            x = _rank_truncate(y, config.rank, finite=reach < 1e150)
-        except np.linalg.LinAlgError as exc:  # the iterate overflowed
-            raise SolverError(
-                f"SVP iterate overflowed at iteration {iterations}; retry with a smaller step"
-            ) from exc
-        gradient, res = masked_residual(x)
-        residuals[iterations - 1] = res
-        if res < best_res:
-            best_res, best_x, best_grad = res, x, gradient
-        if res > prev:
-            grow_streak += 1
-            if grow_streak >= _DIVERGENCE_PATIENCE:
-                base /= 2.0
-                step = base
-                # Restart from the best iterate, not from the blown-up one.
-                x, gradient, res = best_x, best_grad, best_res
-                prev_x = prev_grad = None
-                grow_streak = 0
-                if base < _MIN_STEP_FRACTION * config.step:
-                    raise SolverError(
-                        "SVP diverges even after step halving; retry with a smaller step"
-                    )
-        else:
-            grow_streak = 0
-        if abs(prev - res) < _TOL:
-            converged = True
-            break
-        prev = res
+    try:
+        with _eigh_errstate():
+            for iterations in range(1, config.max_iters + 1):
+                if config.adaptive_step and prev_grad is not None:
+                    dx = x - prev_x
+                    dg = gradient - prev_grad
+                    dot = np.sum(dx * dg)
+                    step = np.sum(dx * dx) / dot if dot > 1e-300 else base
+                    step = min(max(step, 0.5 * base), 1e4 * base)
+                prev_x, prev_grad = x, gradient
+                np.multiply(gradient, step, out=y)
+                np.subtract(x, y, out=y)
+                x = _rank_truncate(y, config.rank)
+                gradient, res = masked_residual(x)
+                residuals[iterations - 1] = res
+                if res < best_res:
+                    best_res, best_x, best_grad = res, x, gradient
+                if res > prev:
+                    grow_streak += 1
+                    if grow_streak >= _DIVERGENCE_PATIENCE:
+                        base /= 2.0
+                        step = base
+                        # Restart from the best iterate, not from the blown-up one.
+                        x, gradient, res = best_x, best_grad, best_res
+                        prev_x = prev_grad = None
+                        grow_streak = 0
+                        if base < _MIN_STEP_FRACTION * config.step:
+                            raise SolverError(
+                                "SVP diverges even after step halving; retry with a smaller step"
+                            )
+                else:
+                    grow_streak = 0
+                if abs(prev - res) < _TOL:
+                    converged = True
+                    break
+                prev = res
+    except np.linalg.LinAlgError as exc:  # the iterate overflowed
+        raise SolverError(
+            f"SVP iterate overflowed at iteration {iterations}; retry with a smaller step"
+        ) from exc
     return CompletionResult(
         matrix=x,
         residuals=residuals[:iterations].copy(),

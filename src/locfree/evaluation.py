@@ -476,17 +476,19 @@ def run_experiments(configs, grid, jobs=1):
     (same scenario, seed + run index, N and noise options) read it drawn
     once.  ``grid`` is the configs' PrecomputedGrid; sharing it amortizes
     the scenario tables, and the rows its AnchorSet solves, across configs.
-    With ``jobs`` > 1 one pool of at most one worker per run index serves
-    the call: each worker gets the grid once, and a task is one run index
-    of every config.  A serial call releases the held world on return, so
-    a finished sweep keeps no world.
+    With ``jobs`` > 1 and more than one run index, one pool of at most one
+    worker per run index serves the call: each worker gets the grid once,
+    and a task is one run index of every config.  A single run index runs
+    in process, as a serial call does.  A serial call releases the held
+    world on return, so a finished sweep keeps no world.
     """
     global _held
     configs = list(configs)
     indices = range(max(config.runs for config in configs))
-    if jobs > 1:
+    workers = min(jobs, len(indices))
+    if workers > 1:
         with ProcessPoolExecutor(
-            max_workers=min(jobs, len(indices)), initializer=_set_worker_grid, initargs=(grid,)
+            max_workers=workers, initializer=_set_worker_grid, initargs=(grid,)
         ) as pool:
             by_run = list(pool.map(_run_in_worker, [(configs, i) for i in indices]))
     else:

@@ -434,7 +434,7 @@ def sample_sensor_locations(scenario, count, rng):
     attempts = 0
     max_attempts = 1000 * count + 10000
     while filled < count:
-        draw = min(count - filled, count) * 2
+        draw = (count - filled) * 2
         pts = rng.uniform((x_min, y_min), (x_max, y_max), size=(draw, 2))
         keep = pts[scenario.far_field(pts)]
         take = min(len(keep), count - filled)

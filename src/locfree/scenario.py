@@ -180,7 +180,7 @@ def keyword_args(doc, schema, skip=None, required=()):
     ``required`` key must be there.  A value is taken if the type's
     conversion keeps it equal (1 passes as a float; "5", 50.7 and true fail
     as an int, a list as a dict), and null is taken where the type is
-    ``X | None``.
+    ``X | None``.  NaN, which equals nothing, is refused as such.
     """
     if not isinstance(doc, dict):
         raise ConfigurationError(f"expected a JSON object, got {doc!r}")
@@ -193,6 +193,8 @@ def keyword_args(doc, schema, skip=None, required=()):
             continue
         if key not in schema:
             raise ConfigurationError(f"unknown field {key!r}")
+        if isinstance(value, float) and math.isnan(value):
+            raise ConfigurationError(f"field {key!r} must not be NaN")
         name, kind = schema[key]
         kind, *nullable = typing.get_args(kind) or (kind,)
         try:

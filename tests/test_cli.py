@@ -118,6 +118,9 @@ _INLINE = scenario_to_dict(preset("indoor-fig4"))
         ({"scenario": "indoor-fig4", "sigma": float("-inf")}, "sigma must be finite"),
         ({"scenario": "indoor-fig4", "lambda_loc": float("-inf")}, "lam_loc must be finite"),
         ({"scenario": "indoor-fig4", "sigma_loc": float("inf")}, "sigma_loc must be finite"),
+        ({"scenario": "indoor-fig4", "sigma": float("nan")}, "field 'sigma' must not be NaN"),
+        ({"scenario": {**_INLINE, "carrier_hz": float("nan")}},
+         "field 'carrier_hz' must not be NaN"),
     ],
     ids=[
         "string-count", "null-eta", "misspelled-preset-key", "string-bool", "fractional-int",
@@ -126,7 +129,7 @@ _INLINE = scenario_to_dict(preset("indoor-fig4"))
         "seed-next-to-path", "seed-in-preset-section", "missing-path-file", "zero-eta",
         "eta-above-one", "zero-grid-step", "zero-rank", "n-features-above-m", "zero-mu",
         "infinite-gamma", "infinite-lambda", "infinite-mu", "minus-infinite-sigma",
-        "minus-infinite-lambda-loc", "infinite-sigma-loc",
+        "minus-infinite-lambda-loc", "infinite-sigma-loc", "nan-sigma", "nan-carrier",
     ],
 )
 def test_bad_config_value_exits_2_before_any_work(doc, field, tmp_path, capsys, monkeypatch):

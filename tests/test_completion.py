@@ -2,13 +2,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from numpy.linalg import _umath_linalg
 
 from conftest import sample_identifiable_mask
 from locfree import completion, evaluation, experiments
 from locfree.completion import (
     CompletionConfig,
     IncompleteFeatureMatrix,
-    _eigenvectors,
+    _eigh_errstate,
     _rank_truncate,
     build_recovery_context,
     gram_schmidt_basis,
@@ -155,9 +156,9 @@ def test_observed_residual_monotone_with_unit_step():
     assert np.all(np.diff(res) <= 1e-12)
 
 
-def _svd_rank_truncate(matrix, rank, finite=False):
+def _svd_rank_truncate(matrix, rank):
     """The truncated SVD, which the Gram projection replaces: the oracle.
-    It takes _rank_truncate's arguments and needs no finiteness hint."""
+    It takes _rank_truncate's arguments."""
     u, s, vt = np.linalg.svd(matrix, full_matrices=False)
     return (u[:, :rank] * s[:rank]) @ vt[:rank]
 
@@ -332,27 +333,26 @@ def test_overflowing_iterate_raises_solver_error():
     assert isinstance(caught.value.__cause__, np.linalg.LinAlgError)
 
 
-def test_gram_check_is_skipped_only_while_the_norm_bound_holds(monkeypatch):
-    """svp_complete tells _eigenvectors a Gram matrix is finite only while
-    its bound on ||X - step * G|| proves it: every Gram passed as finite
-    is finite, the early ones are passed so, and the overflowed one of
-    test_overflowing_iterate_raises_solver_error is checked."""
-    calls = []
+def test_error_state_is_restored_after_return_and_after_overflow():
+    """svp_complete holds eigh's error state only while its loop runs:
+    np.geterr() and np.geterrcall() are the caller's again after it
+    returns and after it raises the overflow SolverError."""
+    inc = _toy_masked_features()
 
-    def recording(gram, finite=False):
-        calls.append((finite, bool(np.all(np.isfinite(gram)))))
-        return _eigenvectors(gram, finite)
+    def handler(err, flag):
+        raise AssertionError("the caller's handler was called")
 
-    monkeypatch.setattr(completion, "_eigenvectors", recording)
-    rng = np.random.default_rng(5)
-    truth = low_rank(rng, 8, 40, 3) + 0.01 * rng.normal(size=(8, 40))
-    mask = rng.random(truth.shape) < 0.7
-    inc = IncompleteFeatureMatrix(np.where(mask, truth, 0.0), mask)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(all="warn", under="ignore", call=handler):
+        before = np.geterr(), np.geterrcall()
+        svp_complete(inc, CompletionConfig(rank=3, max_iters=50))
+        assert (np.geterr(), np.geterrcall()) == before
         with pytest.raises(SolverError, match="smaller step"):
             svp_complete(inc, CompletionConfig(rank=3, step=1e40, adaptive_step=False))
-    assert all(is_finite for finite, is_finite in calls if finite)
-    assert calls[0] == (True, True) and calls[-1] == (False, False)
+        assert (np.geterr(), np.geterrcall()) == before
+    before = np.geterr(), np.geterrcall()
+    with pytest.raises(SolverError, match="smaller step"):
+        svp_complete(inc, CompletionConfig(rank=3, step=1e40, adaptive_step=False))
+    assert (np.geterr(), np.geterrcall()) == before
 
 
 def _masked_fig4_features():
@@ -367,34 +367,43 @@ def _masked_fig4_features():
     return evaluation.mask_features(world.train.com, world.train_powers, gamma)
 
 
+def _eigh_rank_truncate(matrix, rank):
+    """_rank_truncate's formula with the eigenvectors of np.linalg.eigh."""
+    if matrix.shape[0] <= matrix.shape[1]:
+        u = np.linalg.eigh(matrix @ matrix.T)[1][:, -rank:]
+        return u @ (u.T @ matrix)
+    v = np.linalg.eigh(matrix.T @ matrix)[1][:, -rank:]
+    return (matrix @ v) @ v.T
+
+
 def test_eigenvectors_equal_numpy_eigh_bit_for_bit(monkeypatch):
     """SVP takes its eigenvectors from numpy's gufunc eigh_lo, the dsyevd
     call np.linalg.eigh wraps, because that gives eigh's bits without
-    eigh's wrapper.  Checked on the Gram matrices of 200 SVP iterates of
-    masked indoor-fig4 features and on one tall-matrix Gram; a numpy whose
-    gufunc departs from eigh fails here before the golden outputs move."""
-    grams = []
+    eigh's wrapper.  Checked on the pre-projection matrices of 200 SVP
+    iterates of masked indoor-fig4 features and on one tall slice; a numpy
+    whose gufunc departs from eigh fails here before the golden outputs
+    move."""
+    matrices = []
 
-    def recording(gram, finite=False):
-        grams.append(gram.copy())
-        return _eigenvectors(gram, finite)
+    def recording(matrix, rank):
+        matrices.append(matrix.copy())
+        return _rank_truncate(matrix, rank)
 
-    monkeypatch.setattr(completion, "_eigenvectors", recording)
+    monkeypatch.setattr(completion, "_rank_truncate", recording)
     incomplete = _masked_fig4_features()
     assert not incomplete.observed.all()
     svp_complete(incomplete, CompletionConfig(rank=4, max_iters=200, adaptive_step=False))
-    tall = incomplete.values[:, :6]
-    _rank_truncate(tall, 4)
-    assert len(grams) == 201 and grams[-1].shape == (6, 6)
-    for gram in grams:
-        assert np.array_equal(_eigenvectors(gram), np.linalg.eigh(gram)[1])
-        assert np.array_equal(_eigenvectors(gram, finite=True), np.linalg.eigh(gram)[1])
+    matrices.append(incomplete.values[:, :6])
+    assert len(matrices) == 201 and matrices[-1].shape == (10, 6)
+    for matrix in matrices:
+        assert np.array_equal(_rank_truncate(matrix, 4), _eigh_rank_truncate(matrix, 4))
 
 
 def test_eigenvectors_raise_exactly_when_numpy_eigh_raises():
-    """A NaN Gram, or the Gram of an overflowed iterate, raises
-    LinAlgError, which svp_complete reports as a SolverError; an inf on
-    the diagonal alone raises in neither, and then the bits agree."""
+    """Under svp_complete's error state a NaN Gram, or the Gram of an
+    overflowed iterate, raises LinAlgError from the bare gufunc, as from
+    np.linalg.eigh, and svp_complete reports it as a SolverError; an inf
+    on the diagonal alone raises in neither, and then the bits agree."""
     rng = np.random.default_rng(3)
     x = rng.normal(size=(10, 30))
     gram = x @ x.T
@@ -406,11 +415,14 @@ def test_eigenvectors_raise_exactly_when_numpy_eigh_raises():
     for bad in (with_nan, overflowed_gram):
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.eigh(bad)
-        with pytest.raises(np.linalg.LinAlgError):
-            _eigenvectors(bad)
+        with pytest.raises(np.linalg.LinAlgError), _eigh_errstate():
+            _umath_linalg.eigh_lo(bad)
+    with pytest.raises(np.linalg.LinAlgError), _eigh_errstate():
+        _rank_truncate(overflowed, 3)
     inf_diagonal = gram + np.diag([np.inf] + [0.0] * 9)
-    assert np.array_equal(_eigenvectors(inf_diagonal), np.linalg.eigh(inf_diagonal)[1],
-                          equal_nan=True)
+    with _eigh_errstate():
+        vectors = _umath_linalg.eigh_lo(inf_diagonal)[1]
+    assert np.array_equal(vectors, np.linalg.eigh(inf_diagonal)[1], equal_nan=True)
 
 
 @pytest.mark.parametrize("columns", [1, 7, 8, 9, 10, 66])

@@ -126,8 +126,9 @@ def test_run_experiment_parallel_matches_serial(small_world):
 
 def test_run_experiments_starts_at_most_one_worker_per_run(small_world, monkeypatch):
     """Under fork a pool starts all its max_workers at the first submit, so
-    run_experiments asks for no more workers than run indices.  A recording
-    stand-in for the pool runs the tasks in this process."""
+    run_experiments asks for no more workers than run indices, and a single
+    run index starts no pool.  A recording stand-in for the pool runs the
+    tasks in this process."""
     scn, grid = small_world
     started = []
 
@@ -152,8 +153,10 @@ def test_run_experiments_starts_at_most_one_worker_per_run(small_world, monkeypa
                            sigma=20.0, lam=1e-4)
     pooled = run_experiment(cfg, grid=grid, jobs=8)
     run_experiment(replace(cfg, runs=3), grid=grid, jobs=2)
+    single = run_experiment(replace(cfg, runs=1), grid=grid, jobs=4)
     assert started == [2, 2]
     assert pooled == run_experiment(cfg, grid=grid)
+    assert single == run_experiment(replace(cfg, runs=1), grid=grid)
 
 
 def test_trivial_average_predictor_scores_one(small_world):
