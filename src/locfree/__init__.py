@@ -29,7 +29,6 @@ from .kernels import (
     FittedMap,
     GaussianKernel,
     fit,
-    gram_matrix,
     load_model,
     predict,
     save_model,
@@ -56,7 +55,6 @@ from .evaluation import (
     mask_features,
     nmse,
     precompute_grid,
-    run_experiment,
     run_experiments,
 )
 

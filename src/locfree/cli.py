@@ -118,12 +118,8 @@ def cmd_fit(args):
     config = _serving_config(args, "fit")
     # The fit reads no grid taps and no query pilots, so it synthesizes
     # none and draws no query noise.  The grid only sets the measurement
-    # noise, from its mean power, and is not traced when there is none.
-    if config.measurement_noise:
-        noise_std = precompute_grid(config.scenario, config.grid_step).noise_std
-    else:
-        evaluation_grid(config.scenario, config.grid_step)  # an empty grid still exits 2
-        noise_std = 0.0
+    # noise, from its mean power, so only its powers are traced.
+    noise_std = precompute_grid(config.scenario, config.grid_step).noise_std
     world = _draw_training(config, noise_std, 0)
     model, columns = fit_estimator(config, world)
     out = args.out or "."
@@ -156,9 +152,7 @@ def cmd_predict(args):
     else:
         pts = evaluation_grid(scenario, config.grid_step)[0]
     tables = simulate_points(scenario, pts)
-    pilots = tables.channels
-    if config.noisy_query:
-        pilots = pilots + pilot_noise(scenario, pilots.shape, rng)
+    pilots = tables.channels + pilot_noise(scenario, tables.channels.shape, rng)
     values = predict_estimator(
         config, model, PilotSet(pilots, scenario.sample_period), tables.pilot_powers
     )
@@ -181,8 +175,8 @@ def cmd_experiment(args):
             raise ConfigurationError(
                 "--gamma-sweep expects comma-separated numbers"
             ) from exc
-    out = args.out or args.name
     if args.name in experiments.PRESETS:
+        out = args.out or args.name
         summary = experiments.run_preset(
             args.name, out, runs=args.runs, seed=args.seed or 0,
             jobs=args.jobs, gamma_sweep=gamma_sweep, verbose=args.verbose,
@@ -191,6 +185,7 @@ def cmd_experiment(args):
         if gamma_sweep is not None:
             raise ConfigurationError("--gamma-sweep applies only to fig11-missing")
         config = _experiment_config(read_json(args.name), seed=args.seed, runs=args.runs)
+        out = args.out or os.path.splitext(os.path.basename(args.name))[0]
         summary = experiments._run_sweep([(config.estimator, config)], out, args.jobs or 1)
         io.write_summary_json(summary, os.path.join(out, "summary.json"))
     else:

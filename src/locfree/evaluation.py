@@ -2,7 +2,7 @@
 
 A run draws sensor locations, synthesizes noisy pilots and power
 measurements, fits the configured estimator, predicts the map at every
-admissible grid point from (by default noisy) query pilots, and scores
+admissible grid point from noisy query pilots, and scores
 
     NMSE = mean (p - p_hat)^2 / mean (p - p_bar)^2
 
@@ -45,6 +45,7 @@ from .propagation import (
 log = logging.getLogger(__name__)
 
 ESTIMATORS = ("locf", "locf_reduced", "locf_completion", "locb")
+ETA = 0.99  # energy fraction a locf_reduced fit without a rank keeps
 
 
 def nmse(truth, prediction, p_bar):
@@ -89,7 +90,8 @@ def mask_features(feature_matrix, tx_powers, gamma_dbw):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One Monte Carlo experiment: scenario, estimator kind, hyperparameters."""
+    """One Monte Carlo experiment: scenario, estimator kind, hyperparameters.
+    Every run draws noisy pilots and noisy power measurements."""
 
     scenario: object
     estimator: str = "locf"
@@ -101,13 +103,10 @@ class ExperimentConfig:
     sigma: float = 37.0          # feature-based kernel bandwidth (m)
     lam_loc: float = 3.3e-3      # location-based ridge weight
     sigma_loc: float = 0.5       # location-based kernel bandwidth (m)
-    eta: float = 0.99            # energy fraction for rank selection
     rank: int = None             # fixed reduced rank (defaults to L-1 where needed)
     mu: float = 5.42             # query-recovery regularization
     gamma_dbw: float = -np.inf   # pilot sensitivity threshold
     n_features: int = None       # random feature subset size (locf only)
-    noisy_query: bool = True     # noisy pilots at evaluation points
-    measurement_noise: bool = True
     center_targets: bool = False
     diagnostics_dir: str = None  # completion iteration logs land here if set
 
@@ -120,8 +119,6 @@ class ExperimentConfig:
             raise ConfigurationError("runs must be >= 1")
         if self.n_train < 2:
             raise ConfigurationError("n_train must be >= 2")
-        if not 0.0 < self.eta <= 1.0:
-            raise ConfigurationError(f"eta must lie in (0, 1], got {self.eta}")
         if not self.gamma_dbw < np.inf:  # NaN or +inf would mask every feature
             raise ConfigurationError(f"gamma_dbw must be finite or -inf, got {self.gamma_dbw}")
         for name in ("grid_step", "sigma", "sigma_loc", "mu", "lam", "lam_loc"):
@@ -256,25 +253,23 @@ _held = None
 
 
 def _draw_world(config, grid, run_idx):
-    """Run ``run_idx``'s world on ``grid``: the training draw, then the
-    (by default noisy) query pilots at the grid points.
+    """Run ``run_idx``'s world on ``grid``: the training draw, with
+    measurement noise of the grid's ``noise_std``, then the noisy query
+    pilots at the grid points.
 
     The process holds the last world drawn and returns it again while the
-    grid, the scenario, ``seed + run_idx``, ``n_train``,
-    ``measurement_noise`` and ``noisy_query`` match; a miss drops it before
-    drawing, so two worlds never coexist.  Each call gets its own copy of
-    the post-draw generator, which an ``n_features`` fit draws from.
+    grid, the scenario, ``seed + run_idx`` and ``n_train`` match; a miss
+    drops it before drawing, so two worlds never coexist.  Each call gets
+    its own copy of the post-draw generator, which an ``n_features`` fit
+    draws from.
     """
     global _held
-    key = (config.scenario, config.seed + run_idx, config.n_train,
-           config.measurement_noise, config.noisy_query)
+    key = (config.scenario, config.seed + run_idx, config.n_train)
     if _held is None or _held[0]() is not grid or _held[1] != key:
         _held = None
-        world = _draw_training(config, grid.noise_std if config.measurement_noise else 0.0, run_idx)
-        pilots = grid.channels
-        if config.noisy_query:
-            pilots = pilot_noise(config.scenario, grid.channels.shape, world.rng)
-            pilots += grid.channels
+        world = _draw_training(config, grid.noise_std, run_idx)
+        pilots = pilot_noise(config.scenario, grid.channels.shape, world.rng)
+        pilots += grid.channels
         world.queries = PilotSet(_read_only(pilots), config.scenario.sample_period)
         _held = (weakref.ref(grid), key, world)
     world = _held[2]
@@ -318,7 +313,7 @@ def fit_estimator(config, world, run_idx=0, *, grid=None):
     train_f = world.train.com
     columns, extra = train_f, {}
     if config.estimator == "locf_reduced":
-        eta = None if config.rank is not None else config.eta
+        eta = None if config.rank is not None else ETA
         basis, columns = reduction.reduce_features(train_f, eta=eta, rank=config.rank)
     elif config.estimator == "locf_completion":
         columns, extra = _complete(config, world, train_f, run_idx)
@@ -473,9 +468,9 @@ def run_experiments(configs, grid, jobs=1):
     Runs are seeded ``config.seed + run_index`` and are order-insensitive;
     failed runs are excluded and counted.  The loop over run indices is the
     outer one, so the configs of one run index that draw the same world
-    (same scenario, seed + run index, N and noise options) read it drawn
-    once.  ``grid`` is the configs' PrecomputedGrid; sharing it amortizes
-    the scenario tables, and the rows its AnchorSet solves, across configs.
+    (same scenario, seed + run index and N) read it drawn once.  ``grid``
+    is the configs' PrecomputedGrid; sharing it amortizes the scenario
+    tables, and the rows its AnchorSet solves, across configs.
     With ``jobs`` > 1 and more than one run index, one pool of at most one
     worker per run index serves the call: each worker gets the grid once,
     and a task is one run index of every config.  A single run index runs
@@ -498,9 +493,3 @@ def run_experiments(configs, grid, jobs=1):
         _summarize(outcomes[:config.runs])
         for config, outcomes in zip(configs, zip(*by_run))
     ]
-
-
-def run_experiment(config, grid, jobs=1):
-    """Monte Carlo NMSE of one estimator configuration: run_experiments of
-    the one config."""
-    return run_experiments([config], grid, jobs)[0]

@@ -76,15 +76,6 @@ class GaussianKernel:
         return np.exp(np.divide(sq, -(2.0 * self.sigma**2), out=sq), out=sq)
 
 
-def gram_matrix(features, kernel):
-    """Symmetric positive semidefinite N x N kernel matrix (unit diagonal),
-    exactly so: _sqdist rounds a_j - a_i to -(a_i - a_j)."""
-    features = np.asarray(features, dtype=float)
-    if not np.all(np.isfinite(features)):
-        raise ValueError("features must be finite")
-    return kernel(features, features)
-
-
 @dataclass(frozen=True)
 class FittedMap:
     """Immutable fitted power map.
@@ -123,8 +114,8 @@ def fit(features, targets, kernel, lam, center_targets=False):
     n = targets.shape[0]
     mean = float(np.mean(targets)) if center_targets else 0.0
     rhs = targets - mean
-    gram = gram_matrix(features, kernel)
-    system = gram + lam * n * np.eye(n)
+    # Exactly symmetric, unit diagonal: _sqdist rounds a_j - a_i to -(a_i - a_j).
+    system = kernel(features, features) + lam * n * np.eye(n)
     tol = 1e-8 * max(np.linalg.norm(rhs), 1.0)
     try:
         alpha = np.linalg.solve(system, rhs)

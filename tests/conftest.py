@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from locfree.features import _TIE_RTOL, MISSING, pair_indices
-from locfree.kernels import gram_matrix
 from locfree.scenario import SPEED_OF_LIGHT, Scenario, Transmitter, preset
 
 
@@ -127,7 +126,8 @@ def pooled_std(result_a, result_b):
 def objective_value(fitted, features, targets):
     """Ridge objective (1/N)||p - K alpha||^2 + lambda alpha^T K alpha."""
     targets = np.asarray(targets, dtype=float) - fitted.target_mean
-    gram = gram_matrix(np.asarray(features, dtype=float), fitted.kernel)
+    features = np.asarray(features, dtype=float)
+    gram = fitted.kernel(features, features)
     resid = targets - gram @ fitted.alpha
     n = targets.shape[0]
     return float(resid @ resid / n + fitted.lam * fitted.alpha @ gram @ fitted.alpha)

@@ -26,7 +26,7 @@ from locfree.completion import (
 )
 from locfree.evaluation import NmseResult, precompute_grid, run_experiments
 from locfree.features import com_impulse, estimate_toa, pair_indices
-from locfree.kernels import GaussianKernel, fit, gram_matrix, predict
+from locfree.kernels import GaussianKernel, fit, predict
 from locfree.localization import AnchorSet, srdls_localize
 from locfree.propagation import sample_sensor_locations, trace_paths
 from locfree.scenario import Scenario, Transmitter
@@ -69,7 +69,7 @@ def test_criterion_1_krr_correctness():
         kernel = GaussianKernel(rng.uniform(0.5, 2.0))
         lam = 10.0 ** rng.uniform(-5, -2)
         fitted = fit(features, targets, kernel, lam)
-        gram = gram_matrix(features, kernel)
+        gram = kernel(features, features)
         grad = (2.0 / n) * gram @ (gram @ fitted.alpha - targets) + 2 * lam * gram @ fitted.alpha
         worst_grad = max(worst_grad, np.linalg.norm(grad) / (1 + np.linalg.norm(targets)))
     for _ in range(50):

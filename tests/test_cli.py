@@ -92,9 +92,9 @@ _INLINE = scenario_to_dict(preset("indoor-fig4"))
     "doc, field",
     [
         ({"scenario": {"preset": "indoor-fig4", "n_transmitters": "5"}}, "n_transmitters"),
-        ({"scenario": "indoor-fig4", "eta": None}, "eta"),
+        ({"scenario": "indoor-fig4", "mu": None}, "mu"),
         ({"scenario": {"preset": "indoor-fig4", "wall_cout": 2}}, "wall_cout"),
-        ({"scenario": "indoor-fig4", "noisy_query": "false"}, "noisy_query"),
+        ({"scenario": "indoor-fig4", "center_targets": "false"}, "center_targets"),
         ({"scenario": "indoor-fig4", "n_train": 50.7}, "n_train"),
         ({"scenario": {"preset": "freespace", "wall_count": 3}}, "wall_count"),
         ({"scenario": {**_INLINE, "wals": _INLINE["walls"]}}, "wals"),
@@ -106,8 +106,6 @@ _INLINE = scenario_to_dict(preset("indoor-fig4"))
         ({"scenario": {"path": "scenario.json", "seed": 4}}, "seed"),
         ({"scenario": {"preset": "indoor-fig4", "seed": 4}}, "seed"),
         ({"scenario": {"path": "missing.json"}}, "missing.json"),
-        ({"scenario": "indoor-fig4", "eta": 0}, "eta"),
-        ({"scenario": "indoor-fig4", "eta": 1.5}, "eta"),
         ({"scenario": "indoor-fig4", "grid_step": 0}, "grid_step"),
         ({"scenario": "indoor-fig4", "estimator": "locf_reduced", "rank": 0}, "rank"),
         ({"scenario": "indoor-fig4", "n_features": 11}, "n_features must lie in 1..M"),
@@ -121,15 +119,20 @@ _INLINE = scenario_to_dict(preset("indoor-fig4"))
         ({"scenario": "indoor-fig4", "sigma": float("nan")}, "field 'sigma' must not be NaN"),
         ({"scenario": {**_INLINE, "carrier_hz": float("nan")}},
          "field 'carrier_hz' must not be NaN"),
+        ({"scenario": "indoor-fig4", "noisy_query": False}, "unknown field 'noisy_query'"),
+        ({"scenario": "indoor-fig4", "measurement_noise": False},
+         "unknown field 'measurement_noise'"),
+        ({"scenario": "indoor-fig4", "eta": 0.9}, "unknown field 'eta'"),
     ],
     ids=[
-        "string-count", "null-eta", "misspelled-preset-key", "string-bool", "fractional-int",
+        "string-count", "null-mu", "misspelled-preset-key", "string-bool", "fractional-int",
         "freespace-walls", "inline-misspelled-key", "misspelled-wall-key",
         "fractional-num-samples", "string-carrier", "bool-noise", "list-region",
-        "seed-next-to-path", "seed-in-preset-section", "missing-path-file", "zero-eta",
-        "eta-above-one", "zero-grid-step", "zero-rank", "n-features-above-m", "zero-mu",
+        "seed-next-to-path", "seed-in-preset-section", "missing-path-file",
+        "zero-grid-step", "zero-rank", "n-features-above-m", "zero-mu",
         "infinite-gamma", "infinite-lambda", "infinite-mu", "minus-infinite-sigma",
         "minus-infinite-lambda-loc", "infinite-sigma-loc", "nan-sigma", "nan-carrier",
+        "removed-noisy-query", "removed-measurement-noise", "removed-eta",
     ],
 )
 def test_bad_config_value_exits_2_before_any_work(doc, field, tmp_path, capsys, monkeypatch):
@@ -153,11 +156,11 @@ def test_config_values_keep_their_meaning():
     passes where preset takes None."""
     config = _experiment_config({
         "scenario": {"preset": "freespace", "noise_dbm": None, "wall_count": None},
-        "n_train": 50.0, "lambda": 1, "noisy_query": False, "estimator": "locb",
+        "n_train": 50.0, "lambda": 1, "center_targets": True, "estimator": "locb",
     })
     assert type(config.n_train) is int and config.n_train == 50
     assert type(config.lam) is float and config.lam == 1.0
-    assert config.noisy_query is False and config.estimator == "locb"
+    assert config.center_targets is True and config.estimator == "locb"
     assert config.scenario.noise_variance == 0.0
 
 
@@ -338,8 +341,6 @@ def _fit_config(tmp_path, **overrides):
         "seed": 3,
         "sigma": 40.0,
         "lambda": 0.0,
-        "measurement_noise": False,
-        "noisy_query": False,
     }
     doc.update(overrides)
     path = tmp_path / "fit.json"
@@ -369,14 +370,14 @@ def test_fit_draws_no_query_pilot_noise(tmp_path, monkeypatch):
         return draw(scenario, shape, rng)
 
     monkeypatch.setattr(evaluation, "pilot_noise", spy)
-    cfg = _fit_config(tmp_path, noisy_query=True)
+    cfg = _fit_config(tmp_path)
     assert run_cli("fit", "--config", str(cfg), "--out", str(tmp_path / "out")) == 0
     assert [shape[0] for shape in shapes] == [25]
 
 
 def test_fit_then_predict_reproduces_training_targets(tmp_path):
-    """Interpolating fit (lambda=0, noiseless world): predicting at a
-    training location returns the measured target."""
+    """Interpolating fit (lambda=0, noiseless pilots): predicting at a
+    training location returns the fit's own noisy measured target."""
     cfg = _fit_config(tmp_path)
     out = tmp_path / "out"
     assert run_cli("fit", "--config", str(cfg), "--out", str(out)) == 0
@@ -400,10 +401,13 @@ def test_fit_then_predict_reproduces_training_targets(tmp_path):
     pred = float((pred_out / "predictions.csv").read_text().splitlines()[1].split(",")[2])
 
     from locfree.cli import _experiment_config
-    from locfree.propagation import true_power
+    from locfree.evaluation import _draw_training, precompute_grid
 
     config = _experiment_config(json.loads(cfg.read_text()))
-    assert pred == pytest.approx(true_power(config.scenario, (x, y)), abs=1e-6)
+    noise_std = precompute_grid(config.scenario, config.grid_step).noise_std
+    world = _draw_training(config, noise_std, 0)
+    assert tuple(world.train_points[0]) == (x, y)
+    assert pred == pytest.approx(world.targets[0], abs=1e-6)
 
 
 def test_fit_rejects_completion_estimator(tmp_path, capsys):
@@ -580,6 +584,17 @@ def test_experiment_with_custom_config(tmp_path):
     assert "locf" in summary and len(summary["locf"]["per_run"]) == 2
 
 
+def test_config_experiment_without_out_writes_next_to_the_config(tmp_path, monkeypatch):
+    """Without --out, a config experiment writes to a directory named after
+    the config file's stem, as ``scenario --config`` names its outputs."""
+    monkeypatch.chdir(tmp_path)
+    doc = {"scenario": {"preset": "freespace", "bandwidth_hz": 20e6}, "n_train": 30, "runs": 1}
+    (tmp_path / "cfg.json").write_text(json.dumps(doc))
+    assert run_cli("experiment", "cfg.json") == 0
+    assert (tmp_path / "cfg" / "results.csv").exists()
+    assert (tmp_path / "cfg" / "summary.json").exists()
+
+
 def test_features_command_serializes_missing_as_empty(tmp_path):
     doc = {
         "scenario": {"preset": "indoor-fig4"},
@@ -606,7 +621,6 @@ def test_numerical_failure_exits_3(tmp_path, capsys):
         "seed": 0,
         "sigma": 1e7,  # kernel sees every pair as identical -> singular K
         "lambda": 0.0,
-        "measurement_noise": False,
     }
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(doc))
@@ -676,7 +690,7 @@ def test_predict_on_grid_matches_points_run_on_grid_points(tmp_path):
     from locfree.cli import _experiment_config
     from locfree.propagation import evaluation_grid
 
-    cfg = _fit_config(tmp_path, **{"lambda": 1e-4, "grid_step": 4.0, "noisy_query": True})
+    cfg = _fit_config(tmp_path, **{"lambda": 1e-4, "grid_step": 4.0})
     out = tmp_path / "out"
     assert run_cli("fit", "--config", str(cfg), "--out", str(out)) == 0
     config = _experiment_config(json.loads(cfg.read_text()))
@@ -696,9 +710,7 @@ def test_predict_on_grid_matches_points_run_on_grid_points(tmp_path):
 def _fit_by_precomputed_grid(doc, out):
     """``locfree fit`` as a Monte Carlo run draws its world: the grid's
     channels read, its noise_std read, and the world drawn as a run draws
-    it without query noise."""
-    from dataclasses import replace
-
+    it; the training half is drawn before the query noise."""
     from locfree import io
     from locfree.cli import _experiment_config
     from locfree.evaluation import _draw_world, fit_estimator, precompute_grid
@@ -706,7 +718,7 @@ def _fit_by_precomputed_grid(doc, out):
 
     config = _experiment_config(doc)
     grid = precompute_grid(config.scenario, config.grid_step)
-    world = _draw_world(replace(config, noisy_query=False), grid, 0)
+    world = _draw_world(config, grid, 0)
     model, columns = fit_estimator(config, world)
     out.mkdir()
     save_model(model.fitted, out / "model.json")
@@ -727,10 +739,9 @@ def test_fit_writes_the_precomputed_grid_files(estimator, tmp_path):
         assert (out / name).read_bytes() == (tmp_path / "reference" / name).read_bytes()
 
 
-@pytest.mark.parametrize("noise", [True, False])
-def test_fit_traces_grid_powers_only_for_measurement_noise(noise, tmp_path, monkeypatch):
+def test_fit_traces_only_grid_powers(tmp_path, monkeypatch):
     """fit synthesizes channel taps only at the training points; the grid
-    is traced, for its mean power, only when measurement noise needs it."""
+    is traced for its mean power, which sets the measurement noise."""
     from locfree import evaluation, propagation
 
     traced, synthesized = [], []
@@ -746,15 +757,14 @@ def test_fit_traces_grid_powers_only_for_measurement_noise(noise, tmp_path, monk
 
     monkeypatch.setattr(evaluation, "simulate_points", spy_trace)
     monkeypatch.setattr(propagation, "_batch_channels", spy_synthesize)
-    cfg = _fit_config(tmp_path, **{"lambda": 1e-4, "grid_step": 5.0, "measurement_noise": noise})
+    cfg = _fit_config(tmp_path, **{"lambda": 1e-4, "grid_step": 5.0})
     assert run_cli("fit", "--config", str(cfg), "--out", str(tmp_path / "out")) == 0
-    assert traced == ([96] if noise else []) + [25]
+    assert traced == [96, 25]
     assert synthesized == [25]
 
 
-@pytest.mark.parametrize("noise", [True, False])
-def test_fit_on_an_empty_grid_exits_2(noise, tmp_path, capsys):
-    cfg = _fit_config(tmp_path, grid_step=1000.0, measurement_noise=noise)
+def test_fit_on_an_empty_grid_exits_2(tmp_path, capsys):
+    cfg = _fit_config(tmp_path, grid_step=1000.0)
     assert run_cli("fit", "--config", str(cfg), "--out", str(tmp_path / "out")) == 2
     assert "evaluation grid is empty" in capsys.readouterr().err
 

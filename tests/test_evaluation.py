@@ -20,7 +20,6 @@ from locfree.evaluation import (
     nmse,
     precompute_grid,
     predict_estimator,
-    run_experiment,
     run_experiments,
     run_once,
 )
@@ -110,8 +109,8 @@ def test_run_experiment_deterministic(small_world):
     scn, grid = small_world
     cfg = ExperimentConfig(scenario=scn, estimator="locf", n_train=40, runs=3, seed=5,
                            sigma=20.0, lam=1e-4)
-    a = run_experiment(cfg, grid=grid)
-    b = run_experiment(cfg, grid=grid)
+    a = run_experiments([cfg], grid=grid)[0]
+    b = run_experiments([cfg], grid=grid)[0]
     assert a == b
 
 
@@ -119,8 +118,8 @@ def test_run_experiment_parallel_matches_serial(small_world):
     scn, grid = small_world
     cfg = ExperimentConfig(scenario=scn, estimator="locf", n_train=40, runs=4, seed=2,
                            sigma=20.0, lam=1e-4)
-    serial = run_experiment(cfg, grid=grid, jobs=1)
-    parallel = run_experiment(cfg, grid=grid, jobs=2)
+    serial = run_experiments([cfg], grid=grid, jobs=1)[0]
+    parallel = run_experiments([cfg], grid=grid, jobs=2)[0]
     assert serial == parallel
 
 
@@ -151,12 +150,12 @@ def test_run_experiments_starts_at_most_one_worker_per_run(small_world, monkeypa
     monkeypatch.setattr(evaluation, "_held", None)
     cfg = ExperimentConfig(scenario=scn, estimator="locf", n_train=40, runs=2, seed=2,
                            sigma=20.0, lam=1e-4)
-    pooled = run_experiment(cfg, grid=grid, jobs=8)
-    run_experiment(replace(cfg, runs=3), grid=grid, jobs=2)
-    single = run_experiment(replace(cfg, runs=1), grid=grid, jobs=4)
+    pooled = run_experiments([cfg], grid=grid, jobs=8)[0]
+    run_experiments([replace(cfg, runs=3)], grid=grid, jobs=2)
+    single = run_experiments([replace(cfg, runs=1)], grid=grid, jobs=4)[0]
     assert started == [2, 2]
-    assert pooled == run_experiment(cfg, grid=grid)
-    assert single == run_experiment(replace(cfg, runs=1), grid=grid)
+    assert pooled == run_experiments([cfg], grid=grid)[0]
+    assert single == run_experiments([replace(cfg, runs=1)], grid=grid)[0]
 
 
 def test_trivial_average_predictor_scores_one(small_world):
@@ -169,7 +168,7 @@ def test_monte_carlo_mean_std_shrinks_with_runs(small_world):
     scn, grid = small_world
     cfg = ExperimentConfig(scenario=scn, estimator="locf", n_train=30, runs=32, seed=9,
                            sigma=20.0, lam=1e-4)
-    result = run_experiment(cfg, grid=grid, jobs=2)
+    result = run_experiments([cfg], grid=grid, jobs=2)[0]
     values = np.array(result.per_run)
     singles = values.std(ddof=1)
     quads = values.reshape(8, 4).mean(axis=1).std(ddof=1)
@@ -179,8 +178,8 @@ def test_monte_carlo_mean_std_shrinks_with_runs(small_world):
 
 def test_benign_regime_locb_pipeline_is_accurate():
     """End to end on an analytically easy configuration: free space, wide
-    bandwidth (0.43 m range resolution), noiseless pilots and measurements,
-    N=200 over a region small enough for dense coverage."""
+    bandwidth (0.43 m range resolution), noiseless pilots, noisy power
+    measurements, N=200 over a region small enough for dense coverage."""
     scn = Scenario(
         region=(0.0, 0.0, 40.0, 30.0),
         transmitters=(
@@ -199,9 +198,8 @@ def test_benign_regime_locb_pipeline_is_accurate():
     cfg = ExperimentConfig(
         scenario=scn, estimator="locb", n_train=200, runs=1, seed=0,
         sigma_loc=3.5, lam_loc=1e-4, center_targets=True,
-        measurement_noise=False,
     )
-    result = run_experiment(cfg, grid=grid)
+    result = run_experiments([cfg], grid=grid)[0]
     assert result.mean < 0.05
 
 
@@ -248,7 +246,7 @@ def test_completion_estimator_reports_missing_counts(small_world):
         scenario=scn, estimator="locf_completion", n_train=40, runs=2, seed=3,
         sigma=20.0, lam=1e-4, rank=4, gamma_dbw=gamma,
     )
-    result = run_experiment(cfg, grid=grid)
+    result = run_experiments([cfg], grid=grid)[0]
     assert result.avg_missing > 0
 
 
@@ -364,17 +362,17 @@ def test_locb_parallel_matches_serial_with_filled_and_fresh_tables():
     scn = preset("indoor-fig4")
     grid = precompute_grid(scn, 3.0)
     cfg = experiments._locb_config(scn, runs=3, seed=4)
-    fresh_parallel = run_experiment(cfg, grid=grid, jobs=2)
+    fresh_parallel = run_experiments([cfg], grid=grid, jobs=2)[0]
     assert len(grid.anchors.keys) == 0
     # Seeds 5 and 6: cfg's runs 1 and 2 are solved on the grid, run 0 is not.
-    run_experiment(experiments._locb_config(scn, runs=2, seed=5), grid=grid)
+    run_experiments([experiments._locb_config(scn, runs=2, seed=5)], grid=grid)
     filled = len(grid.anchors.keys)
     assert filled > 0
-    filled_parallel = run_experiment(cfg, grid=grid, jobs=2)
+    filled_parallel = run_experiments([cfg], grid=grid, jobs=2)[0]
     assert len(grid.anchors.keys) == filled
-    filled_serial = run_experiment(cfg, grid=grid, jobs=1)
+    filled_serial = run_experiments([cfg], grid=grid, jobs=1)[0]
     assert len(grid.anchors.keys) > filled
-    fresh_serial = run_experiment(cfg, grid=precompute_grid(scn, 3.0), jobs=1)
+    fresh_serial = run_experiments([cfg], grid=precompute_grid(scn, 3.0), jobs=1)[0]
     assert fresh_parallel == filled_parallel == filled_serial == fresh_serial
 
 
@@ -466,14 +464,12 @@ def test_a_changed_draw_option_draws_a_new_world(small_world, monkeypatch):
     for changed, run_idx in (
         (config, 1),
         (replace(config, n_train=41), 1),
-        (replace(config, n_train=41, noisy_query=False), 1),
-        (replace(config, n_train=41, noisy_query=False, measurement_noise=False), 1),
     ):
         before = calls["traces"]
         evaluation._draw_world(changed, grid, run_idx)
         assert calls["traces"] == before + 1, changed
     evaluation._draw_world(config, other_grid, 0)
-    assert calls["traces"] == 6
+    assert calls["traces"] == 4
 
 
 def test_a_held_world_does_not_keep_its_grid_alive(small_world):
@@ -507,14 +503,14 @@ def test_held_world_arrays_are_read_only(small_world):
 
 def test_run_experiments_matches_each_config_alone(small_world):
     """Serial and parallel run_experiments give, config by config, the
-    NmseResult of run_experiment on a fresh grid; configs may differ in
-    their run counts."""
+    NmseResult of the config run alone on a fresh grid; configs may differ
+    in their run counts."""
     scn, _ = small_world
     configs = _same_world_configs(scn)
     configs[1] = replace(configs[1], runs=2)
     grid = precompute_grid(scn)
     serial = run_experiments(configs, grid)
     parallel = run_experiments(configs, grid, jobs=2)
-    alone = [run_experiment(config, grid=precompute_grid(scn)) for config in configs]
+    alone = [run_experiments([config], grid=precompute_grid(scn))[0] for config in configs]
     assert [len(result.per_run) for result in serial] == [3, 2, 3, 3, 3]
     assert serial == parallel == alone

@@ -113,7 +113,7 @@ def test_sweep_artifacts_match_entries_run_alone(tmp_path):
     """fig11-missing at jobs 1 and 2 writes the same bytes, and every
     entry's runs score as that entry alone on a fresh grid, where no run
     reads another entry's world."""
-    from locfree.evaluation import run_experiment
+    from locfree.evaluation import run_experiments
 
     outputs = []
     for jobs in (1, 2):
@@ -125,5 +125,5 @@ def test_sweep_artifacts_match_entries_run_alone(tmp_path):
     entries = experiments.SWEEPS["fig11-missing"](2, 3)
     assert [label for label, _ in entries] == [key for key in summary if key != "gamma_sweep_dbw"]
     for label, config in entries:
-        alone = run_experiment(config, grid=precompute_grid(config.scenario))
+        alone = run_experiments([config], grid=precompute_grid(config.scenario))[0]
         assert tuple(summary[label]["per_run"]) == alone.per_run, label

@@ -8,7 +8,6 @@ from locfree.kernels import (
     FittedMap,
     GaussianKernel,
     fit,
-    gram_matrix,
     load_model,
     predict,
     save_model,
@@ -51,20 +50,20 @@ def test_kernel_unit_diagonal_and_range():
 
 
 def test_gram_single_column_is_one():
-    k = gram_matrix(np.array([[1.0], [2.0]]), GaussianKernel(1.0))
+    f = np.array([[1.0], [2.0]])
+    k = GaussianKernel(1.0)(f, f)
     assert np.array_equal(k, np.array([[1.0]]))
 
 
 def test_gram_identical_columns_all_ones():
     f = np.array([[1.0, 1.0], [2.0, 2.0]])
-    assert np.allclose(gram_matrix(f, GaussianKernel(0.7)), np.ones((2, 2)))
+    assert np.allclose(GaussianKernel(0.7)(f, f), np.ones((2, 2)))
 
 
 def test_gram_symmetric_psd_matches_elementwise():
     rng = np.random.default_rng(1)
     f = rng.normal(size=(4, 5))
-    kernel = GaussianKernel(1.2)
-    k = gram_matrix(f, kernel)
+    k = GaussianKernel(1.2)(f, f)
     assert np.allclose(k, k.T, atol=1e-15)
     assert np.linalg.eigvalsh(k).min() >= -1e-10
     assert np.allclose(k, np.exp(-difference_sqdist(f, f) / (2 * 1.2**2)), rtol=1e-12, atol=0)
@@ -73,15 +72,13 @@ def test_gram_symmetric_psd_matches_elementwise():
 @pytest.mark.parametrize("scale", [1.0, 30.0, 1e8])
 @pytest.mark.parametrize("m", [2, 4, 10])
 def test_gram_is_the_kernel_exactly_symmetric_with_unit_diagonal(m, scale):
-    """gram_matrix returns kernel(f, f) as it is: that matrix is already
-    exactly symmetric with an exact unit diagonal, duplicate columns
-    included, at in-region and far-out scales."""
+    """kernel(f, f), the Gram matrix fit solves with, is exactly symmetric
+    with an exact unit diagonal, duplicate columns included, at in-region
+    and far-out scales."""
     rng = np.random.default_rng(m)
     f = rng.normal(scale=scale, size=(m, 300))
     f[:, 150:160] = f[:, :10]
-    kernel = GaussianKernel(1.2 * scale)
-    k = gram_matrix(f, kernel)
-    assert np.array_equal(k, kernel(f, f))
+    k = GaussianKernel(1.2 * scale)(f, f)
     assert np.array_equal(k, k.T)
     assert np.all(np.diag(k) == 1.0)
     assert np.all(k[np.arange(10), np.arange(150, 160)] == 1.0)
@@ -140,13 +137,14 @@ def test_far_out_columns_take_difference_distances(order):
     assert np.all(k[:3, 1:] == 0.0) and np.all(k[3:6, 0] == 0.0)
     assert k[3, 1] == 1.0 and k[4, 1] == pytest.approx(np.exp(-0.09 / 0.5), rel=1e-7)
     assert np.all(np.isnan(k[6]))
-    assert np.array_equal(gram_matrix(far[:, :6], kernel)[:2, :2], np.ones((2, 2)))
+    assert np.array_equal(kernel(far[:, :6], far[:, :6])[:2, :2], np.ones((2, 2)))
 
 
 def test_gram_rejects_nonfinite_features():
+    """fit checks its features before it forms the Gram matrix."""
     f = np.array([[1.0, np.nan]])
-    with pytest.raises(ValueError):
-        gram_matrix(f, GaussianKernel(1.0))
+    with pytest.raises(ValueError, match="training data must be finite"):
+        fit(f, np.zeros(2), GaussianKernel(1.0), 1e-3)
 
 
 def test_fit_diagonal_case_closed_form():
@@ -182,7 +180,7 @@ def test_fit_falls_back_to_lstsq_when_solve_fails(monkeypatch):
     lam = 1e-3
     monkeypatch.setattr(kernels.np.linalg, "solve", _failing_solve)
     fitted = fit(features, targets, kernel, lam)
-    system = gram_matrix(features, kernel) + lam * targets.size * np.eye(targets.size)
+    system = kernel(features, features) + lam * targets.size * np.eye(targets.size)
     expected, *_ = np.linalg.lstsq(system, targets, rcond=None)
     assert np.array_equal(fitted.alpha, expected)
 
@@ -193,7 +191,7 @@ def test_fit_falls_back_to_lstsq_on_a_nan_solve(monkeypatch):
     features, targets, kernel = _random_instance(rng, n=60, m=3)
     monkeypatch.setattr(kernels.np.linalg, "solve", lambda a, b: np.full_like(b, np.nan))
     fitted = fit(features, targets, kernel, 1e-3)
-    system = gram_matrix(features, kernel) + 1e-3 * targets.size * np.eye(targets.size)
+    system = kernel(features, features) + 1e-3 * targets.size * np.eye(targets.size)
     expected, *_ = np.linalg.lstsq(system, targets, rcond=None)
     assert np.array_equal(fitted.alpha, expected)
 
@@ -230,7 +228,7 @@ def test_fit_residual_invariant():
     lam = 1e-4
     fitted = fit(features, targets, kernel, lam)
     n = targets.size
-    system = gram_matrix(features, kernel) + lam * n * np.eye(n)
+    system = kernel(features, features) + lam * n * np.eye(n)
     assert np.linalg.norm(system @ fitted.alpha - targets) <= 1e-8 * np.linalg.norm(targets)
 
 
@@ -296,7 +294,7 @@ def test_fitted_alpha_never_beaten_by_random_perturbations():
     lam = 1e-3
     fitted = fit(features, targets, kernel, lam)
     best = objective_value(fitted, features, targets)
-    gram = gram_matrix(features, kernel)
+    gram = kernel(features, features)
     n = targets.size
     for _ in range(100):
         delta = rng.normal(size=n)
@@ -315,7 +313,7 @@ def test_stationarity_residual_small_on_random_instances():
         features, targets, kernel = _random_instance(rng, n=n, m=m)
         lam = 10.0 ** rng.uniform(-5, -2)
         fitted = fit(features, targets, kernel, lam)
-        gram = gram_matrix(features, kernel)
+        gram = kernel(features, features)
         grad = (2.0 / n) * gram @ (gram @ fitted.alpha - targets) + 2 * lam * gram @ fitted.alpha
         assert np.linalg.norm(grad) <= 1e-6 * (1 + np.linalg.norm(targets))
 
@@ -335,7 +333,7 @@ def test_permutation_equivariance():
 def test_rkhs_norm_shrinks_with_regularization():
     rng = np.random.default_rng(11)
     features, targets, kernel = _random_instance(rng, n=30, m=4)
-    gram = gram_matrix(features, kernel)
+    gram = kernel(features, features)
 
     def norm_h(lam):
         alpha = fit(features, targets, kernel, lam).alpha
