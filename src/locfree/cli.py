@@ -82,14 +82,25 @@ def _experiment_config(doc, **overrides):
     return ExperimentConfig(scenario=scenario, **kwargs)
 
 
+def _output_dir(path):
+    """``path``, checked before a command does any work: an output directory
+    can be neither an existing file nor inside one."""
+    head = path
+    while head and not os.path.exists(head):
+        head = os.path.dirname(head)
+    if head and not os.path.isdir(head):
+        raise ConfigurationError(f"output directory {path}: {head} is an existing file")
+    return path
+
+
 def cmd_scenario(args):
+    out = _output_dir(args.out or ".")
     if args.preset is not None:
         scn = preset(args.preset)
         name = args.preset
     else:
         scn = _scenario_from_config(read_json(args.config))
         name = os.path.splitext(os.path.basename(args.config))[0]
-    out = args.out or "."
     os.makedirs(out, exist_ok=True)
     save_scenario(scn, os.path.join(out, f"{name}.json"))
     grid = precompute_grid(scn)  # the writers read no channel, so none is synthesized
@@ -115,6 +126,7 @@ def _serving_config(args, command):
 
 
 def cmd_fit(args):
+    out = _output_dir(args.out or ".")
     config = _serving_config(args, "fit")
     # The fit reads no grid taps and no query pilots, so it synthesizes
     # none and draws no query noise.  The grid only sets the measurement
@@ -122,7 +134,6 @@ def cmd_fit(args):
     noise_std = precompute_grid(config.scenario, config.grid_step).noise_std
     world = _draw_training(config, noise_std, 0)
     model, columns = fit_estimator(config, world)
-    out = args.out or "."
     os.makedirs(out, exist_ok=True)
     model_path = os.path.join(out, "model.json")
     kernels.save_model(model.fitted, model_path)
@@ -134,6 +145,7 @@ def cmd_fit(args):
 
 
 def cmd_predict(args):
+    out = _output_dir(args.out or ".")
     config = _serving_config(args, "predict")
     model = Model(kernels.load_model(args.model))
     scenario = config.scenario
@@ -156,7 +168,6 @@ def cmd_predict(args):
     values = predict_estimator(
         config, model, PilotSet(pilots, scenario.sample_period), tables.pilot_powers
     )
-    out = args.out or "."
     os.makedirs(out, exist_ok=True)
     path = os.path.join(out, "predictions.csv")
     io.write_predictions_csv(pts, values, path)
@@ -176,16 +187,16 @@ def cmd_experiment(args):
                 "--gamma-sweep expects comma-separated numbers"
             ) from exc
     if args.name in experiments.PRESETS:
-        out = args.out or args.name
+        out = _output_dir(args.out or args.name)
         summary = experiments.run_preset(
             args.name, out, runs=args.runs, seed=args.seed or 0,
             jobs=args.jobs, gamma_sweep=gamma_sweep, verbose=args.verbose,
         )
     elif os.path.exists(args.name):
+        out = _output_dir(args.out or os.path.splitext(os.path.basename(args.name))[0])
         if gamma_sweep is not None:
             raise ConfigurationError("--gamma-sweep applies only to fig11-missing")
         config = _experiment_config(read_json(args.name), seed=args.seed, runs=args.runs)
-        out = args.out or os.path.splitext(os.path.basename(args.name))[0]
         summary = experiments._run_sweep([(config.estimator, config)], out, args.jobs or 1)
         io.write_summary_json(summary, os.path.join(out, "summary.json"))
     else:
@@ -199,13 +210,13 @@ def cmd_experiment(args):
 
 
 def cmd_features(args):
+    out = _output_dir(args.out or ".")
     config = _experiment_config(read_json(args.config), seed=args.seed)
     world = _draw_training(config, 0.0, 0)
     matrix = world.train.com
     if np.isfinite(config.gamma_dbw):
         incomplete = mask_features(matrix, world.train_powers, config.gamma_dbw)
         matrix = np.where(incomplete.observed, incomplete.values, np.nan)
-    out = args.out or "."
     os.makedirs(out, exist_ok=True)
     path = os.path.join(out, "features.csv")
     io.write_feature_csv(world.train_points, matrix, path)

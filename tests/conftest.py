@@ -88,11 +88,11 @@ def estimate_tdoa(corr, sample_period):
     Magnitude ties (within a relative 1e-12, so that roundoff cannot break
     an exact tie differently here and in tdoa_range_differences) break
     toward the smallest |lag|, then toward the negative lag.  Returns NaN
-    for an all-zero correlation.
+    for an all-zero or non-finite correlation.
     """
     mag = np.abs(corr.values)
     peak = mag.max()
-    if peak == 0.0:
+    if not 0.0 < peak < np.inf:
         return MISSING
     candidates = corr.lags[peak - mag <= _TIE_RTOL * peak]
     best = min(candidates, key=lambda lag: (abs(lag), lag))

@@ -595,6 +595,46 @@ def test_config_experiment_without_out_writes_next_to_the_config(tmp_path, monke
     assert (tmp_path / "cfg" / "summary.json").exists()
 
 
+@pytest.mark.parametrize(
+    "argv, out, file",
+    [
+        (["scenario", "--preset", "freespace", "--out", "afile"], "afile", "afile"),
+        (["fit", "--config", "cfg.json", "--out", "afile"], "afile", "afile"),
+        (["predict", "--config", "cfg.json", "--model", "model.json", "--out", "afile"],
+         "afile", "afile"),
+        (["features", "--config", "cfg.json", "--out", "afile"], "afile", "afile"),
+        (["experiment", "fig4-maps", "--out", "afile"], "afile", "afile"),
+        (["experiment", "cfg.json", "--out", "afile"], "afile", "afile"),
+        (["experiment", "cfg"], "cfg", "cfg"),
+        (["fit", "--config", "cfg.json", "--out", "afile/sub/dir"], "afile/sub/dir", "afile"),
+    ],
+    ids=["scenario", "fit", "predict", "features", "experiment-preset", "experiment-config",
+         "experiment-extensionless-config", "inside-a-file"],
+)
+def test_output_path_naming_a_file_exits_2_before_any_work(argv, out, file, tmp_path, capsys, monkeypatch):
+    """An --out that names an existing file or a path inside one, or a config
+    experiment's default --out (the config's stem) when that is the config
+    file itself, is named before any grid is traced, world drawn or run
+    started."""
+    from locfree import cli
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started")
+
+    for name in ("precompute_grid", "_draw_training", "simulate_points"):
+        monkeypatch.setattr(cli, name, no_work)
+    monkeypatch.setattr(cli.experiments, "run_preset", no_work)
+    monkeypatch.setattr(cli.experiments, "_run_sweep", no_work)
+    monkeypatch.chdir(tmp_path)
+    doc = json.dumps({"scenario": "freespace", "n_train": 30, "runs": 1})
+    for name in ("cfg.json", "cfg"):
+        (tmp_path / name).write_text(doc)
+    (tmp_path / "afile").write_text("")
+    assert run_cli(*argv) == 2
+    assert f"output directory {out}: {file} is an existing file" in capsys.readouterr().err
+    assert (tmp_path / file).read_text() in ("", doc)
+
+
 def test_features_command_serializes_missing_as_empty(tmp_path):
     doc = {
         "scenario": {"preset": "indoor-fig4"},

@@ -166,14 +166,35 @@ def test_tdoa_tie_breaks_toward_smallest_then_negative_lag():
 
 def test_tdoa_magnitudes_within_the_tie_tolerance_tie():
     """Magnitudes within a relative 1e-12 of the peak tie, in the oracle and
-    in the batched kernel's _peak_lag; a larger gap does not."""
+    in the batched kernel's _peak_lag, which takes its lags in preference
+    order; a larger gap does not.  The -3/+1 tie goes to +1, the first of
+    the two in preference order but not in natural order."""
     lags = np.arange(-3, 4)
-    for gap, expected in ((5e-13, -2.0), (1e-11, 2.0)):
+    preferred = np.array([0, -1, 1, -2, 2, -3, 3])
+    for (first, second), gap, expected in (
+        ((-2, 2), 5e-13, -2.0), ((-2, 2), 1e-11, 2.0), ((-3, 1), 5e-13, 1.0),
+    ):
         values = np.zeros(7, dtype=complex)
-        values[lags == -2] = 1.0
-        values[lags == 2] = 1.0 + gap
+        values[lags == first] = 1.0
+        values[lags == second] = 1.0 + gap
         assert estimate_tdoa(CrossCorrelation(lags=lags, values=values), 1.0) == expected
-        assert features._peak_lag(values[None, None], lags)[0, 0] == expected
+        gathered = values[preferred - lags[0]][None, None]
+        assert features._peak_lag(gathered, preferred)[0, 0] == expected
+
+
+def test_fft_size_is_the_smallest_5_smooth_length_without_wrap():
+    """_fft_size is the smallest length >= 2K-1 whose prime factors are all
+    2, 3 or 5, against a search by trial division, for K = 1..128."""
+
+    def smooth(n):
+        for p in (2, 3, 5):
+            while n % p == 0:
+                n //= p
+        return n == 1
+
+    for k in range(1, 129):
+        expected = next(n for n in range(2 * k - 1, 4 * k) if smooth(n))
+        assert features._fft_size(np.zeros((1, 2, k), dtype=complex)) == expected, k
 
 
 def test_tdoa_missing_on_zero_correlation():
@@ -421,6 +442,23 @@ def test_dead_pilot_row_gives_nan_in_both_outputs():
     assert np.array_equal(diffs, scalar_range_differences(pilots, period), equal_nan=True)
 
 
+@pytest.mark.parametrize("tap", [np.nan, np.inf, complex(0.0, -np.inf)])
+def test_non_finite_tap_gives_nan_range_differences(tap):
+    """A pilot row holding a NaN or inf tap gives NaN range differences, as
+    a dead row does, in the batched kernel and in the scalar oracle: not
+    the most negative lag, -(K-1) c T."""
+    rng = np.random.default_rng(10)
+    pilots = rng.normal(size=(3, 4, 10)) + 1j * rng.normal(size=(3, 4, 10))
+    pilots[1, 2, 3] = tap
+    pilots[2, 0, 9] = tap
+    period = 1.0 / 20e6
+    with np.errstate(invalid="ignore"):  # the transforms of a non-finite row
+        diffs = tdoa_range_differences(pilots, period)
+        expected = scalar_range_differences(pilots, period)
+    assert np.array_equal(np.isnan(diffs), [[False] * 3, [False, True, False], [True] * 3])
+    assert np.array_equal(diffs, expected, equal_nan=True)
+
+
 @pytest.fixture(scope="module")
 def dense_pilots():
     """Noisy pilots on the 2,375-point 200 MHz 5-wall grid (K=100) and T."""
@@ -439,6 +477,13 @@ def test_batched_com_matches_cross_correlate_loop_at_200mhz(dense_pilots):
     assert sample.shape[2] == 100
     matrix = feature_matrix_nosync(sample, period)
     assert np.max(np.abs(matrix - scalar_com_columns(sample, period))) <= 1e-9
+
+
+def test_batched_tdoa_matches_scalar_loop_at_200mhz(dense_pilots):
+    pilots, period = dense_pilots
+    assert pilots.shape == (2375, 5, 100)
+    diffs = tdoa_range_differences(pilots, period)
+    assert np.array_equal(diffs, scalar_range_differences(pilots, period))
 
 
 @pytest.mark.parametrize("k", [1, 2, 10, 100])

@@ -23,6 +23,7 @@ from locfree.features import tdoa_range_differences
 from locfree.kernels import GaussianKernel, fit, predict
 from locfree.localization import (
     AnchorSet,
+    LocBFitReport,
     locb_fit,
     localize_batch,
     srdls_localize,
@@ -200,6 +201,27 @@ def test_multipath_corrupted_tdoas_stay_finite(indoor):
     assert located.sum() >= 30
     assert np.all(np.isfinite(estimates[located]))
     assert np.all(np.isfinite(residuals[located]))
+
+
+def test_non_finite_pilot_row_counts_as_unusable(indoor):
+    """A NaN or inf tap in pilot row l localizes as a dead (all-zero) row l:
+    without that row's range difference, and with no estimate at all when l
+    is the reference row 0."""
+    rng = np.random.default_rng(12)
+    pts = sample_sensor_locations(indoor, 10, rng)
+    tables = simulate_points(indoor, pts)
+    pilots = tables.channels + pilot_noise(indoor, tables.channels.shape, rng)
+    broken, dead = pilots.copy(), pilots.copy()
+    for i in range(indoor.n_transmitters):
+        broken[i, i, 4] = np.nan if i % 2 else np.inf
+        dead[i, i] = 0.0
+    with np.errstate(invalid="ignore"):  # the transforms of a non-finite row
+        estimates, residuals = localize_batch(AnchorSet.from_scenario(indoor), broken, indoor.sample_period)
+    want_xy, want_cost = localize_batch(AnchorSet.from_scenario(indoor), dead, indoor.sample_period)
+    assert np.array_equal(estimates, want_xy, equal_nan=True)
+    assert np.array_equal(residuals, want_cost, equal_nan=True)
+    used = LocBFitReport(estimates, residuals).used
+    assert not used[0] and used[indoor.n_transmitters:].all()
 
 
 def test_locb_fit_shares_the_kernel_solver(indoor):
